@@ -14,7 +14,6 @@ from stokeslab import (
     gradient,
     integrate,
     l2_norm,
-    to_spectral,
 )
 from stokeslab.corpus import random_smooth_field
 
@@ -22,8 +21,9 @@ grid = Grid(n=3, N=64, L=8.0)
 print(f"grid: {grid}, spacing h = {grid.h}")
 
 f = random_smooth_field(grid, seed=1)
-F = to_spectral(f)
-print(f"Parseval check: physical {l2_norm(f):.12f} vs spectral {F.l2_norm():.12f}")
+sp = grid.spectral()          # the grid's real-FFT layer (half spectrum)
+F = sp.forward(f.data)
+print(f"Parseval check: physical {l2_norm(f):.12f} vs spectral {sp.l2(F):.12f}")
 
 # spectral calculus: div(grad) of a mode agrees with -|k|^2 times the mode
 k = 2 * np.pi / (2 * grid.L)

@@ -4,17 +4,16 @@ time-periodic Navier-Stokes fixed points on a truncated whole space."""
 from .grid import (
     Field,
     Grid,
-    SpectralField,
+    curl,
     divergence,
-    from_spectral,
     gradient,
+    gradient_magnitude,
     inner,
     integrate,
     l2_norm,
     laplacian,
     load_field,
     save_field,
-    to_spectral,
 )
 from .weights import (
     AqReport,

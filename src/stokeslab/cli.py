@@ -17,6 +17,25 @@ import os
 import sys
 import time
 
+import numpy as np
+import scipy.fft
+
+from . import __version__
+from .corpus import PRNG_ID, random_smooth_field
+from .exterior import AnnulusSpec, bogovskii_apply, divergence_defect, solenoidal_extension
+from .grid import (
+    Field, Grid, curl, gradient_magnitude, integrate, l2_norm, load_field, save_field,
+)
+from .periodic import (
+    PeriodicSolution, PicardConfig, periodicity_check, picard_solve,
+    random_solenoidal_force, single_mode_force, weighted_report,
+)
+from .semigroup import decay_harness, fractional_integral, predicted_exponent, write_decay_csv
+from .weights import (
+    RadialWeight, admissible_range, aq_check, feasibility, feasibility_scan,
+    maximal_function, mollifier_sup,
+)
+
 
 def _flag_name(key: str) -> str:
     return "--" + key.replace("_", "-")
@@ -139,7 +158,8 @@ def _build_parser():
         "time-periodic flow fixed points",
     )
     ap.add_argument("--threads", type=int, default=0,
-                    help="cap worker threads of the numeric backend")
+                    help="worker threads of the FFT backend (scipy.fft workers); "
+                    "0 keeps its default of one")
     sub = ap.add_subparsers(dest="command", required=True)
     for name, schema in _SCHEMAS.items():
         sp = sub.add_parser(name, help=_DESCRIPTIONS[name],
@@ -190,21 +210,16 @@ def _write_json(path, obj) -> None:
 
 
 # ---------------------------------------------------------------------------
-# command implementations (imports deferred so --threads can act first)
+# command implementations
 # ---------------------------------------------------------------------------
 
 
 def _corpus_field(cfg, components=3):
-    from .corpus import random_smooth_field
-    from .grid import Grid
-
     grid = Grid(3, cfg["N"], cfg["L"])
     return grid, random_smooth_field(grid, cfg["seed"], components=components)
 
 
 def _cmd_check_weight(cfg, outdir):
-    from .weights import RadialWeight, aq_check
-
     w = RadialWeight(s=cfg["alpha"], form=cfg["form"])
     sides = None
     if cfg["sides"]:
@@ -220,15 +235,11 @@ def _cmd_check_weight(cfg, outdir):
 
 
 def _cmd_admissible_range(cfg, outdir):
-    from .weights import admissible_range
-
     lo, hi = admissible_range(cfg["q"], cfg["n"])
     return {"lo": lo, "hi": hi}, 0
 
 
 def _cmd_feasibility(cfg, outdir):
-    from .weights import feasibility, feasibility_scan
-
     if cfg["scan"]:
         total, nonempty, widest = feasibility_scan(cfg["n"], cfg["step"])
         return {
@@ -242,11 +253,6 @@ def _cmd_feasibility(cfg, outdir):
 
 
 def _cmd_maximal(cfg, outdir):
-    import numpy as np
-
-    from .grid import integrate, save_field
-    from .weights import maximal_function, mollifier_sup
-
     grid, f = _corpus_field(cfg, components=1)
     ladder = np.geomspace(grid.h, grid.L, cfg["radii"])
     mf = maximal_function(f, ladder)
@@ -263,10 +269,6 @@ def _cmd_maximal(cfg, outdir):
 
 
 def _cmd_decay(cfg, outdir):
-    import numpy as np
-
-    from .semigroup import decay_harness, predicted_exponent, write_decay_csv
-
     grid, u0 = _corpus_field(cfg)
     ladder = np.geomspace(cfg["tmin"], cfg["tmax"], cfg["points"])
     series, fit, compliance = decay_harness(
@@ -284,11 +286,6 @@ def _cmd_decay(cfg, outdir):
 
 
 def _cmd_frac_integral(cfg, outdir):
-    import numpy as np
-
-    from .grid import Field, integrate
-    from .semigroup import fractional_integral
-
     grid, f = _corpus_field(cfg, components=1)
     lam = cfg["lam"]
     out = fractional_integral(f, lam)
@@ -304,10 +301,6 @@ def _cmd_frac_integral(cfg, outdir):
 
 
 def _bog_test_field(grid, R):
-    import numpy as np
-
-    from .grid import Field
-
     r = np.sqrt(grid.radius_sq())
     t = (r - (R + 0.5)) / 0.35
     ds = np.where(np.abs(t) < 1.0, -8.0 * t * (1.0 - t * t) ** 3 / 0.35, 0.0)
@@ -315,11 +308,6 @@ def _bog_test_field(grid, R):
 
 
 def _cmd_bogovskii_test(cfg, outdir):
-    import numpy as np
-
-    from .exterior import AnnulusSpec, bogovskii_apply, divergence_defect
-    from .grid import Field, Grid, gradient, l2_norm, save_field
-
     grid = Grid(3, cfg["N"], cfg["L"])
     spec = AnnulusSpec(cfg["R"])
     f = _bog_test_field(grid, cfg["R"])
@@ -327,8 +315,7 @@ def _cmd_bogovskii_test(cfg, outdir):
     defect = divergence_defect(B, f, spec)
     r = np.sqrt(grid.radius_sq())
     outside = (r <= spec.R) | (r >= spec.R + 1.0)
-    grad_sq = sum(l2_norm(gradient(Field(grid, B.data[j]))) ** 2 for j in range(3))
-    w12 = float(np.sqrt(l2_norm(B) ** 2 + grad_sq))
+    w12 = float(np.sqrt(l2_norm(B) ** 2 + l2_norm(gradient_magnitude(B)) ** 2))
     save_field(B, os.path.join(outdir, "bogovskii.field"))
     return {
         "div_defect_rel": defect,
@@ -338,33 +325,14 @@ def _cmd_bogovskii_test(cfg, outdir):
 
 
 def _extension_data(grid, R):
-    import numpy as np
-
-    from .grid import Field
-
     r = np.sqrt(grid.radius_sq())
     X, Y, Z = grid.coords()
     t = (r - (R + 2.0)) / 1.0
     prof = np.where(np.abs(t) < 1.0, (1.0 - t * t) ** 3, 0.0)
-    A = np.stack([-Y * prof, X * prof, np.zeros_like(prof)])
-    k = grid.wavenumbers()
-    Ah = [np.fft.fftn(A[j]) for j in range(3)]
-    u0 = np.stack(
-        [
-            np.fft.ifftn(1j * (k[1] * Ah[2] - k[2] * Ah[1])).real,
-            np.fft.ifftn(1j * (k[2] * Ah[0] - k[0] * Ah[2])).real,
-            np.fft.ifftn(1j * (k[0] * Ah[1] - k[1] * Ah[0])).real,
-        ]
-    )
-    return Field(grid, u0)
+    return curl(Field(grid, np.stack([-Y * prof, X * prof, np.zeros_like(prof)])))
 
 
 def _cmd_extend(cfg, outdir):
-    import numpy as np
-
-    from .exterior import AnnulusSpec, solenoidal_extension
-    from .grid import Grid, save_field
-
     grid = Grid(3, cfg["N"], cfg["L"])
     spec = AnnulusSpec(cfg["R"])
     u0 = _extension_data(grid, cfg["R"])
@@ -381,8 +349,6 @@ def _cmd_extend(cfg, outdir):
 
 
 def _make_force(cfg):
-    from .periodic import random_solenoidal_force, single_mode_force
-
     if cfg["force"] == "single-mode":
         return single_mode_force(cfg["T"], amplitude=cfg["eps"])
     if cfg["force"] == "random":
@@ -391,9 +357,6 @@ def _make_force(cfg):
 
 
 def _cmd_solve_periodic(cfg, outdir):
-    from .grid import Grid, save_field
-    from .periodic import PicardConfig, picard_solve
-
     grid = Grid(3, cfg["N"], cfg["L"])
     force = _make_force(cfg)
     pc = PicardConfig(
@@ -414,19 +377,34 @@ def _cmd_solve_periodic(cfg, outdir):
     }, 0 if sol.converged else 1
 
 
-def _load_run(run_dir):
-    import numpy as np
+def _load_run(command, run_dir):
+    """(solution, force, Picard config) of a solve-periodic run directory.
 
-    from .grid import Grid, load_field
-    from .periodic import PeriodicSolution, PicardConfig
-
-    with open(os.path.join(run_dir, "manifest.json")) as fh:
+    A missing --run is a ConfigError; an unreadable or inconsistent run
+    raises OSError, KeyError or ValueError.
+    """
+    if not run_dir:
+        raise ConfigError(f"{command} needs --run pointing at a solve-periodic directory")
+    path = os.path.join(run_dir, "manifest.json")
+    if not os.path.isfile(path):
+        raise ValueError(f"{run_dir!r} holds no solve-periodic manifest.json")
+    with open(path) as fh:
         manifest = json.load(fh)
+    if manifest["command"] != "solve-periodic":
+        raise ValueError(f"{run_dir!r} was written by {manifest['command']!r}, "
+                         f"not solve-periodic")
     cfg = manifest["config"]
     grid = Grid(3, cfg["N"], cfg["L"])
+    expected = (3, grid.N, grid.L, 3)
     snaps = []
     for m in range(cfg["M"]):
-        snaps.append(load_field(os.path.join(run_dir, f"node_{m:03d}.field")).data)
+        name = f"node_{m:03d}.field"
+        f = load_field(os.path.join(run_dir, name))
+        header = (f.grid.n, f.grid.N, f.grid.L, f.components)
+        if header != expected:
+            raise ValueError(f"{name} header (n, N, L, components) = {header} does not "
+                             f"match the run manifest {expected}")
+        snaps.append(f.data)
     times = cfg["T"] * np.arange(cfg["M"]) / cfg["M"]
     sol = PeriodicSolution(
         grid=grid,
@@ -444,22 +422,14 @@ def _load_run(run_dir):
     return sol, _make_force(cfg), pc
 
 
-def _cmd_periodicity_check(cfg, outdir):
-    from .periodic import periodicity_check
-
-    if not cfg["run"]:
-        raise ConfigError("periodicity-check needs --run pointing at a solve-periodic directory")
-    sol, force, pc = _load_run(cfg["run"])
+def _cmd_periodicity_check(cfg, outdir, run):
+    sol, force, pc = run
     defect = periodicity_check(sol, force, pc, steps=cfg["steps"])
     return {"defect": defect}, 0
 
 
-def _cmd_weighted_report(cfg, outdir):
-    from .periodic import weighted_report
-
-    if not cfg["run"]:
-        raise ConfigError("weighted-report needs --run pointing at a solve-periodic directory")
-    sol, force, _ = _load_run(cfg["run"])
+def _cmd_weighted_report(cfg, outdir, run):
+    sol, force, _ = run
     rep = weighted_report(sol, force, cfg["q1"], cfg["q2"], cfg["s"])
     return rep, 0
 
@@ -481,15 +451,24 @@ _COMMANDS = {
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    if args.threads and args.threads > 0:
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-            os.environ[var] = str(args.threads)
+    if args.threads > 0:
+        with scipy.fft.set_workers(args.threads):
+            return _run(args)
+    return _run(args)
 
+
+def _run(args) -> int:
     try:
         cfg = _resolve_config(args)
+        # run-directory inputs are read and checked before anything is written
+        inputs = (_load_run(args.command, cfg["run"]),) if "run" in cfg else ()
     except ConfigError as exc:
         print(json.dumps({"error": "invalid-config", "detail": str(exc)}))
         return 2
+    except (OSError, KeyError, ValueError) as exc:
+        detail = f"run manifest lacks {exc}" if isinstance(exc, KeyError) else str(exc)
+        print(json.dumps({"error": "precondition-violation", "detail": detail}))
+        return 1
 
     # follow-up checks accumulate inside the run directory they examine
     default_out = os.path.join("runs", args.command)
@@ -500,7 +479,7 @@ def main(argv=None) -> int:
 
     t0 = time.time()
     try:
-        result, status = _COMMANDS[args.command](cfg, outdir)
+        result, status = _COMMANDS[args.command](cfg, outdir, *inputs)
     except ConfigError as exc:
         print(json.dumps({"error": "invalid-config", "detail": str(exc)}))
         return 2
@@ -512,11 +491,6 @@ def main(argv=None) -> int:
     wall = time.time() - t0
 
     _write_json(os.path.join(outdir, "result.json"), result)
-    from . import __version__
-    from .corpus import PRNG_ID
-    import numpy as np
-    import scipy
-
     manifest = {
         "command": args.command,
         "config": cfg,

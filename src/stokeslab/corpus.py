@@ -31,23 +31,17 @@ def random_smooth_field(
     """
     rng = np.random.default_rng(seed)
     sigma = grid.L / 5.5 if envelope_sigma is None else float(envelope_sigma)
-    profile = np.exp(-grid.wavenumber_sq() / (2.0 * k0**2))
+    sp = grid.spectral()
+    profile = np.exp(-sp.ksq / (2.0 * k0**2))
     envelope = np.exp(-grid.radius_sq() / sigma**2)
     # steep low-pass applied after enveloping: the envelope product regrows
     # Nyquist-plane content where real-FFT derivative identities degrade
-    idx = np.abs(np.fft.fftfreq(grid.N) * grid.N)
-    idx_sq = sum(i**2 for i in np.meshgrid(*([idx] * grid.n), indexing="ij"))
+    idx_sq = sum(i**2 for i in sp.index)
     lowpass = np.exp(-((np.sqrt(idx_sq) / (0.4 * grid.N)) ** 16))
 
-    def one():
-        white = rng.standard_normal(grid.shape)
-        smooth = np.fft.ifftn(np.fft.fftn(white) * profile).real
-        return np.fft.ifftn(np.fft.fftn(smooth * envelope) * lowpass).real
-
-    if components == 1:
-        data = one()
-    else:
-        data = np.stack([one() for _ in range(components)])
+    shape = grid.shape if components == 1 else (components,) + grid.shape
+    smooth = sp.apply(rng.standard_normal(shape), profile)
+    data = sp.apply(smooth * envelope, lowpass)
     f = Field(grid, data)
     if normalize:
         scale = np.sqrt(np.sum(f.data**2) * grid.cell_volume)

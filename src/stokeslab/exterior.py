@@ -13,9 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.ndimage import map_coordinates
 
-from .grid import Field, Grid
+from .grid import Field, Grid, divergence, l2_norm
 
 __all__ = [
     "AnnulusSpec",
@@ -238,6 +237,8 @@ class _FieldSampler:
         self.h = grid.h / 2.0
 
     def __call__(self, points):
+        from scipy.ndimage import map_coordinates
+
         idx = (points + self.L) / self.h
         return map_coordinates(
             self.coeffs,
@@ -361,8 +362,6 @@ def divergence_defect(B: Field, f: Field, spec: AnnulusSpec, margin: float = 0.0
     Measured over interior annulus points at distance > margin from the
     annulus boundary (margin 0 measures over the whole grid).
     """
-    from .grid import divergence, l2_norm
-
     div = divergence(B)
     g = B.grid
     if margin > 0.0:
@@ -386,8 +385,6 @@ def solenoidal_extension(
     1 inside |x| <= R+2 and 0 outside |x| >= R+3; the divergence correction
     lives on the annulus D_{R+2}.  Requires R + 4 <= L.
     """
-    from .grid import divergence, l2_norm
-
     grid = u0.grid
     if not u0.is_vector:
         raise ValueError("solenoidal_extension expects a vector field")

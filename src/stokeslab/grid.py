@@ -5,22 +5,41 @@ per axis.  Sample points sit at x_i = -L + i*h (h = 2L/N), i.e. at the
 midpoints of a shifted cell partition, so a plain sum times h^n realizes
 the midpoint rule and the cube center 0 is a sample point.  The frequency
 set per axis is {2*pi*k/(2L) : k = -N/2, ..., N/2 - 1}.
+
+All spectral work goes through one layer per grid, Grid.spectral(): scipy.fft
+real transforms over the last n axes, batched over leading axes (components,
+time nodes), in the rfftn half-spectrum layout.  It holds broadcastable
+wavenumbers k and |xi|^2 (ksq) and the 2/3-rule mask (dealias), and provides
+forward/inverse, apply (multiplier), project (Leray), l2 (Parseval), grad/div
+coefficients and gradient_magnitude.
+
+Nyquist policy: the frequency index N/2 has no conjugate partner on an
+even grid.  First-derivative multipliers i xi_j vanish on the Nyquist plane
+of axis j (the layer's k_j is zero there), which is what the real part of
+a complex transform gives.  |xi|^2 keeps its true value there, so the
+Laplacian and the heat multiplier act on those planes.  The projection
+drops every Nyquist plane and the zero mode, which keeps it an exact
+idempotent with divergence-free output on rough data; band-limited fields
+are unaffected.
 """
 
 from __future__ import annotations
 
+import functools
+import os
 import struct
 
 import numpy as np
+from scipy import fft as _fft
 
 __all__ = [
     "Grid",
     "Field",
-    "SpectralField",
-    "to_spectral",
-    "from_spectral",
+    "Spectral",
     "gradient",
+    "gradient_magnitude",
     "divergence",
+    "curl",
     "laplacian",
     "integrate",
     "inner",
@@ -56,8 +75,9 @@ class Grid:
         self.axis = -L + self.h * np.arange(N)
         self._coords = None
         self._k = None
-        self._k_sq = None
         self._r_sq = None
+        self._offset_sq = None
+        self._spectral = None
 
     @property
     def shape(self):
@@ -70,23 +90,33 @@ class Grid:
         return self._coords
 
     def wavenumbers(self):
-        """Meshgrid wavenumber arrays in FFT (wrapped) order."""
+        """Full-layout meshgrid wavenumber arrays in FFT (wrapped) order."""
         if self._k is None:
             k1 = 2.0 * np.pi * np.fft.fftfreq(self.N, d=self.h)
             self._k = np.meshgrid(*([k1] * self.n), indexing="ij")
         return self._k
 
-    def wavenumber_sq(self):
-        """|xi|^2 on the wavenumber grid."""
-        if self._k_sq is None:
-            self._k_sq = sum(ki**2 for ki in self.wavenumbers())
-        return self._k_sq
+    def spectral(self) -> "Spectral":
+        """The grid's spectral layer, built on first use."""
+        if self._spectral is None:
+            self._spectral = Spectral(self)
+        return self._spectral
 
     def radius_sq(self):
         """|x|^2 measured from the cube center."""
         if self._r_sq is None:
             self._r_sq = sum(xi**2 for xi in self.coords())
         return self._r_sq
+
+    def offset_sq(self):
+        """Squared min-image length of each lattice offset, in wrapped order."""
+        if self._offset_sq is None:
+            step = np.arange(self.N) * self.h
+            d1 = np.minimum(step, 2 * self.L - step)
+            self._offset_sq = sum(
+                dd**2 for dd in np.meshgrid(*([d1] * self.n), indexing="ij")
+            )
+        return self._offset_sq
 
     def bracket(self, s: float):
         """Japanese bracket weight <x>^s = (1 + |x|^2)^(s/2)."""
@@ -103,6 +133,106 @@ class Grid:
 
     def __repr__(self):
         return f"Grid(n={self.n}, N={self.N}, L={self.L})"
+
+
+class Spectral:
+    """Batched real-FFT calculus on one grid (see the module docstring).
+
+    Coefficient arrays have shape (...,) + self.shape; vector operations
+    take the component axis right before the n grid axes.
+    """
+
+    def __init__(self, grid: Grid):
+        n, N = grid.n, grid.N
+        self.grid = grid
+        self.n = n
+        self.axes = tuple(range(-n, 0))
+        self.shape = (N,) * (n - 1) + (N // 2 + 1,)
+
+        def along(values, j):
+            return values.reshape((1,) * j + (-1,) + (1,) * (n - 1 - j))
+
+        full = 2.0 * np.pi * _fft.fftfreq(N, d=grid.h)
+        half = 2.0 * np.pi * _fft.rfftfreq(N, d=grid.h)
+        freqs = [full] * (n - 1) + [half]
+        self.ksq = sum(along(f, j) ** 2 for j, f in enumerate(freqs))
+        self._ksq_safe = np.where(self.ksq == 0.0, 1.0, self.ksq)
+        # derivative wavenumbers: zero at index N/2 (the Nyquist policy)
+        self.k = [along(np.where(np.arange(f.size) == N // 2, 0.0, f), j)
+                  for j, f in enumerate(freqs)]
+        # |frequency index| per axis, broadcastable like k
+        index = [np.abs(_fft.fftfreq(N) * N)] * (n - 1) + [_fft.rfftfreq(N) * N]
+        self.index = [along(i, j) for j, i in enumerate(index)]
+        # Parseval weights: interior half-spectrum modes stand for two
+        pw = np.full(N // 2 + 1, 2.0)
+        pw[0] = pw[-1] = 1.0
+        self._pw = along(pw, n - 1)
+        tail = (slice(None),) * n
+        self._comp = [(Ellipsis, j) + tail for j in range(n)]
+        self._nyquist = [(Ellipsis, N // 2) + (slice(None),) * (n - 1 - j)
+                         for j in range(n)]
+        self._zero = (Ellipsis,) + (0,) * n
+
+    def forward(self, data):
+        """rfftn over the grid axes, batched over leading axes."""
+        return _fft.rfftn(data, axes=self.axes)
+
+    def inverse(self, hat):
+        """irfftn back to real samples on the grid."""
+        return _fft.irfftn(hat, s=self.grid.shape, axes=self.axes)
+
+    def apply(self, data, mult):
+        """Samples of the multiplier operator mult(xi) applied to data."""
+        hat = self.forward(data)
+        hat *= mult
+        return self.inverse(hat)
+
+    def grad(self, hat):
+        """Coefficients of the gradient, derivative axis first."""
+        out = np.empty((self.n,) + hat.shape, dtype=complex)
+        for j, kj in enumerate(self.k):
+            np.multiply(hat, 1j * kj, out=out[j])
+        return out
+
+    def _dot(self, hat):
+        acc = self.k[0] * hat[self._comp[0]]
+        for j in range(1, self.n):
+            acc += self.k[j] * hat[self._comp[j]]
+        return acc
+
+    def div(self, hat):
+        """Coefficients of the divergence of a vector field."""
+        return 1j * self._dot(hat)
+
+    def project(self, hat):
+        """Leray projection I - xi xi^T/|xi|^2 in place; zero mode and
+        Nyquist planes are dropped."""
+        dot = self._dot(hat)
+        dot /= self._ksq_safe
+        for kj, c in zip(self.k, self._comp):
+            hat[c] -= kj * dot
+        for plane in self._nyquist:
+            hat[plane] = 0.0
+        hat[self._zero] = 0.0
+        return hat
+
+    def l2(self, hat) -> float:
+        """Physical L^2 norm from half-spectrum coefficients (Parseval)."""
+        g = self.grid
+        scale = g.cell_volume / g.N**g.n
+        return float(np.sqrt(np.sum(self._pw * np.abs(hat) ** 2) * scale))
+
+    def gradient_magnitude(self, hat):
+        """Pointwise |grad u| (Frobenius norm for vectors) by one inverse."""
+        d = self.inverse(self.grad(hat))
+        np.square(d, out=d)
+        return np.sqrt(d.reshape((-1,) + self.grid.shape).sum(axis=0))
+
+    @functools.cached_property
+    def dealias(self):
+        """2/3-rule mask: every |frequency index| below N/3."""
+        cut = self.grid.N / 3.0
+        return functools.reduce(np.logical_and, [idx < cut for idx in self.index])
 
 
 class Field:
@@ -158,75 +288,55 @@ class Field:
         return f"Field({kind}, {self.grid!r})"
 
 
-class SpectralField:
-    """Fourier coefficients of a Field, same layout, wrapped frequency order."""
-
-    def __init__(self, grid: Grid, coeffs):
-        self.grid = grid
-        self.coeffs = np.asarray(coeffs, dtype=complex)
-
-    def l2_norm(self) -> float:
-        """Spectral L^2 norm; equals the physical norm by Parseval."""
-        g = self.grid
-        scale = g.cell_volume / g.N**g.n
-        return float(np.sqrt(np.sum(np.abs(self.coeffs) ** 2) * scale))
-
-
-def _fft_axes(grid: Grid, data):
-    return tuple(range(data.ndim - grid.n, data.ndim))
-
-
-def to_spectral(f: Field) -> SpectralField:
-    """Forward FFT of a field (per component)."""
-    return SpectralField(f.grid, np.fft.fftn(f.data, axes=_fft_axes(f.grid, f.data)))
-
-
-def from_spectral(F: SpectralField) -> Field:
-    """Inverse FFT back to physical samples (real part)."""
-    data = np.fft.ifftn(F.coeffs, axes=_fft_axes(F.grid, F.coeffs)).real
-    return Field(F.grid, data)
-
-
 def gradient(f: Field) -> Field:
     """Spectral gradient of a scalar field, multiplier i*xi."""
     if f.is_vector:
         raise ValueError("gradient expects a scalar field")
-    g = f.grid
-    fh = np.fft.fftn(f.data)
-    out = np.empty((g.n,) + g.shape)
-    for j, kj in enumerate(g.wavenumbers()):
-        out[j] = np.fft.ifftn(1j * kj * fh).real
-    return Field(g, out)
+    sp = f.grid.spectral()
+    return Field(f.grid, sp.inverse(sp.grad(sp.forward(f.data))))
+
+
+def gradient_magnitude(f: Field) -> Field:
+    """Pointwise |grad f|; for a vector field the Frobenius norm of its Jacobian."""
+    sp = f.grid.spectral()
+    return Field(f.grid, sp.gradient_magnitude(sp.forward(f.data)))
 
 
 def divergence(v: Field) -> Field:
     """Spectral divergence of a vector field."""
     if not v.is_vector:
         raise ValueError("divergence expects a vector field")
+    sp = v.grid.spectral()
+    return Field(v.grid, sp.inverse(sp.div(sp.forward(v.data))))
+
+
+def curl(v: Field) -> Field:
+    """Spectral curl of a vector field at n = 3."""
     g = v.grid
-    acc = np.zeros(g.shape, dtype=complex)
-    for j, kj in enumerate(g.wavenumbers()):
-        acc += 1j * kj * np.fft.fftn(v.data[j])
-    return Field(g, np.fft.ifftn(acc).real)
+    if g.n != 3 or not v.is_vector:
+        raise ValueError("curl expects a vector field at n = 3")
+    sp = g.spectral()
+    a, k = sp.forward(v.data), sp.k
+    ch = np.stack([k[1] * a[2] - k[2] * a[1], k[2] * a[0] - k[0] * a[2],
+                   k[0] * a[1] - k[1] * a[0]])
+    return Field(g, sp.inverse(1j * ch))
 
 
 def laplacian(f: Field) -> Field:
     """Spectral Laplacian, multiplier -|xi|^2 (per component)."""
-    g = f.grid
-    axes = _fft_axes(g, f.data)
-    fh = np.fft.fftn(f.data, axes=axes)
-    return Field(g, np.fft.ifftn(-g.wavenumber_sq() * fh, axes=axes).real)
+    sp = f.grid.spectral()
+    return Field(f.grid, sp.apply(f.data, -sp.ksq))
 
 
 def integrate(f: Field, q: float, weight=None) -> float:
-    """Weighted Lebesgue norm (sum |f|^q w^q h^n)^(1/q).
+    """Weighted Lebesgue norm (sum |f|^q w^q h^n)^(1/q), q >= 1.
 
     weight is None (w = 1), a number s (w = <x>^s), or any object with a
     sample(grid) method returning pointwise weight values.
     """
     q = float(q)
-    if q <= 1.0:
-        raise ValueError(f"Lebesgue index q must exceed 1, got {q}")
+    if not q >= 1.0:
+        raise ValueError(f"Lebesgue index q must be >= 1, got {q}")
     mag = f.magnitude()
     if weight is None:
         wq = 1.0
@@ -260,10 +370,21 @@ def save_field(f: Field, path) -> None:
 
 
 def load_field(path) -> Field:
+    """Read a field binary; the file length must match its header exactly."""
     with open(path, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
+        if size < _HEADER.size:
+            raise ValueError(f"{path}: {size} bytes is shorter than the field header")
         n, N, L, components = _HEADER.unpack(fh.read(_HEADER.size))
         grid = Grid(n=n, N=N, L=L)
+        if components not in (1, n):
+            raise ValueError(f"{path}: header gives {components} components at n = {n}")
         count = components * N**n
-        data = np.frombuffer(fh.read(count * 8), dtype="<f8", count=count)
+        if size != _HEADER.size + 8 * count:
+            raise ValueError(
+                f"{path}: {size - _HEADER.size} data bytes, header (n={n}, N={N}, "
+                f"components={components}) needs {8 * count}"
+            )
+        data = np.frombuffer(fh.read(8 * count), dtype="<f8", count=count)
     shape = grid.shape if components == 1 else (components,) + grid.shape
     return Field(grid, data.reshape(shape).copy())

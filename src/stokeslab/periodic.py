@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grid import Field, Grid
+from .grid import Field, Grid, gradient_magnitude, integrate
 from .weights import HypothesisSet
 
 __all__ = [
@@ -148,92 +148,47 @@ def random_solenoidal_force(T: float, seed: int, k0: float = 1.0,
 
 
 # ---------------------------------------------------------------------------
-# spectral helpers (real FFT layout)
+# spectral helpers (the grid's real-FFT layer)
 # ---------------------------------------------------------------------------
 
 
-class _Workspace:
-    def __init__(self, grid: Grid):
-        if grid.n != 3:
-            raise ValueError("the periodic solver runs at n = 3")
-        self.grid = grid
-        N, h = grid.N, grid.h
-        kf = 2.0 * np.pi * np.fft.fftfreq(N, d=h)
-        kr = 2.0 * np.pi * np.fft.rfftfreq(N, d=h)
-        self.k = [
-            kf[:, None, None],
-            kf[None, :, None],
-            kr[None, None, :],
-        ]
-        self.ksq = self.k[0] ** 2 + self.k[1] ** 2 + self.k[2] ** 2
-        self.ksq_safe = np.where(self.ksq == 0.0, 1.0, self.ksq)
-        idx = np.abs(np.fft.fftfreq(N) * N)
-        idr = np.abs(np.fft.rfftfreq(N) * N)
-        cut = N / 3.0
-        self.mask = (
-            (idx[:, None, None] < cut)
-            & (idx[None, :, None] < cut)
-            & (idr[None, None, :] < cut)
-        )
-        # Parseval weights on the half spectrum
-        wr = np.full(N // 2 + 1, 2.0)
-        wr[0] = 1.0
-        wr[-1] = 1.0
-        self.pw = wr[None, None, :]
-        self.rshape = (N, N, N // 2 + 1)
+def _spectral(grid: Grid):
+    if grid.n != 3:
+        raise ValueError("the periodic solver runs at n = 3")
+    return grid.spectral()
 
-    def rfft(self, data):
-        return np.fft.rfftn(data, axes=(-3, -2, -1))
 
-    def irfft(self, hat):
-        return np.fft.irfftn(hat, s=self.grid.shape, axes=(-3, -2, -1))
-
-    def l2(self, hat) -> float:
-        g = self.grid
-        scale = g.cell_volume / g.N**g.n
-        return float(np.sqrt(np.sum(self.pw * np.abs(hat) ** 2) * scale))
-
-    def project(self, hat):
-        """Leray projection and zero-mode removal in place."""
-        dot = (self.k[0] * hat[0] + self.k[1] * hat[1] + self.k[2] * hat[2]) / self.ksq_safe
+def _nonlin_hat(sp, uh):
+    """-P(u . grad u) with 2/3-rule de-aliasing, in spectral space."""
+    u = sp.inverse(uh)
+    conv = np.empty_like(u)
+    for i in range(3):
+        acc = np.zeros(sp.grid.shape)
         for j in range(3):
-            hat[j] -= self.k[j] * dot
-            hat[j][0, 0, 0] = 0.0
-        return hat
-
-    def nonlin_hat(self, uh):
-        """-P(u . grad u) with 2/3-rule de-aliasing, in spectral space."""
-        u = self.irfft(uh)
-        conv = np.empty_like(u)
-        for i in range(3):
-            acc = np.zeros(self.grid.shape)
-            for j in range(3):
-                acc += u[j] * self.irfft(1j * self.k[j] * uh[i])
-            conv[i] = acc
-        ch = self.rfft(conv)
-        ch *= self.mask
-        return self.project(-ch)
-
-    def solenoidal_defect(self, uh) -> float:
-        div = 1j * (self.k[0] * uh[0] + self.k[1] * uh[1] + self.k[2] * uh[2])
-        num = self.l2(div[None])
-        den = self.l2(np.sqrt(self.ksq)[None] * uh)
-        return num / den if den > 0 else 0.0
+            acc += u[j] * sp.inverse(1j * sp.k[j] * uh[i])
+        conv[i] = acc
+    ch = sp.forward(conv)
+    ch *= sp.dealias
+    return sp.project(-ch)
 
 
-def _force_hats(force: PeriodicForce, ws: _Workspace, times) -> np.ndarray:
-    out = np.empty((len(times), 3) + ws.rshape, dtype=complex)
-    for m, t in enumerate(times):
-        fh = ws.rfft(force.field(ws.grid, t).data)
-        fh *= ws.mask
-        out[m] = ws.project(fh)
-    return out
+def _solenoidal_defect(sp, uh) -> float:
+    num = sp.l2(sp.div(uh))
+    den = sp.l2(np.sqrt(sp.ksq) * uh)
+    return num / den if den > 0 else 0.0
 
 
-def _resolve_periodic(h_hats: np.ndarray, ws: _Workspace, T: float,
+def _force_hat(force: PeriodicForce, sp, t) -> np.ndarray:
+    """De-aliased, projected spectrum of the forcing at time t."""
+    fh = sp.forward(force.field(sp.grid, t).data)
+    fh *= sp.dealias
+    return sp.project(fh)
+
+
+def _resolve_periodic(h_hats: np.ndarray, sp, T: float,
                       tail_eps: float) -> np.ndarray:
     """Node values of the history integral for node data h (spectral)."""
-    kappa_min = ws.grid.min_wavenumber_sq()
+    kappa_min = sp.grid.min_wavenumber_sq()
     if kappa_min * T < 1e-6:
         raise ValueError(
             f"non-convergent tail: kappa_min * T = {kappa_min * T:.2e} < 1e-6"
@@ -242,8 +197,8 @@ def _resolve_periodic(h_hats: np.ndarray, ws: _Workspace, T: float,
     K = int(math.ceil(math.log(1.0 / tail_eps) / (T * kappa_min)))
     Hf = np.fft.fft(h_hats, axis=0)
     nu_omega = 2.0 * np.pi / T * np.fft.fftfreq(M) * M
-    tail = -np.expm1(-(K + 1) * T * ws.ksq)       # 1 - exp(...), zero at xi = 0
-    denom = ws.ksq[None, None] + 1j * nu_omega[:, None, None, None, None]
+    tail = -np.expm1(-(K + 1) * T * sp.ksq)       # 1 - exp(...), zero at xi = 0
+    denom = sp.ksq[None, None] + 1j * nu_omega[:, None, None, None, None]
     denom = np.where(denom == 0.0, 1.0, denom)
     Hf *= tail[None, None] / denom
     return np.fft.ifft(Hf, axis=0)
@@ -251,48 +206,46 @@ def _resolve_periodic(h_hats: np.ndarray, ws: _Workspace, T: float,
 
 def nonlinearity(u: Field, solenoidal_rtol: float = 1e-8) -> Field:
     """-P(u . grad u), spectrally de-aliased; u must be solenoidal."""
-    ws = _Workspace(u.grid)
+    sp = _spectral(u.grid)
     if not u.is_vector:
         raise ValueError("the advection nonlinearity expects a vector field")
-    uh = ws.rfft(u.data).astype(complex)
-    defect = ws.solenoidal_defect(uh)
+    uh = sp.forward(u.data)
+    defect = _solenoidal_defect(sp, uh)
     if defect > solenoidal_rtol:
         raise ValueError(
             f"input is not solenoidal: relative divergence {defect:.3e}"
         )
-    return Field(u.grid, ws.irfft(ws.nonlin_hat(uh)))
+    return Field(u.grid, sp.inverse(_nonlin_hat(sp, uh)))
 
 
-def _map_hats(u_hats, f_hats, ws: _Workspace, force_T, cfg: PicardConfig):
+def _map_hats(u_hats, f_hats, sp, force_T, cfg: PicardConfig):
     M = u_hats.shape[0]
     h_hats = np.empty_like(u_hats)
     for m in range(M):
         h_hats[m] = f_hats[m]
         if not cfg.linear_only:
-            h_hats[m] += ws.nonlin_hat(u_hats[m])
-    return _resolve_periodic(h_hats, ws, force_T, cfg.tail_eps)
+            h_hats[m] += _nonlin_hat(sp, u_hats[m])
+    return _resolve_periodic(h_hats, sp, force_T, cfg.tail_eps)
 
 
 def poincare_map(snapshots, force: PeriodicForce, cfg: PicardConfig,
                  grid: Grid) -> np.ndarray:
     """One application of the history-integral map to node snapshots."""
-    ws = _Workspace(grid)
+    sp = _spectral(grid)
     times = force.T * np.arange(cfg.M) / cfg.M
     snapshots = np.asarray(snapshots, dtype=float)
     if snapshots.shape != (cfg.M, 3) + grid.shape:
         raise ValueError("snapshots must have shape (M, 3) + grid.shape")
-    u_hats = np.stack([ws.rfft(snapshots[m]).astype(complex) for m in range(cfg.M)])
-    f_hats = _force_hats(force, ws, times)
-    out = _map_hats(u_hats, f_hats, ws, force.T, cfg)
-    return np.stack([ws.irfft(out[m]) for m in range(cfg.M)])
+    f_hats = np.stack([_force_hat(force, sp, t) for t in times])
+    return sp.inverse(_map_hats(sp.forward(snapshots), f_hats, sp, force.T, cfg))
 
 
 def picard_solve(force: PeriodicForce, cfg: PicardConfig, grid: Grid) -> PeriodicSolution:
     """Iterate u <- H[u] from u = 0 until the node residuals settle."""
-    ws = _Workspace(grid)
+    sp = _spectral(grid)
     times = force.T * np.arange(cfg.M) / cfg.M
-    f_hats = _force_hats(force, ws, times)
-    u_hats = np.zeros((cfg.M, 3) + ws.rshape, dtype=complex)
+    f_hats = np.stack([_force_hat(force, sp, t) for t in times])
+    u_hats = np.zeros((cfg.M, 3) + sp.shape, dtype=complex)
 
     history = []
     residuals = np.zeros(cfg.M)
@@ -300,10 +253,10 @@ def picard_solve(force: PeriodicForce, cfg: PicardConfig, grid: Grid) -> Periodi
     grow_count = 0
     it = 0
     for it in range(1, cfg.max_iter + 1):
-        new = _map_hats(u_hats, f_hats, ws, force.T, cfg)
-        scale = max(max(ws.l2(new[m]) for m in range(cfg.M)), 1e-300)
+        new = _map_hats(u_hats, f_hats, sp, force.T, cfg)
+        scale = max(max(sp.l2(new[m]) for m in range(cfg.M)), 1e-300)
         residuals = np.array(
-            [ws.l2(new[m] - u_hats[m]) / scale for m in range(cfg.M)]
+            [sp.l2(new[m] - u_hats[m]) / scale for m in range(cfg.M)]
         )
         res = float(residuals.max())
         history.append(res)
@@ -319,7 +272,7 @@ def picard_solve(force: PeriodicForce, cfg: PicardConfig, grid: Grid) -> Periodi
         else:
             grow_count = 0
 
-    snapshots = np.stack([ws.irfft(u_hats[m]) for m in range(cfg.M)])
+    snapshots = sp.inverse(u_hats)
     return PeriodicSolution(
         grid=grid,
         T=force.T,
@@ -339,9 +292,9 @@ def periodicity_check(sol: PeriodicSolution, force: PeriodicForce,
     Returns the relative defect |u_marched(T) - u(0)| / |u(0)| in L^2 (zero
     when both vanish).
     """
-    ws = _Workspace(sol.grid)
+    sp = _spectral(sol.grid)
     dt = force.T / steps
-    L = -ws.ksq
+    L = -sp.ksq
 
     # phi-function coefficients by contour averaging around L*dt
     ncirc = 32
@@ -355,15 +308,14 @@ def periodicity_check(sol: PeriodicSolution, force: PeriodicForce,
     gamm = dt * ((-4.0 - 3.0 * zc - zc**2 + np.exp(zc) * (4.0 - zc)) / zc**3).mean(axis=-1)
 
     def rhs(uh, t):
-        fh = ws.rfft(force.field(ws.grid, t).data).astype(complex)
-        fh *= ws.mask
-        ws.project(fh)
+        fh = _force_hat(force, sp, t)
         if cfg.linear_only:
             return fh
-        return fh + ws.nonlin_hat(uh)
+        return fh + _nonlin_hat(sp, uh)
 
-    uh = ws.rfft(sol.snapshots[0]).astype(complex)
-    u0_norm = ws.l2(uh)
+    start = sp.forward(sol.snapshots[0])
+    uh = start
+    u0_norm = sp.l2(uh)
     t = 0.0
     for _ in range(steps):
         N1 = rhs(uh, t)
@@ -376,10 +328,9 @@ def periodicity_check(sol: PeriodicSolution, force: PeriodicForce,
         uh = E * uh + alph * N1 + 2.0 * beta * (N2 + N3) + gamm * N4
         t += dt
 
-    start = ws.rfft(sol.snapshots[0]).astype(complex)
     if u0_norm == 0.0:
-        return float(ws.l2(uh))
-    return float(ws.l2(uh - start) / u0_norm)
+        return float(sp.l2(uh))
+    return float(sp.l2(uh - start) / u0_norm)
 
 
 def weighted_report(sol: PeriodicSolution, force: PeriodicForce,
@@ -390,25 +341,13 @@ def weighted_report(sol: PeriodicSolution, force: PeriodicForce,
     forcing size |f|_s = sup_m |<x>^{2s} f(t_m)| in the intersection norm
     (max of the two component norms), and their ratio.
     """
-    from .grid import Field as F, gradient
-
     g = sol.grid
     hs = HypothesisSet(n=g.n, q1=q1, q2=q2, s=s)
-
-    def wnorm(f, q, ws):
-        # the derived exponent q12 can reach down to L^1 for diagnostic pairs
-        if not q >= 1.0:
-            raise ValueError(f"norm index must be >= 1, got {q}")
-        wq = g.bracket(ws * q)
-        return float((np.sum(f.magnitude() ** q * wq) * g.cell_volume) ** (1.0 / q))
 
     sup_u = 0.0
     for m in range(len(sol.node_times)):
         u = sol.snapshot(m)
-        grad_sq = np.zeros(g.shape)
-        for j in range(g.n):
-            grad_sq += gradient(F(g, u.data[j])).magnitude() ** 2
-        nu = wnorm(u, q1, s) + wnorm(F(g, np.sqrt(grad_sq)), q2, s)
+        nu = integrate(u, q1, s) + integrate(gradient_magnitude(u), q2, s)
         sup_u = max(sup_u, nu)
 
     sup_f = 0.0
@@ -416,7 +355,8 @@ def weighted_report(sol: PeriodicSolution, force: PeriodicForce,
         ff = force.field(g, t)
         if np.all(ff.data == 0.0):
             continue
-        nf = max(wnorm(ff, hs.q12, 2.0 * s), wnorm(ff, hs.q22_star, 2.0 * s))
+        # the derived index q12 reaches down to L^1 for diagnostic pairs
+        nf = max(integrate(ff, hs.q12, 2.0 * s), integrate(ff, hs.q22_star, 2.0 * s))
         sup_f = max(sup_f, nf)
 
     applicable = sup_f > 0.0

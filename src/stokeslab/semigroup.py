@@ -17,9 +17,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import fftconvolve
 
-from .grid import Field, Grid, integrate
+from .grid import Field, Grid, gradient, integrate
 from .weights import admissible_range
 
 __all__ = [
@@ -59,51 +58,26 @@ def heat_kernel_field(grid: Grid, t: float) -> Field:
     return Field(grid, val)
 
 
-def _multiplier_apply(f: Field, mult) -> Field:
-    g = f.grid
-    if f.is_vector:
-        out = np.empty_like(f.data)
-        for j in range(g.n):
-            out[j] = np.fft.ifftn(mult * np.fft.fftn(f.data[j])).real
-        return Field(g, out)
-    return Field(g, np.fft.ifftn(mult * np.fft.fftn(f.data)).real)
-
-
 def heat_apply(f: Field, t: float) -> Field:
     """Heat semigroup, multiplier exp(-t |xi|^2); t = 0 is the identity."""
     if t < 0:
         raise ValueError(f"heat semigroup needs t >= 0, got {t}")
     if t == 0:
         return f.copy()
-    return _multiplier_apply(f, np.exp(-t * f.grid.wavenumber_sq()))
+    sp = f.grid.spectral()
+    return Field(f.grid, sp.apply(f.data, np.exp(-t * sp.ksq)))
 
 
 def leray_project(v: Field) -> Field:
     """Projection onto solenoidal fields, multiplier I - xi xi^T/|xi|^2, zero mode -> 0.
 
-    Nyquist planes are dropped as well: those frequencies lack conjugate
-    partners on an even real grid, and a matrix-valued multiplier there
-    breaks idempotency.  Band-limited fields are unaffected.
+    Nyquist planes are dropped as well (see the grid module's Nyquist
+    policy); band-limited fields are unaffected.
     """
-    g = v.grid
     if not v.is_vector:
         raise ValueError("Leray projection expects a vector field")
-    k = g.wavenumbers()
-    ksq = g.wavenumber_sq()
-    ksq_safe = np.where(ksq == 0.0, 1.0, ksq)
-    idx = np.abs(np.fft.fftfreq(g.N) * g.N)
-    keep = ~np.logical_or.reduce(
-        np.meshgrid(*([idx == g.N // 2] * g.n), indexing="ij")
-    )
-    vh = [np.fft.fftn(v.data[j]) for j in range(g.n)]
-    dot = sum(k[j] * vh[j] for j in range(g.n)) / ksq_safe
-    out = np.empty_like(v.data)
-    zero = (0,) * g.n
-    for j in range(g.n):
-        ph = (vh[j] - k[j] * dot) * keep
-        ph[zero] = 0.0
-        out[j] = np.fft.ifftn(ph).real
-    return Field(g, out)
+    sp = v.grid.spectral()
+    return Field(v.grid, sp.inverse(sp.project(sp.forward(v.data))))
 
 
 def stokes_apply(v: Field, t: float) -> Field:
@@ -117,14 +91,14 @@ def semigroup_gradient_apply(f: Field, t: float, j: int) -> Field:
     """d/dx_j of the heat evolution, multiplier i xi_j exp(-t |xi|^2); t > 0."""
     if not t > 0:
         raise ValueError(f"semigroup gradient needs t > 0, got {t}")
-    g = f.grid
-    mult = 1j * g.wavenumbers()[j] * np.exp(-t * g.wavenumber_sq())
-    return _multiplier_apply(f, mult)
+    sp = f.grid.spectral()
+    return Field(f.grid, sp.apply(f.data, 1j * sp.k[j] * np.exp(-t * sp.ksq)))
 
 
 def half_laplacian(f: Field) -> Field:
     """(-Laplace)^(1/2), multiplier |xi|."""
-    return _multiplier_apply(f, np.sqrt(f.grid.wavenumber_sq()))
+    sp = f.grid.spectral()
+    return Field(f.grid, sp.apply(f.data, np.sqrt(sp.ksq)))
 
 
 def fractional_integral(f: Field, lam: float) -> Field:
@@ -133,6 +107,8 @@ def fractional_integral(f: Field, lam: float) -> Field:
     The singular cell at y = 0 is replaced by the exact integral of the
     kernel over the ball of equal volume.
     """
+    from scipy.signal import fftconvolve
+
     g = f.grid
     n = g.n
     if not 0.0 < lam < n:
@@ -177,8 +153,6 @@ def kernel_domination_constant(n: int, lam: float) -> float:
 
 def riesz_gradient_check(v: Field, q: float = 2.0, s: float = 0.0) -> float:
     """Ratio of weighted norms of grad v and (-Laplace)^(1/2) v."""
-    from .grid import gradient
-
     if v.is_vector:
         raise ValueError("riesz check expects a scalar field")
     den_field = half_laplacian(v)
@@ -244,13 +218,6 @@ def decay_rate(t, n: int, p: float, q: float, s: float, s0: float, alpha_order: 
     )
 
 
-def _vector_magnitude_field(g: Grid, spectral_components) -> Field:
-    mag_sq = np.zeros(g.shape)
-    for comp in spectral_components:
-        mag_sq += np.fft.ifftn(comp).real ** 2
-    return Field(g, np.sqrt(mag_sq))
-
-
 def decay_harness(
     u0: Field,
     p: float,
@@ -286,25 +253,18 @@ def decay_harness(
     if t_ladder[0] <= 0:
         raise ValueError("decay ladder requires positive times")
 
-    proj = leray_project(u0) if u0.is_vector else u0
+    sp = g.spectral()
     if u0.is_vector:
-        base = [np.fft.fftn(proj.data[j]) for j in range(n)]
+        base = sp.forward(leray_project(u0).data)
     else:
-        fh = np.fft.fftn(proj.data)
-        fh[(0,) * n] = 0.0
-        base = [fh]
-    k = g.wavenumbers()
-    ksq = g.wavenumber_sq()
+        base = sp.forward(u0.data)
+        base[(0,) * n] = 0.0
 
     values = []
     for t in t_ladder:
-        prop = np.exp(-t * ksq)
-        if alpha_order == 0:
-            comps = [b * prop for b in base]
-        else:
-            comps = [1j * k[j] * b * prop for b in base for j in range(n)]
-        mag = _vector_magnitude_field(g, comps)
-        values.append(integrate(mag, q, s0))
+        prop = base * np.exp(-t * sp.ksq)
+        evolved = sp.inverse(prop) if alpha_order == 0 else sp.gradient_magnitude(prop)
+        values.append(integrate(Field(g, evolved), q, s0))
     values = np.asarray(values)
 
     series = DecaySeries(t=t_ladder, values=values, n=n, p=p, q=q, s=s, s0=s0,

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grid import Field, Grid
+from .grid import Field, Grid, gradient_magnitude, integrate
 
 __all__ = [
     "RadialWeight",
@@ -221,18 +221,19 @@ def maximal_function(f: Field, radius_ladder=None) -> Field:
     if radius_ladder[0] < g.h or radius_ladder[-1] > np.sqrt(g.n) * g.L:
         raise ValueError("radius ladder must live in [h, sqrt(n) L]")
 
-    mag = f.magnitude()
-    Fm = np.fft.fftn(mag)
-    # min-image offset distances in wrapped order
-    d1 = np.minimum(np.arange(g.N) * g.h, 2 * g.L - np.arange(g.N) * g.h)
-    off_sq = sum(dd**2 for dd in np.meshgrid(*([d1] * g.n), indexing="ij"))
-    out = np.zeros(g.shape)
-    for r in radius_ladder:
-        ind = off_sq < r * r
-        cnt = int(ind.sum())
-        avg = np.fft.ifftn(Fm * np.fft.fftn(ind.astype(float))).real / cnt
-        np.maximum(out, avg, out=out)
-    return Field(g, out)
+    off_sq = g.offset_sq()
+    balls = (off_sq < r * r for r in radius_ladder)
+    return _sup_of_averages(f, (ball / np.count_nonzero(ball) for ball in balls))
+
+
+def _sup_of_averages(f: Field, kernels) -> Field:
+    """Pointwise sup of the circular convolutions of |f| with each kernel."""
+    sp = f.grid.spectral()
+    Fm = sp.forward(f.magnitude())
+    out = np.zeros(f.grid.shape)
+    for ker in kernels:
+        np.maximum(out, sp.inverse(Fm * sp.forward(ker)), out=out)
+    return Field(f.grid, out)
 
 
 def mollifier_sup(f: Field, eps_ladder=None) -> Field:
@@ -240,24 +241,16 @@ def mollifier_sup(f: Field, eps_ladder=None) -> Field:
     g = f.grid
     if eps_ladder is None:
         eps_ladder = np.geomspace(g.h / 2.0, g.L / 6.0, 12)
-    mag = f.magnitude()
-    Fm = np.fft.fftn(mag)
-    d1 = np.minimum(np.arange(g.N) * g.h, 2 * g.L - np.arange(g.N) * g.h)
-    off_sq = sum(dd**2 for dd in np.meshgrid(*([d1] * g.n), indexing="ij"))
-    out = np.zeros(g.shape)
-    for eps in eps_ladder:
-        ker = np.exp(-off_sq / (2.0 * eps**2))
-        ker /= ker.sum()
-        conv = np.fft.ifftn(Fm * np.fft.fftn(ker)).real
-        np.maximum(out, conv, out=out)
-    return Field(g, out)
+    kernels = (np.exp(-g.offset_sq() / (2.0 * eps**2)) for eps in eps_ladder)
+    return _sup_of_averages(f, (ker / ker.sum() for ker in kernels))
 
 
 class Interval(tuple):
-    """Open interval (lo, hi); empty when lo >= hi."""
+    """Open interval (lo, hi); empty when lo >= hi.  The bounds are arrays
+    when the interval stands for a whole grid of windows."""
 
     def __new__(cls, lo, hi):
-        return super().__new__(cls, (float(lo), float(hi)))
+        return super().__new__(cls, (lo, hi) if np.ndim(lo) else (float(lo), float(hi)))
 
     @property
     def lo(self):
@@ -274,7 +267,11 @@ class Interval(tuple):
 
 @dataclass(frozen=True)
 class HypothesisSet:
-    """Exponent bookkeeping for the periodic-solution hypotheses."""
+    """Exponent bookkeeping for the periodic-solution hypotheses.
+
+    q1 and q2 may be arrays of equal shape; every derived index and the
+    window bounds are then computed elementwise.
+    """
 
     n: int
     q1: float
@@ -282,9 +279,9 @@ class HypothesisSet:
     s: float | None = None
 
     def __post_init__(self):
-        if not 1.0 < self.q1 < self.n:
+        if not np.all((1.0 < self.q1) & (self.q1 < self.n)):
             raise ValueError(f"need 1 < q1 < n, got q1={self.q1}, n={self.n}")
-        if not self.n / 2.0 < self.q2 < self.n:
+        if not np.all((self.n / 2.0 < self.q2) & (self.q2 < self.n)):
             raise ValueError(f"need n/2 < q2 < n, got q2={self.q2}, n={self.n}")
 
     @property
@@ -301,12 +298,12 @@ class HypothesisSet:
         return q2s * self.q2 / (q2s + self.q2)
 
     def s_window(self) -> Interval:
-        lo = max(0.0, 2.0 - self.n / self.q2)
-        hi = min(
+        lo = np.maximum(0.0, 2.0 - self.n / self.q2)
+        hi = np.minimum.reduce([
             self.n * (1.0 - 1.0 / self.q1),
             (self.n / 2.0) * (1.0 - 1.0 / self.q12),
             (self.n / 2.0) * (1.0 - 1.0 / self.q22_star),
-        )
+        ])
         return Interval(lo, hi)
 
 
@@ -320,13 +317,7 @@ def feasibility_scan(n: int, step: float = 0.01):
     q1 = np.arange(1.0 + step, float(n), step)
     q2 = np.arange(n / 2.0 + step, float(n), step)
     Q1, Q2 = np.meshgrid(q1, q2, indexing="ij")
-    q12 = Q1 * Q2 / (Q1 + Q2)
-    q2s = n * Q2 / (n - Q2)
-    q22 = q2s * Q2 / (q2s + Q2)
-    lo = np.maximum(0.0, 2.0 - n / Q2)
-    hi = np.minimum.reduce(
-        [n * (1.0 - 1.0 / Q1), (n / 2.0) * (1.0 - 1.0 / q12), (n / 2.0) * (1.0 - 1.0 / q22)]
-    )
+    lo, hi = HypothesisSet(n=n, q1=Q1, q2=Q2).s_window()
     width = hi - lo
     nonempty = width > 0.0
     widest = float(width.max()) if width.size else -np.inf
@@ -335,21 +326,12 @@ def feasibility_scan(n: int, step: float = 0.01):
 
 def sobolev_embedding_ratio(f: Field, q: float, s: float) -> float:
     """Ratio of the weighted L^{q*} norm of f to the weighted L^q norm of grad f."""
-    from .grid import gradient, integrate
-
     g = f.grid
     if not 1.0 < q < g.n:
         raise ValueError(f"embedding requires 1 < q < n, got q={q}")
     q_star = g.n * q / (g.n - q)
-    if f.is_vector:
-        grad_sq = np.zeros(g.shape)
-        for j in range(g.n):
-            grad_sq += gradient(Field(g, f.data[j])).magnitude() ** 2
-        grad = Field(g, np.sqrt(grad_sq))
-    else:
-        grad = gradient(f)
     num = integrate(f, q_star, s)
-    den = integrate(grad, q, s)
+    den = integrate(gradient_magnitude(f), q, s)
     if den < 1e-14:
         raise ValueError("gradient norm vanishes; embedding ratio undefined")
     return num / den

@@ -1,6 +1,9 @@
 import csv
 import json
 import os
+import struct
+import subprocess
+import sys
 
 import pytest
 
@@ -144,3 +147,130 @@ def test_threads_flag_accepted(tmp_path, capsys):
         "--out", str(tmp_path),
     )
     assert status == 0
+
+
+def test_threads_flag_reaches_fft_backend(tmp_path, capsys, monkeypatch):
+    import scipy.fft
+
+    def probe(cfg, outdir):
+        return {"workers": scipy.fft.get_workers()}, 0
+
+    monkeypatch.setitem(cli._COMMANDS, "admissible-range", probe)
+    status, out = run_cli(capsys, "--threads", "2", "admissible-range",
+                          "--out", str(tmp_path / "a"))
+    assert status == 0
+    assert out == {"workers": 2}
+    status, out = run_cli(capsys, "admissible-range", "--out", str(tmp_path / "b"))
+    assert out == {"workers": 1}
+
+
+def test_import_leaves_scipy_signal_unloaded():
+    code = "import sys, stokeslab; print('scipy.signal' in sys.modules)"
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, check=True).stdout
+    assert out.strip() == "False"
+
+
+# --- run-directory inputs: every failure is a JSON payload, nothing is created
+
+
+@pytest.fixture(scope="module")
+def small_run(tmp_path_factory):
+    rundir = tmp_path_factory.mktemp("run") / "run"
+    status = cli.main(["solve-periodic", "--eps", "0", "--N", "16", "--M", "8",
+                       "--out", str(rundir)])
+    assert status == 0
+    return rundir
+
+
+def _copy_run(src, dst):
+    dst.mkdir()
+    for name in os.listdir(src):
+        (dst / name).write_bytes((src / name).read_bytes())
+    return dst
+
+
+def _assert_rejected(capsys, run, command="periodicity-check"):
+    before = sorted(os.listdir(run)) if run.exists() else None
+    status, out = run_cli(capsys, command, "--run", str(run))
+    assert status == 1
+    assert out["error"] == "precondition-violation"
+    assert out["detail"]
+    after = sorted(os.listdir(run)) if run.exists() else None
+    assert after == before
+    return out["detail"]
+
+
+def test_run_missing_directory(tmp_path, capsys):
+    missing = tmp_path / "missing"
+    _assert_rejected(capsys, missing)
+    assert not missing.exists()
+    _assert_rejected(capsys, missing, "weighted-report")
+    assert not missing.exists()
+
+
+def test_run_without_manifest(tmp_path, capsys):
+    run = tmp_path / "run"
+    run.mkdir()
+    assert "manifest" in _assert_rejected(capsys, run)
+
+
+def test_run_empty_flag_is_invalid_config(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    status, out = run_cli(capsys, "periodicity-check")
+    assert status == 2
+    assert out["error"] == "invalid-config"
+    assert os.listdir(tmp_path) == []
+
+
+def test_run_manifest_missing_key(small_run, tmp_path, capsys):
+    run = _copy_run(small_run, tmp_path / "run")
+    manifest = json.loads((run / "manifest.json").read_text())
+    del manifest["config"]["M"]
+    (run / "manifest.json").write_text(json.dumps(manifest))
+    assert "'M'" in _assert_rejected(capsys, run)
+
+
+def test_run_manifest_of_another_command(small_run, tmp_path, capsys):
+    run = _copy_run(small_run, tmp_path / "run")
+    manifest = json.loads((run / "manifest.json").read_text())
+    manifest["command"] = "decay"
+    (run / "manifest.json").write_text(json.dumps(manifest))
+    assert "not solve-periodic" in _assert_rejected(capsys, run)
+
+
+def test_run_manifest_unreadable(small_run, tmp_path, capsys):
+    run = _copy_run(small_run, tmp_path / "run")
+    (run / "manifest.json").write_text("{not json")
+    _assert_rejected(capsys, run)
+
+
+def test_run_missing_node_file(small_run, tmp_path, capsys):
+    run = _copy_run(small_run, tmp_path / "run")
+    (run / "node_003.field").unlink()
+    _assert_rejected(capsys, run)
+
+
+def test_run_node_header_mismatch(small_run, tmp_path, capsys):
+    run = _copy_run(small_run, tmp_path / "run")
+    node = run / "node_002.field"
+    raw = node.read_bytes()
+    node.write_bytes(struct.pack("<qqdq", 3, 16, 8.0, 3) + raw[32:])   # L 16 -> 8
+    assert "node_002.field header" in _assert_rejected(capsys, run)
+
+
+def test_run_node_truncated(small_run, tmp_path, capsys):
+    run = _copy_run(small_run, tmp_path / "run")
+    node = run / "node_000.field"
+    node.write_bytes(node.read_bytes()[:-8])
+    assert "data bytes" in _assert_rejected(capsys, run)
+
+
+def test_run_node_trailing_bytes(small_run, tmp_path, capsys):
+    run = _copy_run(small_run, tmp_path / "run")
+    node = run / "node_007.field"
+    node.write_bytes(node.read_bytes() + b"\0" * 8)
+    assert "data bytes" in _assert_rejected(capsys, run, "weighted-report")

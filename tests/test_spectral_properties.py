@@ -1,0 +1,96 @@
+"""Property tests over random grids and seeds: the spectral layer's identities
+and the field binary round trip."""
+
+import os
+import tempfile
+
+import numpy as np
+from hypothesis import given, settings, strategies as st
+
+from stokeslab.grid import (
+    Field, Grid, divergence, gradient, l2_norm, laplacian, load_field, save_field,
+)
+from stokeslab.semigroup import heat_apply, leray_project
+
+# small grids keep the whole module near one second; derandomized so that a
+# run is reproducible
+PROPERTY = settings(max_examples=25, deadline=None, derandomize=True, database=None)
+
+
+@st.composite
+def grids(draw):
+    n = draw(st.sampled_from([3, 4]))
+    N = draw(st.sampled_from([8, 10, 12, 16] if n == 3 else [8, 10]))
+    L = draw(st.floats(min_value=0.5, max_value=20.0))
+    seed = draw(st.integers(min_value=0, max_value=2**32 - 1))
+    return Grid(n, N, L), np.random.default_rng(seed)
+
+
+def _band_limited(g, rng, components=None):
+    shape = g.shape if components is None else (components,) + g.shape
+    sp = g.spectral()
+    return sp.inverse(sp.forward(rng.standard_normal(shape)) * sp.dealias)
+
+
+@PROPERTY
+@given(grids())
+def test_project_idempotent_and_divergence_free(case):
+    g, rng = case
+    v = Field(g, rng.standard_normal((g.n,) + g.shape))
+    pv = leray_project(v)
+    ppv = leray_project(pv)
+    scale = np.abs(pv.data).max()
+    assert np.abs(ppv.data - pv.data).max() <= 1e-12 * scale
+    kmax = np.sqrt(g.spectral().ksq.max())
+    assert l2_norm(divergence(pv)) <= 1e-12 * kmax * l2_norm(pv)
+
+
+@PROPERTY
+@given(grids())
+def test_parseval_on_half_spectrum(case):
+    g, rng = case
+    f = Field(g, rng.standard_normal((g.n,) + g.shape))
+    sp = g.spectral()
+    assert abs(sp.l2(sp.forward(f.data)) / l2_norm(f) - 1.0) <= 1e-12
+
+
+@PROPERTY
+@given(grids())
+def test_transform_roundtrip(case):
+    g, rng = case
+    data = rng.standard_normal((2,) + g.shape)
+    sp = g.spectral()
+    assert np.abs(sp.inverse(sp.forward(data)) - data).max() <= 1e-12 * np.abs(data).max()
+
+
+@PROPERTY
+@given(grids())
+def test_div_grad_is_laplacian_band_limited(case):
+    g, rng = case
+    f = Field(g, _band_limited(g, rng))
+    lhs = divergence(gradient(f)).data
+    rhs = laplacian(f).data
+    assert np.abs(lhs - rhs).max() <= 1e-10 * np.abs(rhs).max()
+
+
+@PROPERTY
+@given(grids(), st.floats(0.0, 2.0), st.floats(0.0, 2.0))
+def test_heat_semigroup_law(case, a, b):
+    g, rng = case
+    f = Field(g, _band_limited(g, rng, components=g.n))
+    lhs = heat_apply(f, a + b).data
+    rhs = heat_apply(heat_apply(f, a), b).data
+    assert np.abs(lhs - rhs).max() <= 1e-10 * np.abs(f.data).max()
+
+
+@PROPERTY
+@given(grids(), st.booleans())
+def test_field_binary_roundtrip(case, vector):
+    g, rng = case
+    f = Field(g, rng.standard_normal(((g.n,) if vector else ()) + g.shape))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "f.field")
+        save_field(f, path)
+        back = load_field(path)
+    assert back.grid.compatible(g)
+    assert np.array_equal(back.data, f.data)

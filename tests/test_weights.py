@@ -193,6 +193,20 @@ def test_feasibility_scan_n3_empty():
     assert widest <= 0.0
 
 
+def test_feasibility_scan_matches_pointwise_windows():
+    # the scan evaluates HypothesisSet on arrays; compare with scalar windows
+    n, step = 5, 0.25
+    total, nonempty, widest = feasibility_scan(n, step)
+    widths = [
+        feasibility(n, q1, q2).hi - feasibility(n, q1, q2).lo
+        for q1 in np.arange(1.0 + step, float(n), step)
+        for q2 in np.arange(n / 2.0 + step, float(n), step)
+    ]
+    assert total == len(widths)
+    assert nonempty == sum(w > 0.0 for w in widths)
+    assert widest == max(widths)
+
+
 def test_embedding_ratio_bounded_and_stable():
     from stokeslab.corpus import refine_field
 
