@@ -24,7 +24,7 @@ f = Field(grid, ds * grid.coords()[0] / np.maximum(r, 1e-300))
 
 B = bogovskii_apply(f, spec)
 outside = (r <= R) | (r >= R + 1.0)
-print(f"div B = f relative error: {divergence_defect(B, f, spec):.4f}")
+print(f"div B = f relative error: {divergence_defect(B, f):.4f}")
 print(f"samples outside closure(D_R) identically zero: "
       f"{bool(np.all(B.data[:, outside] == 0.0))}")
 

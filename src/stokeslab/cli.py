@@ -183,10 +183,15 @@ def _resolve_config(args) -> dict:
                 file_cfg = json.load(fh)
         except (OSError, json.JSONDecodeError) as exc:
             raise ConfigError(f"cannot read config file: {exc}")
+        if not isinstance(file_cfg, dict):
+            raise ConfigError("config file must hold a JSON object of option values")
         for k, v in file_cfg.items():
             if k not in schema:
                 raise ConfigError(f"unknown option {k!r} for {args.command}")
-            cfg[k] = schema[k][0](v)
+            try:
+                cfg[k] = schema[k][0](v)
+            except (TypeError, ValueError) as exc:
+                raise ConfigError(f"option {k!r} in config file: {exc}")
     for k in schema:
         v = getattr(args, k)
         if v is not None:
@@ -312,7 +317,7 @@ def _cmd_bogovskii_test(cfg, outdir):
     spec = AnnulusSpec(cfg["R"])
     f = _bog_test_field(grid, cfg["R"])
     B = bogovskii_apply(f, spec)
-    defect = divergence_defect(B, f, spec)
+    defect = divergence_defect(B, f)
     r = np.sqrt(grid.radius_sq())
     outside = (r <= spec.R) | (r >= spec.R + 1.0)
     w12 = float(np.sqrt(l2_norm(B) ** 2 + l2_norm(gradient_magnitude(B)) ** 2))
@@ -457,37 +462,45 @@ def main(argv=None) -> int:
     return _run(args)
 
 
+def _fail(kind: str, detail: str, outdir=None) -> int:
+    """Print the JSON error line, copy it to outdir/error.json if given; the exit code."""
+    payload = {"error": kind, "detail": detail}
+    print(json.dumps(payload))
+    if outdir is not None:
+        _write_json(os.path.join(outdir, "error.json"), payload)
+    return 2 if kind == "invalid-config" else 1
+
+
 def _run(args) -> int:
     try:
+        if args.threads < 0:
+            raise ConfigError(f"--threads must be >= 0, got {args.threads}")
         cfg = _resolve_config(args)
         # run-directory inputs are read and checked before anything is written
         inputs = (_load_run(args.command, cfg["run"]),) if "run" in cfg else ()
     except ConfigError as exc:
-        print(json.dumps({"error": "invalid-config", "detail": str(exc)}))
-        return 2
+        return _fail("invalid-config", str(exc))
     except (OSError, KeyError, ValueError) as exc:
         detail = f"run manifest lacks {exc}" if isinstance(exc, KeyError) else str(exc)
-        print(json.dumps({"error": "precondition-violation", "detail": detail}))
-        return 1
+        return _fail("precondition-violation", detail)
 
     # follow-up checks accumulate inside the run directory they examine
     default_out = os.path.join("runs", args.command)
     if cfg.get("run"):
         default_out = os.path.join(cfg["run"], args.command)
     outdir = args.out or default_out
-    os.makedirs(outdir, exist_ok=True)
+    try:
+        os.makedirs(outdir, exist_ok=True)
+    except OSError as exc:
+        return _fail("invalid-config", f"cannot create the output directory: {exc}")
 
     t0 = time.time()
     try:
         result, status = _COMMANDS[args.command](cfg, outdir, *inputs)
     except ConfigError as exc:
-        print(json.dumps({"error": "invalid-config", "detail": str(exc)}))
-        return 2
+        return _fail("invalid-config", str(exc))
     except (ValueError, RuntimeError) as exc:
-        payload = {"error": "precondition-violation", "detail": str(exc)}
-        print(json.dumps(payload))
-        _write_json(os.path.join(outdir, "error.json"), payload)
-        return 1
+        return _fail("precondition-violation", str(exc), outdir)
     wall = time.time() - t0
 
     _write_json(os.path.join(outdir, "result.json"), result)

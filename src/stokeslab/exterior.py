@@ -13,7 +13,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.fft
 
+from .corpus import refine_field
 from .grid import Field, Grid, divergence, l2_norm
 
 __all__ = [
@@ -109,7 +111,12 @@ def build_cutoffs(R: float) -> CutoffPair:
 
 
 class _SphereSolver:
-    """Poisson solve on the unit sphere via Gauss-Legendre x uniform grid."""
+    """Poisson solve on the unit sphere via Gauss-Legendre x uniform grid.
+
+    Expansions are of real functions, so c_{l,-m} = (-1)^m conj(c_{l,m}) and
+    only m >= 0 is stored: coef[m, l], shape (lmax+1, lmax+1), zero for l < m.
+    The analysis reads longitude modes m <= lmax, so lmax <= n_phi // 2.
+    """
 
     def __init__(self, n_theta=64, n_phi=128, lmax=40):
         self.n_theta, self.n_phi, self.lmax = n_theta, n_phi, lmax
@@ -119,12 +126,13 @@ class _SphereSolver:
         self.sin_t = np.sqrt(1.0 - mu**2)
         self.theta = np.arccos(mu)
         self.phi = 2.0 * np.pi * np.arange(n_phi) / n_phi
+        # eigenvalues -l(l+1) of the sphere Laplacian; l = 0 maps to inf so
+        # that dividing by eig drops the constant mode
+        ll = np.arange(lmax + 1, dtype=float)
+        self.eig = np.where(ll > 0, -ll * (ll + 1.0), np.inf)
 
-    def _legendre_block(self, m, mu, sin_t, deriv=False):
-        """Normalized P_l^m(mu) for l = m..lmax at the given points.
-
-        Returns (P, dPdtheta) with dPdtheta only when deriv is True.
-        """
+    def _legendre_block(self, m, mu, sin_t):
+        """Normalized P_l^m(mu) and dP_l^m/dtheta for l = m..lmax (rows l < m zero)."""
         lmax = self.lmax
         out = np.zeros((lmax + 1,) + mu.shape)
         pmm = np.full(mu.shape, np.sqrt(1.0 / (4.0 * np.pi)))
@@ -137,75 +145,48 @@ class _SphereSolver:
             a = np.sqrt((4.0 * l * l - 1.0) / (l * l - m * m))
             b = np.sqrt(((l - 1.0) ** 2 - m * m) / (4.0 * (l - 1.0) ** 2 - 1.0))
             out[l] = a * (mu * out[l - 1] - b * out[l - 2])
-        if not deriv:
-            return out, None
         dout = np.zeros_like(out)
         st = np.where(sin_t > 0, sin_t, 1.0)
-        for l in range(m, lmax + 1):
-            if l == 0:
-                continue
+        for l in range(max(m, 1), lmax + 1):
             e = np.sqrt((l * l - m * m) * (2.0 * l + 1.0) / (2.0 * l - 1.0))
-            prev = out[l - 1] if l - 1 >= m else 0.0
             # from (1-mu^2) dP_l^m/dmu = (l+m) P_{l-1}^m - l mu P_l^m
-            dout[l] = (l * mu * out[l] - e * prev) / st
+            dout[l] = (l * mu * out[l] - e * out[l - 1]) / st
         return out, dout
 
     def analyze(self, values):
-        """Harmonic coefficients of values sampled on the (theta, phi) grid."""
-        fk = np.fft.fft(values, axis=1) * (2.0 * np.pi / self.n_phi)
-        coef = {}
-        for m in range(0, self.lmax + 1):
+        """Coefficients coef[m, l] of real values sampled on the (theta, phi) grid."""
+        fk = scipy.fft.rfft(values, axis=1) * (2.0 * np.pi / self.n_phi)
+        coef = np.zeros((self.lmax + 1, self.lmax + 1), dtype=complex)
+        for m in range(self.lmax + 1):
             P, _ = self._legendre_block(m, self.mu, self.sin_t)
-            wP = P * self.wgl  # (lmax+1, n_theta)
-            colp = fk[:, m] if m < self.n_phi else 0.0
-            coef[m] = wP @ colp
-            if m > 0:
-                coln = fk[:, self.n_phi - m]
-                coef[-m] = wP @ coln
+            coef[m] = (P * self.wgl) @ fk[:, m]
         return coef
 
-    def inv_laplacian(self, coef):
-        out = {}
-        for m, c in coef.items():
-            ll = np.arange(self.lmax + 1, dtype=float)
-            denom = -ll * (ll + 1.0)
-            denom[0] = 1.0
-            cc = c / denom
-            cc[0] = 0.0
-            if abs(m) > 0:
-                cc[: abs(m)] = 0.0
-            out[m] = cc
-        return out
+    def synth_at(self, coef, theta, phi):
+        """Evaluate a stack coef (K, lmax+1, lmax+1) of real expansions at the
+        points given by the flat arrays theta, phi.
 
-    def synth_at(self, coef, theta, phi, deriv=False):
-        """Evaluate sum_lm coef Y_lm at scattered points.
-
-        Returns (value, d/dtheta, (1/sin)d/dphi); derivative slots are None
-        unless deriv is True.
+        Returns (value, d/dtheta, (1/sin)d/dphi), each of shape (K, points);
+        the m > 0 terms count twice, standing in for their -m partners.
         """
         mu = np.cos(theta)
         sin_t = np.sin(theta)
         st = np.where(sin_t > 0, sin_t, 1.0)
-        val = np.zeros(theta.shape, dtype=complex)
-        dth = np.zeros(theta.shape, dtype=complex) if deriv else None
-        dph = np.zeros(theta.shape, dtype=complex) if deriv else None
-        for m in range(0, self.lmax + 1):
-            if m not in coef and -m not in coef:
-                continue
-            P, dP = self._legendre_block(m, mu, sin_t, deriv=deriv)
-            em = np.exp(1j * m * phi)
-            for mm, phase in ((m, em), (-m, np.conj(em))) if m > 0 else ((0, em),):
-                if mm not in coef:
-                    continue
-                c = coef[mm]
-                ww = np.tensordot(c, P, axes=(0, 0))
-                val += ww * phase
-                if deriv:
-                    dth += np.tensordot(c, dP, axes=(0, 0)) * phase
-                    dph += ww * (1j * mm) * phase / st
-        if deriv:
-            return val.real, dth.real, dph.real
-        return val.real, None, None
+        K = coef.shape[0]
+        val = np.zeros((K,) + theta.shape)
+        dth = np.zeros_like(val)
+        dph = np.zeros_like(val)
+        for m in range(self.lmax + 1):
+            P, dP = self._legendre_block(m, mu, sin_t)
+            ab = np.concatenate([coef[:, m].real, coef[:, m].imag])   # (2K, lmax+1)
+            a, b = np.split(ab @ P, 2)
+            da, db = np.split(ab @ dP, 2)
+            w = 1.0 if m == 0 else 2.0
+            c, s = w * np.cos(m * phi), w * np.sin(m * phi)
+            val += a * c - b * s
+            dth += da * c - db * s
+            dph -= m * (a * s + b * c) / st
+        return val, dth, dph
 
 
 # ---------------------------------------------------------------------------
@@ -215,6 +196,10 @@ class _SphereSolver:
 # transition window of the radial mass-transport profile, inside (0, 1)
 _TRANSPORT_LO = 0.15
 _TRANSPORT_HI = 0.85
+# Gauss-Legendre nodes of the radial quadrature on [R, R+1]
+_N_RAD = 24
+# relative divergence of u0 on the exterior region that still counts as zero
+_DIV_RTOL = 1e-8
 
 
 class _FieldSampler:
@@ -225,16 +210,13 @@ class _FieldSampler:
     coefficients are prepared once.
     """
 
-    def __init__(self, data, grid: Grid):
+    def __init__(self, f: Field):
         from scipy.ndimage import spline_filter
-        from scipy.signal import resample
 
-        fine = data
-        for ax in range(3):
-            fine = resample(fine, 2 * grid.N, axis=ax)
-        self.coeffs = spline_filter(fine, order=3, mode="grid-wrap")
-        self.L = grid.L
-        self.h = grid.h / 2.0
+        fine = refine_field(f)
+        self.coeffs = spline_filter(fine.data, order=3, mode="grid-wrap")
+        self.L = fine.grid.L
+        self.h = fine.grid.h
 
     def __call__(self, points):
         from scipy.ndimage import map_coordinates
@@ -249,15 +231,7 @@ class _FieldSampler:
         )
 
 
-def bogovskii_apply(
-    f: Field,
-    spec: AnnulusSpec,
-    mean_rtol: float = 1e-10,
-    n_theta: int = 64,
-    n_phi: int = 128,
-    lmax: int = 40,
-    n_rad: int = 24,
-) -> Field:
+def bogovskii_apply(f: Field, spec: AnnulusSpec, mean_rtol: float = 1e-10) -> Field:
     """Solve div B = f on D_R with supp B inside closure(D_R), B = 0 elsewhere.
 
     f must be a scalar field supported in the annulus with grid mean at most
@@ -285,11 +259,11 @@ def bogovskii_apply(
             f"{mean_rtol:.1e} * ||f||_L1 = {mean_rtol * l1:.3e}"
         )
 
-    sph = _SphereSolver(n_theta=n_theta, n_phi=n_phi, lmax=lmax)
-    sample_f = _FieldSampler(f.data, grid)
+    sph = _SphereSolver()
+    sample_f = _FieldSampler(f)
 
     # per-ray masses m(omega) = int_R^{R+1} f(rho omega) rho^2 drho on the sphere grid
-    tg, vg = np.polynomial.legendre.leggauss(n_rad)
+    tg, vg = np.polynomial.legendre.leggauss(_N_RAD)
     rho = R + 0.5 * (tg + 1.0)          # nodes on [R, R+1]
     wrho = 0.5 * vg
     st = sph.sin_t[:, None]
@@ -307,20 +281,19 @@ def bogovskii_apply(
 
     # correct the (tiny) residual mean so the l=0 mode is exactly absent
     coef = sph.analyze(m_grid)
-    coef[0][0] = 0.0
-    phi_coef = sph.inv_laplacian(coef)
+    coef[0, 0] = 0.0
+    phi_coef = coef / sph.eig      # Laplace-Beltrami Phi = m on the sphere
 
     # annulus target points
-    sel = np.nonzero(inside)
     X, Y, Z = grid.coords()
-    px, py, pz = X[sel], Y[sel], Z[sel]
-    pr = r[sel]
+    px, py, pz = X[inside], Y[inside], Z[inside]
+    pr = r[inside]
     theta_p = np.arccos(np.clip(pz / pr, -1.0, 1.0))
     phi_p = np.mod(np.arctan2(py, px), 2.0 * np.pi)
 
-    # tangential part: (M'(r)/r) grad_S Phi
-    _, dth, dph = sph.synth_at(phi_coef, theta_p, phi_p, deriv=True)
-    m_p, _, _ = sph.synth_at(coef, theta_p, phi_p)
+    # m(omega) and the tangential gradient grad_S Phi in one synthesis pass
+    val, dth, dph = sph.synth_at(np.stack([coef, phi_coef]), theta_p, phi_p)
+    m_p, dth, dph = val[0], dth[1], dph[1]
 
     width = _TRANSPORT_HI - _TRANSPORT_LO
     tt = (pr - (R + _TRANSPORT_LO)) / width
@@ -345,40 +318,21 @@ def bogovskii_apply(
     phat = np.stack([-sph_, cph, np.zeros_like(cph)])
     rhat = np.stack([px, py, pz]) / pr
 
+    # tangential part: (M'(r)/r) grad_S Phi
     tang = (Md / pr) * (dth * that + dph * phat)
-    Bsel = v_r * rhat + tang
 
     out = np.zeros((3,) + grid.shape)
-    for j in range(3):
-        comp = np.zeros(grid.shape)
-        comp[sel] = Bsel[j]
-        out[j] = comp
+    out[:, inside] = v_r * rhat + tang
     return Field(grid, out)
 
 
-def divergence_defect(B: Field, f: Field, spec: AnnulusSpec, margin: float = 0.0):
-    """Relative L^2 error of the spectral divergence of B against f.
-
-    Measured over interior annulus points at distance > margin from the
-    annulus boundary (margin 0 measures over the whole grid).
-    """
-    div = divergence(B)
-    g = B.grid
-    if margin > 0.0:
-        r = np.sqrt(g.radius_sq())
-        region = (r > spec.R + margin) & (r < spec.R + 1.0 - margin)
-    else:
-        region = np.ones(g.shape, dtype=bool)
-    err = np.sqrt(np.sum((div.data - f.data)[region] ** 2) * g.cell_volume)
+def divergence_defect(B: Field, f: Field) -> float:
+    """Relative L^2 error over the whole grid of the spectral divergence of B against f."""
+    err = np.sqrt(np.sum((divergence(B).data - f.data) ** 2) * B.grid.cell_volume)
     return err / l2_norm(f)
 
 
-def solenoidal_extension(
-    u0: Field,
-    spec: AnnulusSpec,
-    div_rtol: float = 1e-8,
-    report: bool = False,
-):
+def solenoidal_extension(u0: Field, spec: AnnulusSpec, report: bool = False):
     """Extend a field solenoidal outside B_R to a solenoidal field everywhere.
 
     Computes (1 - phi) u0 + B[(grad phi) . u0] with phi the cut-off equal to
@@ -396,11 +350,11 @@ def solenoidal_extension(
     div_u0 = divergence(u0)
     ext = r > R
     defect = np.sqrt(np.sum(div_u0.data[ext] ** 2) * grid.cell_volume)
-    scale = l2_norm(u0) * np.sqrt(grid.min_wavenumber_sq())
-    if defect > div_rtol * max(scale, 1e-300):
+    scale = max(l2_norm(u0) * np.sqrt(grid.min_wavenumber_sq()), 1e-300)
+    if defect > _DIV_RTOL * scale:
         raise ValueError(
             f"u0 is not solenoidal on the exterior region: relative divergence "
-            f"{defect / max(scale, 1e-300):.3e} exceeds {div_rtol:.1e}"
+            f"{defect / scale:.3e} exceeds {_DIV_RTOL:.1e}"
         )
 
     cut = build_cutoffs(R).phi
@@ -414,10 +368,9 @@ def solenoidal_extension(
     v0 = Field(grid, (1.0 - phi) * u0.data + B.data)
     if report:
         info = {
-            "bog_defect": divergence_defect(B, fb, inner),
+            "bog_defect": divergence_defect(B, fb),
             "div_v0_rel": float(
-                np.sqrt(np.sum(divergence(v0).data ** 2) * grid.cell_volume)
-                / max(l2_norm(u0) * np.sqrt(grid.min_wavenumber_sq()), 1e-300)
+                np.sqrt(np.sum(divergence(v0).data ** 2) * grid.cell_volume) / scale
             ),
         }
         return v0, info

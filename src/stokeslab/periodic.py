@@ -292,6 +292,8 @@ def periodicity_check(sol: PeriodicSolution, force: PeriodicForce,
     Returns the relative defect |u_marched(T) - u(0)| / |u(0)| in L^2 (zero
     when both vanish).
     """
+    if steps < 1:
+        raise ValueError(f"periodicity check needs at least one time step, got {steps}")
     sp = _spectral(sol.grid)
     dt = force.T / steps
     L = -sp.ksq

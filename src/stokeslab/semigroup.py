@@ -250,6 +250,8 @@ def decay_harness(
     if alpha_order not in (0, 1):
         raise ValueError("derivative order must be 0 or 1")
     t_ladder = np.asarray(sorted(float(t) for t in t_ladder))
+    if t_ladder.size < 2:
+        raise ValueError(f"decay ladder needs at least two times for the fit, got {t_ladder.size}")
     if t_ladder[0] <= 0:
         raise ValueError("decay ladder requires positive times")
 

@@ -314,6 +314,8 @@ def feasibility(n: int, q1: float, q2: float) -> Interval:
 
 def feasibility_scan(n: int, step: float = 0.01):
     """Vectorized sweep of (q1, q2); returns (grid count, nonempty count, widest)."""
+    if not step > 0:
+        raise ValueError(f"scan step must be positive, got {step}")
     q1 = np.arange(1.0 + step, float(n), step)
     q2 = np.arange(n / 2.0 + step, float(n), step)
     Q1, Q2 = np.meshgrid(q1, q2, indexing="ij")

@@ -123,7 +123,7 @@ def test_criterion_05_bogovskii_contract():
         g = Grid(3, N, 8.0)
         f = dipole(g, R)
         B = bogovskii_apply(f, spec)
-        defects[N] = divergence_defect(B, f, spec)
+        defects[N] = divergence_defect(B, f)
         r = np.sqrt(g.radius_sq())
         outside = (r <= R) | (r >= R + 1.0)
         support_ok = support_ok and bool(np.all(B.data[:, outside] == 0.0))

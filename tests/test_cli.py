@@ -110,9 +110,14 @@ def test_deterministic_artifacts(tmp_path, capsys):
     assert m1 == m2
 
 
-def test_invalid_config_file(tmp_path, capsys):
+@pytest.mark.parametrize(
+    "payload",
+    [{"nonsense": 1}, {"N": None}, [1, 2], {"N": "abc"}],
+    ids=["unknown-key", "null-value", "top-level-list", "non-numeric"],
+)
+def test_invalid_config_file(payload, tmp_path, capsys):
     cfgfile = tmp_path / "cfg.json"
-    cfgfile.write_text(json.dumps({"nonsense": 1}))
+    cfgfile.write_text(json.dumps(payload))
     status, out = run_cli(
         capsys, "decay", "--config", str(cfgfile), "--out", str(tmp_path)
     )
@@ -274,3 +279,37 @@ def test_run_node_trailing_bytes(small_run, tmp_path, capsys):
     node = run / "node_007.field"
     node.write_bytes(node.read_bytes() + b"\0" * 8)
     assert "data bytes" in _assert_rejected(capsys, run, "weighted-report")
+
+
+# --- out-of-range inputs: one JSON error line, never a traceback
+
+
+@pytest.mark.parametrize(
+    "argv, error, status",
+    [
+        (["decay", "--points", "0", "--N", "16"], "precondition-violation", 1),
+        (["decay", "--points", "1", "--N", "16"], "precondition-violation", 1),
+        (["feasibility", "--scan", "1", "--step", "0"], "precondition-violation", 1),
+        (["periodicity-check", "--run", "<run>", "--steps", "0"], "precondition-violation", 1),
+        (["admissible-range", "--out", "<file>"], "invalid-config", 2),
+        (["admissible-range", "--out", "<file>/sub"], "invalid-config", 2),
+        (["--threads", "-2", "admissible-range"], "invalid-config", 2),
+    ],
+    ids=["decay-points-0", "decay-points-1", "scan-step-0", "steps-0", "out-is-file",
+         "out-under-file", "threads-negative"],
+)
+def test_out_of_range_inputs(argv, error, status, small_run, tmp_path, capsys):
+    (tmp_path / "file").write_text("")
+    argv = [a.replace("<run>", str(small_run)).replace("<file>", str(tmp_path / "file"))
+            for a in argv]
+    if "--out" not in argv:
+        argv += ["--out", str(tmp_path / "out")]
+    assert cli.main(argv) == status
+    lines = capsys.readouterr().out.strip().splitlines()
+    assert len(lines) == 1
+    out = json.loads(lines[0])
+    assert out["error"] == error and out["detail"]
+    if error == "invalid-config":
+        assert os.listdir(tmp_path) == ["file"]
+    else:
+        assert json.loads((tmp_path / "out" / "error.json").read_text()) == out

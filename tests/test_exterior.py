@@ -88,25 +88,63 @@ def test_sphere_solver_identities():
     # analysis of Y_10 = sqrt(3/4pi) cos(theta)
     vals = np.sqrt(3 / (4 * np.pi)) * sph.mu[:, None] * np.ones((1, sph.n_phi))
     c = sph.analyze(vals)
-    assert c[0][1] == pytest.approx(1.0, abs=1e-12)
+    assert c[0, 1] == pytest.approx(1.0, abs=1e-12)
     # derivative synthesis against finite differences
     rng = np.random.default_rng(5)
-    coef = {m: np.zeros(21, dtype=complex) for m in range(-2, 3)}
+    coef = np.zeros((1, 21, 21), dtype=complex)
     for m in range(0, 3):
         for ell in range(max(1, m), 6):
-            coef[m][ell] = rng.standard_normal() + 1j * rng.standard_normal()
-        if m:
-            coef[-m] = (-1) ** m * np.conj(coef[m])
+            coef[0, m, ell] = rng.standard_normal() + 1j * rng.standard_normal()
     th = np.array([0.4, 1.1, 2.0, 2.8])
     ph = np.array([0.3, 2.2, 4.0, 5.5])
-    _, dth, dph = sph.synth_at(coef, th, ph, deriv=True)
+    _, dth, dph = sph.synth_at(coef, th, ph)
     eps = 1e-6
-    vp, _, _ = sph.synth_at(coef, th + eps, ph)
-    vm, _, _ = sph.synth_at(coef, th - eps, ph)
+    vp = sph.synth_at(coef, th + eps, ph)[0]
+    vm = sph.synth_at(coef, th - eps, ph)[0]
     assert np.abs((vp - vm) / (2 * eps) - dth).max() < 1e-7
-    vp, _, _ = sph.synth_at(coef, th, ph + eps)
-    vm, _, _ = sph.synth_at(coef, th, ph - eps)
+    vp = sph.synth_at(coef, th, ph + eps)[0]
+    vm = sph.synth_at(coef, th, ph - eps)[0]
     assert np.abs((vp - vm) / (2 * eps) / np.sin(th) - dph).max() < 1e-7
+
+
+def random_real_coef(rng, lmax):
+    """coef[m, l] of a random real expansion: zero for l < m, real at m = 0."""
+    coef = rng.standard_normal((lmax + 1, lmax + 1)) + 1j * rng.standard_normal((lmax + 1,) * 2)
+    m, ell = np.indices(coef.shape)
+    coef[ell < m] = 0.0
+    coef[0] = coef[0].real
+    return coef
+
+
+def test_sphere_synthesis_matches_full_harmonic_sum():
+    from scipy.special import sph_harm_y
+
+    lmax = 12
+    sph = _SphereSolver(n_theta=16, n_phi=32, lmax=lmax)
+    rng = np.random.default_rng(11)
+    coef = random_real_coef(rng, lmax)
+    th = rng.uniform(0.05, np.pi - 0.05, 40)
+    ph = rng.uniform(0.0, 2 * np.pi, 40)
+    # the full sum over -l <= m <= l with c_{l,-m} = (-1)^m conj(c_{l,m})
+    ref = np.zeros((3, th.size), dtype=complex)
+    for m in range(-lmax, lmax + 1):
+        for ell in range(abs(m), lmax + 1):
+            c = coef[m, ell] if m >= 0 else (-1) ** m * np.conj(coef[-m, ell])
+            y, dy = sph_harm_y(ell, m, th, ph, diff_n=1)   # dy[:, 0] d/dtheta, dy[:, 1] d/dphi
+            ref += c * np.stack([y, dy[:, 0], dy[:, 1] / np.sin(th)])
+    assert np.abs(ref.imag).max() < 1e-12 * np.abs(ref.real).max()
+    got = np.concatenate(sph.synth_at(coef[None], th, ph))
+    for k in range(3):
+        assert np.abs(got[k] - ref[k].real).max() <= 1e-12 * np.abs(ref[k].real).max()
+
+
+def test_sphere_analysis_inverts_synthesis():
+    sph = _SphereSolver(n_theta=32, n_phi=64, lmax=20)
+    coef = random_real_coef(np.random.default_rng(3), 20)
+    th, ph = np.meshgrid(sph.theta, sph.phi, indexing="ij")
+    vals = sph.synth_at(coef[None], th.ravel(), ph.ravel())[0][0]
+    back = sph.analyze(vals.reshape(th.shape))
+    assert np.abs(back - coef).max() <= 1e-12 * np.abs(coef).max()
 
 
 def test_bogovskii_zero_input():
@@ -129,7 +167,7 @@ def test_bogovskii_divergence_and_support():
     spec = AnnulusSpec(2.0)
     f = dipole_data(g)
     B = bogovskii_apply(f, spec)
-    assert divergence_defect(B, f, spec) < 0.45
+    assert divergence_defect(B, f) < 0.45
     r = np.sqrt(g.radius_sq())
     outside = (r <= spec.R) | (r >= spec.R + 1.0)
     assert np.all(B.data[:, outside] == 0.0)
