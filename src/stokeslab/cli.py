@@ -196,6 +196,8 @@ def _resolve_config(args) -> dict:
         v = getattr(args, k)
         if v is not None:
             cfg[k] = v
+    if cfg.get("force", "random") not in _FORCE_SHAPES:
+        raise ConfigError(f"unknown forcing shape {cfg['force']!r}")
     return cfg
 
 
@@ -351,6 +353,9 @@ def _cmd_extend(cfg, outdir):
         "inner_defect": info["bog_defect"],
         "far_field_exact": bool(np.array_equal(v0.data[:, far], u0.data[:, far])),
     }, 0
+
+
+_FORCE_SHAPES = ("random", "single-mode")
 
 
 def _make_force(cfg):

@@ -318,12 +318,12 @@ def feasibility_scan(n: int, step: float = 0.01):
         raise ValueError(f"scan step must be positive, got {step}")
     q1 = np.arange(1.0 + step, float(n), step)
     q2 = np.arange(n / 2.0 + step, float(n), step)
+    if not (q1.size and q2.size):
+        raise ValueError(f"scan step {step} leaves no (q1, q2) grid points at n = {n}")
     Q1, Q2 = np.meshgrid(q1, q2, indexing="ij")
     lo, hi = HypothesisSet(n=n, q1=Q1, q2=Q2).s_window()
     width = hi - lo
-    nonempty = width > 0.0
-    widest = float(width.max()) if width.size else -np.inf
-    return int(width.size), int(np.count_nonzero(nonempty)), widest
+    return int(width.size), int(np.count_nonzero(width > 0.0)), float(width.max())
 
 
 def sobolev_embedding_ratio(f: Field, q: float, s: float) -> float:

@@ -8,6 +8,8 @@ import sys
 import pytest
 
 from stokeslab import cli
+from stokeslab.corpus import random_smooth_field
+from stokeslab.grid import Grid, gradient, load_field, save_field
 
 
 def run_cli(capsys, *argv):
@@ -281,6 +283,18 @@ def test_run_node_trailing_bytes(small_run, tmp_path, capsys):
     assert "data bytes" in _assert_rejected(capsys, run, "weighted-report")
 
 
+def test_run_node_not_solenoidal(small_run, tmp_path, capsys):
+    run = _copy_run(small_run, tmp_path / "run")
+    node = load_field(run / "node_000.field")
+    g = Grid(3, node.grid.N, node.grid.L)
+    save_field(gradient(random_smooth_field(g, seed=5, components=1)), run / "node_000.field")
+    status, out = run_cli(capsys, "periodicity-check", "--run", str(run),
+                          "--out", str(tmp_path / "check"))
+    assert status == 1
+    assert out["error"] == "precondition-violation"
+    assert "not solenoidal" in out["detail"]
+
+
 # --- out-of-range inputs: one JSON error line, never a traceback
 
 
@@ -290,13 +304,16 @@ def test_run_node_trailing_bytes(small_run, tmp_path, capsys):
         (["decay", "--points", "0", "--N", "16"], "precondition-violation", 1),
         (["decay", "--points", "1", "--N", "16"], "precondition-violation", 1),
         (["feasibility", "--scan", "1", "--step", "0"], "precondition-violation", 1),
+        (["feasibility", "--n", "3", "--scan", "1", "--step", "10"],
+         "precondition-violation", 1),
+        (["solve-periodic", "--force", "bogus", "--N", "16"], "invalid-config", 2),
         (["periodicity-check", "--run", "<run>", "--steps", "0"], "precondition-violation", 1),
         (["admissible-range", "--out", "<file>"], "invalid-config", 2),
         (["admissible-range", "--out", "<file>/sub"], "invalid-config", 2),
         (["--threads", "-2", "admissible-range"], "invalid-config", 2),
     ],
-    ids=["decay-points-0", "decay-points-1", "scan-step-0", "steps-0", "out-is-file",
-         "out-under-file", "threads-negative"],
+    ids=["decay-points-0", "decay-points-1", "scan-step-0", "scan-empty", "force-unknown",
+         "steps-0", "out-is-file", "out-under-file", "threads-negative"],
 )
 def test_out_of_range_inputs(argv, error, status, small_run, tmp_path, capsys):
     (tmp_path / "file").write_text("")

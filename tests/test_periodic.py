@@ -17,6 +17,8 @@ from stokeslab.periodic import (
     random_solenoidal_force,
     single_mode_force,
     weighted_report,
+    _force_hat,
+    _nonlin_hat,
 )
 
 T = 2.0 * math.pi
@@ -175,6 +177,15 @@ def test_poincare_map_translation_equivariance():
     assert np.abs(out_shift - rolled).max() <= 1e-12 * np.abs(out_base).max()
 
 
+def test_poincare_map_rejects_nonsolenoidal_snapshot():
+    g = Grid(3, 16, 16.0)
+    cfg = PicardConfig(M=8)
+    snaps = np.zeros((cfg.M, 3) + g.shape)
+    snaps[5] = gradient(random_smooth_field(g, seed=3, components=1)).data
+    with pytest.raises(ValueError, match="snapshot 5 is not solenoidal"):
+        poincare_map(snaps, single_mode_force(T), cfg, g)
+
+
 def test_node_refinement_converges_for_nonharmonic_forcing():
     # time profile exp(sin(w t)) has a full harmonic series; the node error
     # against the harmonic-series solution must at least halve when M doubles
@@ -268,6 +279,68 @@ def test_periodicity_check_linear_single_mode():
     cfg = PicardConfig(M=16, tol=1e-10, max_iter=5, linear_only=True)
     sol = picard_solve(force, cfg, g)
     assert periodicity_check(sol, force, cfg, steps=512) <= 1e-6
+
+
+def test_periodicity_check_rejects_nonsolenoidal_start():
+    g = Grid(3, 16, 16.0)
+    force = single_mode_force(T, amplitude=0.0)
+    cfg = PicardConfig(M=8)
+    sol = picard_solve(force, cfg, g)
+    # a gradient field is as far from solenoidal as a field can be
+    phi = random_smooth_field(g, seed=3, components=1)
+    sol.snapshots[0] = gradient(phi).data
+    with pytest.raises(ValueError, match="not solenoidal"):
+        periodicity_check(sol, force, cfg, steps=4)
+
+
+def _per_stage_march(sol, force, cfg, steps):
+    """Reference ETDRK4 march that evaluates the forcing at all four stage
+    times of every step; returns the periodicity defect."""
+    sp = sol.grid.spectral()
+    dt = force.T / steps
+    Ldt = -sp.ksq * dt
+    zc = Ldt[..., None] + np.exp(2j * np.pi * (np.arange(32) + 0.5) / 32)
+    E, E2 = np.exp(Ldt), np.exp(Ldt / 2.0)
+    zeta = dt * ((np.exp(zc / 2.0) - 1.0) / zc).mean(axis=-1)
+    alph = dt * ((-4.0 - zc + np.exp(zc) * (4.0 - 3.0 * zc + zc**2)) / zc**3).mean(axis=-1)
+    beta = dt * ((2.0 + zc + np.exp(zc) * (-2.0 + zc)) / zc**3).mean(axis=-1)
+    gamm = dt * ((-4.0 - 3.0 * zc - zc**2 + np.exp(zc) * (4.0 - zc)) / zc**3).mean(axis=-1)
+
+    def rhs(uh, t):
+        return _force_hat(force, sp, t) + _nonlin_hat(sp, uh)
+
+    start = uh = sp.forward(sol.snapshots[0])
+    t = 0.0
+    for _ in range(steps):
+        N1 = rhs(uh, t)
+        a = E2 * uh + zeta * N1
+        N2 = rhs(a, t + dt / 2.0)
+        b = E2 * uh + zeta * N2
+        N3 = rhs(b, t + dt / 2.0)
+        c = E2 * a + zeta * (2.0 * N3 - N1)
+        N4 = rhs(c, t + dt)
+        uh = E * uh + alph * N1 + 2.0 * beta * (N2 + N3) + gamm * N4
+        t += dt
+    return sp.l2(uh - start) / sp.l2(start)
+
+
+def test_periodicity_check_one_force_evaluation_per_stage_time():
+    g = Grid(3, 16, 16.0)
+    base = random_solenoidal_force(T, seed=42, amplitude=0.5)
+    calls = []
+
+    def counting(t, grid):
+        calls.append(t)
+        return base.sampler(t, grid)
+
+    force = PeriodicForce(T=T, sampler=counting, amplitude=base.amplitude)
+    cfg = PicardConfig(M=8, tol=1e-10, max_iter=30)
+    sol = picard_solve(base, cfg, g)
+    steps = 12
+    defect = periodicity_check(sol, force, cfg, steps=steps)
+    assert len(calls) == 2 * steps + 1
+    ref = _per_stage_march(sol, base, cfg, steps)
+    assert abs(defect - ref) <= 1e-12 * ref
 
 
 def test_weighted_ratio_stable_under_amplitude_halving():

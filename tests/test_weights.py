@@ -193,6 +193,12 @@ def test_feasibility_scan_n3_empty():
     assert widest <= 0.0
 
 
+@pytest.mark.parametrize("step", [10.0, 1.6])   # no q1 and no q2 / q2 only
+def test_feasibility_scan_rejects_empty_grid(step):
+    with pytest.raises(ValueError, match=r"no \(q1, q2\) grid points"):
+        feasibility_scan(3, step)
+
+
 def test_feasibility_scan_matches_pointwise_windows():
     # the scan evaluates HypothesisSet on arrays; compare with scalar windows
     n, step = 5, 0.25
