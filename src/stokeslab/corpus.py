@@ -7,6 +7,7 @@ explicitly, so a (seed, grid) pair pins every corpus field bit-for-bit.
 from __future__ import annotations
 
 import numpy as np
+from scipy import fft as _fft
 
 from .grid import Field, Grid
 
@@ -58,15 +59,21 @@ def corpus_seeds(base_seed: int, size: int):
 def refine_field(f: Field, factor: int = 2) -> Field:
     """The same band-limited function sampled on a factor-times finer grid.
 
-    Trigonometric interpolation by FFT zero padding, for refinement studies
-    where coarse and fine runs must see one underlying function.
+    Trigonometric interpolation, one grid axis at a time: the real
+    half-spectrum along the axis is scaled by factor, its Nyquist bin is
+    halved (the even-N bin splits into a +/- pair on the finer grid), and
+    the inverse transform to factor * N samples pads it with zeros.  This is
+    the Fourier resampling of refinement studies where coarse and fine runs
+    must see one underlying function.
     """
-    from scipy.signal import resample
-
+    if factor < 2:
+        raise ValueError(f"refinement factor must be >= 2, got {factor}")
     g = f.grid
     fine_grid = Grid(g.n, factor * g.N, g.L)
     data = f.data
-    axes = range(data.ndim - g.n, data.ndim)
-    for ax in axes:
-        data = resample(data, factor * g.N, axis=ax)
+    for ax in range(data.ndim - g.n, data.ndim):
+        hat = _fft.rfft(data, axis=ax)
+        hat *= factor
+        hat[(slice(None),) * ax + (g.N // 2,)] *= 0.5
+        data = _fft.irfft(hat, n=factor * g.N, axis=ax)
     return Field(fine_grid, data)

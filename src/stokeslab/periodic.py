@@ -34,6 +34,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy import fft as _fft
 
 from .grid import Field, Grid, gradient_magnitude, integrate
 from .weights import HypothesisSet
@@ -226,13 +227,13 @@ def _resolve_periodic(h_hats: np.ndarray, sp, T: float,
         )
     M = h_hats.shape[0]
     K = int(math.ceil(math.log(1.0 / tail_eps) / (T * kappa_min)))
-    Hf = np.fft.fft(h_hats, axis=0)
-    nu_omega = 2.0 * np.pi / T * np.fft.fftfreq(M) * M
+    Hf = _fft.fft(h_hats, axis=0)
+    nu_omega = 2.0 * np.pi / T * _fft.fftfreq(M) * M
     tail = -np.expm1(-(K + 1) * T * sp.ksq)       # 1 - exp(...), zero at xi = 0
     denom = sp.ksq[None, None] + 1j * nu_omega[:, None, None, None, None]
     denom = np.where(denom == 0.0, 1.0, denom)
     Hf *= tail[None, None] / denom
-    return np.fft.ifft(Hf, axis=0)
+    return _fft.ifft(Hf, axis=0)
 
 
 def nonlinearity(u: Field, solenoidal_rtol: float = _SOLENOIDAL_RTOL) -> Field:

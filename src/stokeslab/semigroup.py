@@ -104,20 +104,31 @@ def half_laplacian(f: Field) -> Field:
 def fractional_integral(f: Field, lam: float) -> Field:
     """Convolution with |y|^(lam - n) by direct quadrature on the offset lattice.
 
-    The singular cell at y = 0 is replaced by the exact integral of the
-    kernel over the ball of equal volume.
-    """
-    from scipy.signal import fftconvolve
+    out(x_i) = sum_j K(x_i - x_j) f(x_j) over the N^n samples (no periodic
+    wrap), with K(y) = |y|^(lam - n) h^n at the offsets y = h d.  Cells with
+    |y| <= 3h take the mean of the kernel over a 7^n sub-grid instead of
+    its midpoint value; the singular cell at y = 0 is replaced by the exact
+    integral of the kernel over the ball of equal volume.
 
+    The sum is evaluated as a circular convolution on the doubled lattice
+    Grid(n, 2N, 2L), which has the same spacing h, through its spectral
+    layer: f is zero-padded into the first N slots per axis, K is stored at
+    the wrapped offsets d in {0..N-1, -N..-1}, and the first N slots of the
+    product's inverse are kept.  For i, j in [0, N) the index (i - j) mod 2N
+    is never N, so the kernel value at d = -N is never read and the circular
+    sum equals the linear one exactly.
+    """
     g = f.grid
-    n = g.n
+    n, N = g.n, g.N
     if not 0.0 < lam < n:
         raise ValueError(f"fractional order must lie in (0, {n}), got {lam}")
     if f.is_vector:
         raise ValueError("fractional integral expects a scalar field")
     h = g.h
-    off = h * (np.arange(2 * g.N - 1) - (g.N - 1))
-    off_sq = sum(o**2 for o in np.meshgrid(*([off] * n), indexing="ij"))
+    # offsets h*d in wrapped order; Grid.offset_sq's min-image lengths round
+    # differently on negative d and would move tie cells across the 3h test
+    off = h * np.concatenate([np.arange(N), np.arange(-N, 0)])
+    off_sq = sum(o**2 for o in np.meshgrid(*([off] * n), indexing="ij", sparse=True))
     with np.errstate(divide="ignore"):
         ker = np.where(off_sq > 0, off_sq ** (0.5 * (lam - n)), 0.0) * h**n
     # near-singular cells: replace midpoint values by sub-quadrature cell averages
@@ -125,7 +136,7 @@ def fractional_integral(f: Field, lam: float) -> Field:
     sub = (np.arange(7) + 0.5) / 7.0 - 0.5
     sub_pts = np.stack(np.meshgrid(*([sub * h] * n), indexing="ij"), -1).reshape(-1, n)
     for idx in near:
-        y0 = h * (idx - (g.N - 1))
+        y0 = off[idx]
         r_sq = np.sum((y0 + sub_pts) ** 2, axis=1)
         if np.all(r_sq > 0):
             ker[tuple(idx)] = np.mean(r_sq ** (0.5 * (lam - n))) * h**n
@@ -139,9 +150,14 @@ def fractional_integral(f: Field, lam: float) -> Field:
     sphere_area = 2.0 * math.pi ** (n / 2.0) / math.gamma(n / 2.0)
     cell = float(np.sum(rc_sq[rc_sq > 0] ** (0.5 * (lam - n)))) * hs**n
     cell += sphere_area * ball_radius**lam / lam
-    center = (g.N - 1,) * n
-    ker[center] = cell
-    return Field(g, fftconvolve(f.data, ker, mode="same"))
+    ker[(0,) * n] = cell
+    sp = Grid(n, 2 * N, 2.0 * g.L).spectral()
+    first = (slice(0, N),) * n
+    pad = np.zeros(ker.shape)
+    pad[first] = f.data
+    hat = sp.forward(pad)
+    hat *= sp.forward(ker)
+    return Field(g, np.ascontiguousarray(sp.inverse(hat)[first]))
 
 
 def kernel_domination_constant(n: int, lam: float) -> float:

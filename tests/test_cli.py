@@ -172,7 +172,17 @@ def test_threads_flag_reaches_fft_backend(tmp_path, capsys, monkeypatch):
 
 
 def test_import_leaves_scipy_signal_unloaded():
-    code = "import sys, stokeslab; print('scipy.signal' in sys.modules)"
+    # neither importing the package nor its Fourier resampling and
+    # fractional integral load scipy.signal
+    code = (
+        "import sys, numpy as np, stokeslab\n"
+        "from stokeslab.grid import Field, Grid\n"
+        "from stokeslab.corpus import refine_field\n"
+        "from stokeslab.semigroup import fractional_integral\n"
+        "f = Field(Grid(3, 8, 2.0), np.ones((8, 8, 8)))\n"
+        "fractional_integral(f, 1.0), refine_field(f)\n"
+        "print('scipy.signal' in sys.modules)"
+    )
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))

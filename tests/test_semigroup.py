@@ -1,7 +1,10 @@
 import csv
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from scipy.signal import fftconvolve, resample
 
 from stokeslab.grid import Field, Grid, integrate, l2_norm
 from stokeslab.corpus import corpus_seeds, random_smooth_field, refine_field
@@ -191,6 +194,58 @@ def test_gradient_apply_smoothing_bound():
             assert np.sqrt(t * grad_sq) / n0 <= cap * (1 + 1e-10)
 
 
+def _fractional_integral_reference(f, lam):
+    # the linear convolution on the (2N - 1)^n offset lattice with
+    # scipy.signal.fftconvolve, kept as the oracle of the 2N-lattice version
+    g = f.grid
+    n = g.n
+    h = g.h
+    off = h * (np.arange(2 * g.N - 1) - (g.N - 1))
+    off_sq = sum(o**2 for o in np.meshgrid(*([off] * n), indexing="ij"))
+    with np.errstate(divide="ignore"):
+        ker = np.where(off_sq > 0, off_sq ** (0.5 * (lam - n)), 0.0) * h**n
+    near = np.argwhere(off_sq <= (3.0 * h) ** 2)
+    sub = (np.arange(7) + 0.5) / 7.0 - 0.5
+    sub_pts = np.stack(np.meshgrid(*([sub * h] * n), indexing="ij"), -1).reshape(-1, n)
+    for idx in near:
+        y0 = h * (idx - (g.N - 1))
+        r_sq = np.sum((y0 + sub_pts) ** 2, axis=1)
+        if np.all(r_sq > 0):
+            ker[tuple(idx)] = np.mean(r_sq ** (0.5 * (lam - n))) * h**n
+    msub = 15
+    hs = h / msub
+    subc = hs * (np.arange(msub) - (msub - 1) / 2.0)
+    rc_sq = sum(c**2 for c in np.meshgrid(*([subc] * n), indexing="ij")).ravel()
+    ball_radius = (hs**n * math.gamma(n / 2.0 + 1.0)) ** (1.0 / n) / math.sqrt(math.pi)
+    sphere_area = 2.0 * math.pi ** (n / 2.0) / math.gamma(n / 2.0)
+    cell = float(np.sum(rc_sq[rc_sq > 0] ** (0.5 * (lam - n)))) * hs**n
+    cell += sphere_area * ball_radius**lam / lam
+    ker[(g.N - 1,) * n] = cell
+    return fftconvolve(f.data, ker, mode="same")
+
+
+def _assert_matches_reference(f, lam, rtol):
+    ref = _fractional_integral_reference(f, lam)
+    got = fractional_integral(f, lam).data
+    assert np.abs(got - ref).max() <= rtol * np.abs(ref).max()
+
+
+@settings(max_examples=20, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from(range(8, 25, 2)), st.floats(min_value=0.5, max_value=20.0),
+       st.floats(min_value=0.05, max_value=2.95), st.integers(min_value=0, max_value=2**32 - 1))
+def test_fractional_integral_matches_linear_convolution(N, L, lam, seed):
+    # the circular convolution on the 2N lattice is the linear one exactly
+    g = Grid(3, N, L)
+    f = Field(g, np.random.default_rng(seed).standard_normal(g.shape))
+    _assert_matches_reference(f, lam, 1e-12)
+
+
+@pytest.mark.parametrize("lam", [1.0, 2.0])
+def test_fractional_integral_matches_linear_convolution_at_cli_grid(lam):
+    g = Grid(3, 96, 5.0)
+    _assert_matches_reference(random_smooth_field(g, 20260809), lam, 1e-12)
+
+
 def test_fractional_integral_gaussian_oracle():
     # I_2 of exp(-|y|^2) at the origin equals 4 pi * int r e^{-r^2} dr = 2 pi
     g = Grid(3, 96, 5.0)
@@ -223,6 +278,23 @@ def test_fractional_two_weight_ratio_stable():
         out = fractional_integral(f, 1.0)
         ratios.append(integrate(out, 6.0, 0.5) / integrate(f, 2.0, 0.5))
     assert abs(ratios[1] / ratios[0] - 1.0) < 0.05
+
+
+@pytest.mark.parametrize("N, lead", [(16, (3,)), (64, ())])
+def test_refine_field_matches_fourier_resampling(N, lead):
+    g = Grid(3, N, 4.0)
+    f = Field(g, np.random.default_rng(N).standard_normal(lead + g.shape))
+    with pytest.raises(ValueError):
+        refine_field(f, 1)
+    for factor in (2, 3):
+        ref = f.data
+        for ax in range(len(lead), len(lead) + 3):
+            ref = resample(ref, factor * N, axis=ax)
+        got = refine_field(f, factor).data
+        if factor == 2:
+            assert np.array_equal(got, ref)
+        else:
+            assert np.abs(got - ref).max() <= 1e-14 * np.abs(ref).max()
 
 
 def test_heat_kernel_dominated_by_riesz_kernel():
