@@ -34,7 +34,7 @@ X, Y, _ = grid.coords()
 t = (r - (R + 2.0)) / 1.0
 prof = np.where(np.abs(t) < 1, (1 - t * t) ** 3, 0.0)
 u0 = curl(Field(grid, np.stack([-Y * prof, X * prof, np.zeros(grid.shape)])))
-v0, info = solenoidal_extension(u0, AnnulusSpec(R), report=True)
+v0, info = solenoidal_extension(u0, AnnulusSpec(R))
 far = r >= R + 3.0
 print(f"\nextension: global divergence defect {info['div_v0_rel']:.4f}")
 print(f"v0 == u0 beyond |x| = R+3: {bool(np.array_equal(v0.data[:, far], u0.data[:, far]))}")

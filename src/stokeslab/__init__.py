@@ -16,9 +16,7 @@ from .grid import (
     save_field,
 )
 from .weights import (
-    AqReport,
     HypothesisSet,
-    Interval,
     RadialWeight,
     admissible_range,
     aq_check,
@@ -29,13 +27,9 @@ from .weights import (
     sobolev_embedding_ratio,
 )
 from .semigroup import (
-    DecaySeries,
-    ExponentFit,
     decay_harness,
-    decay_rate,
     fit_power_law,
     fractional_integral,
-    half_laplacian,
     heat_apply,
     heat_kernel,
     heat_kernel_field,
@@ -49,10 +43,8 @@ from .semigroup import (
 )
 from .exterior import (
     AnnulusSpec,
-    CutoffPair,
     RadialCutoff,
     bogovskii_apply,
-    build_cutoffs,
     divergence_defect,
     solenoidal_extension,
 )

@@ -126,6 +126,10 @@ _SCHEMAS = {
     },
 }
 
+# allowed values of the enumerated options, for flags and config files alike
+_CHOICES = {"form": ("inhomogeneous", "homogeneous"), "scan": (0, 1), "linear": (0, 1),
+            "force": ("random", "single-mode")}
+
 _DESCRIPTIONS = {
     "check-weight": "sample the Muckenhoupt A_q cube product of a radial weight "
     "over a cube ladder and classify it as finite/diverging/inconclusive",
@@ -151,8 +155,13 @@ _DESCRIPTIONS = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):          # usage errors join the JSON error contract
+        raise ConfigError(message)
+
+
 def _build_parser():
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="stokeslab",
         description="numerical laboratory for weighted semigroup decay and "
         "time-periodic flow fixed points",
@@ -196,9 +205,26 @@ def _resolve_config(args) -> dict:
         v = getattr(args, k)
         if v is not None:
             cfg[k] = v
-    if cfg.get("force", "random") not in _FORCE_SHAPES:
-        raise ConfigError(f"unknown forcing shape {cfg['force']!r}")
+    _check_choices(cfg)
+    _cube_sides(cfg)            # a malformed --sides fails before any directory exists
     return cfg
+
+
+def _check_choices(cfg) -> None:
+    for k, allowed in _CHOICES.items():
+        if k in cfg and cfg[k] not in allowed:
+            raise ConfigError(f"option {k!r} must be one of {allowed}, got {cfg[k]!r}")
+
+
+def _cube_sides(cfg):
+    """The --sides list as floats; None (the default ladder) when empty or absent."""
+    try:
+        sides = [float(s) for s in cfg["sides"].split(",")] if cfg.get("sides") else None
+        if sides and not np.all(np.isfinite(sides)):
+            raise ValueError(f"{cfg['sides']!r} holds a non-finite side")
+    except ValueError as exc:
+        raise ConfigError(f"option 'sides' must be comma-separated finite numbers: {exc}")
+    return sides
 
 
 class ConfigError(Exception):
@@ -228,10 +254,7 @@ def _corpus_field(cfg, components=3):
 
 def _cmd_check_weight(cfg, outdir):
     w = RadialWeight(s=cfg["alpha"], form=cfg["form"])
-    sides = None
-    if cfg["sides"]:
-        sides = [float(s) for s in cfg["sides"].split(",")]
-    report = aq_check(w, cfg["q"], cube_sides=sides, n=cfg["n"])
+    report = aq_check(w, cfg["q"], cube_sides=_cube_sides(cfg), n=cfg["n"])
     with open(os.path.join(outdir, "aq_report.json"), "w") as fh:
         fh.write(report.to_json())
         fh.write("\n")
@@ -343,7 +366,7 @@ def _cmd_extend(cfg, outdir):
     grid = Grid(3, cfg["N"], cfg["L"])
     spec = AnnulusSpec(cfg["R"])
     u0 = _extension_data(grid, cfg["R"])
-    v0, info = solenoidal_extension(u0, spec, report=True)
+    v0, info = solenoidal_extension(u0, spec)
     r = np.sqrt(grid.radius_sq())
     far = r >= cfg["R"] + 3.0
     save_field(u0, os.path.join(outdir, "input.field"))
@@ -355,27 +378,21 @@ def _cmd_extend(cfg, outdir):
     }, 0
 
 
-_FORCE_SHAPES = ("random", "single-mode")
-
-
 def _make_force(cfg):
     if cfg["force"] == "single-mode":
         return single_mode_force(cfg["T"], amplitude=cfg["eps"])
-    if cfg["force"] == "random":
-        return random_solenoidal_force(cfg["T"], cfg["seed"], amplitude=cfg["eps"])
-    raise ConfigError(f"unknown forcing shape {cfg['force']!r}")
+    return random_solenoidal_force(cfg["T"], cfg["seed"], amplitude=cfg["eps"])
+
+
+def _picard_config(cfg) -> PicardConfig:
+    return PicardConfig(M=cfg["M"], tol=cfg["tol"], max_iter=cfg["max_iter"],
+                        tail_eps=cfg["tail_eps"], linear_only=bool(cfg["linear"]))
 
 
 def _cmd_solve_periodic(cfg, outdir):
     grid = Grid(3, cfg["N"], cfg["L"])
     force = _make_force(cfg)
-    pc = PicardConfig(
-        M=cfg["M"],
-        tol=cfg["tol"],
-        max_iter=cfg["max_iter"],
-        tail_eps=cfg["tail_eps"],
-        linear_only=bool(cfg["linear"]),
-    )
+    pc = _picard_config(cfg)
     sol = picard_solve(force, pc, grid)
     for m in range(pc.M):
         save_field(sol.snapshot(m), os.path.join(outdir, f"node_{m:03d}.field"))
@@ -404,6 +421,7 @@ def _load_run(command, run_dir):
         raise ValueError(f"{run_dir!r} was written by {manifest['command']!r}, "
                          f"not solve-periodic")
     cfg = manifest["config"]
+    _check_choices(cfg)
     grid = Grid(3, cfg["N"], cfg["L"])
     expected = (3, grid.N, grid.L, 3)
     snaps = []
@@ -425,11 +443,7 @@ def _load_run(command, run_dir):
         iterations=0,
         converged=True,
     )
-    pc = PicardConfig(
-        M=cfg["M"], tol=cfg["tol"], max_iter=cfg["max_iter"],
-        tail_eps=cfg["tail_eps"], linear_only=bool(cfg["linear"]),
-    )
-    return sol, _make_force(cfg), pc
+    return sol, _make_force(cfg), _picard_config(cfg)
 
 
 def _cmd_periodicity_check(cfg, outdir, run):
@@ -460,7 +474,10 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    try:
+        args = _build_parser().parse_args(argv)
+    except ConfigError as exc:
+        return _fail("invalid-config", str(exc))
     if args.threads > 0:
         with scipy.fft.set_workers(args.threads):
             return _run(args)

@@ -9,7 +9,7 @@ from __future__ import annotations
 import numpy as np
 from scipy import fft as _fft
 
-from .grid import Field, Grid
+from .grid import Field, Grid, l2_norm
 
 PRNG_ID = "numpy.random.default_rng (PCG64)"
 
@@ -19,22 +19,19 @@ def random_smooth_field(
     seed: int,
     components: int = 1,
     k0: float = 1.5,
-    envelope_sigma: float | None = None,
-    normalize: bool = True,
 ) -> Field:
     """Band-limited random field under a Gaussian spatial envelope.
 
     White noise is filtered with the spectral profile exp(-|xi|^2/(2 k0^2)),
-    multiplied by exp(-|x|^2/sigma^2) (sigma defaults to L/5.5), then pushed
-    through a steep low-pass below the Nyquist plane.  Boundary samples sit
-    around 1e-5 of the peak; weighted norms are stable under domain doubling
-    to ~1e-8 relative.
+    multiplied by exp(-|x|^2/sigma^2) with sigma = L/5.5, pushed through a
+    steep low-pass below the Nyquist plane, and scaled to unit L^2 norm.
+    Boundary samples sit around 1e-5 of the peak; weighted norms are stable
+    under domain doubling to ~1e-8 relative.
     """
     rng = np.random.default_rng(seed)
-    sigma = grid.L / 5.5 if envelope_sigma is None else float(envelope_sigma)
     sp = grid.spectral()
     profile = np.exp(-sp.ksq / (2.0 * k0**2))
-    envelope = np.exp(-grid.radius_sq() / sigma**2)
+    envelope = np.exp(-grid.radius_sq() / (grid.L / 5.5) ** 2)
     # steep low-pass applied after enveloping: the envelope product regrows
     # Nyquist-plane content where real-FFT derivative identities degrade
     idx_sq = sum(i**2 for i in sp.index)
@@ -44,11 +41,8 @@ def random_smooth_field(
     smooth = sp.apply(rng.standard_normal(shape), profile)
     data = sp.apply(smooth * envelope, lowpass)
     f = Field(grid, data)
-    if normalize:
-        scale = np.sqrt(np.sum(f.data**2) * grid.cell_volume)
-        if scale > 0:
-            f = Field(grid, f.data / scale)
-    return f
+    scale = l2_norm(f)
+    return Field(grid, data / scale) if scale > 0 else f
 
 
 def corpus_seeds(base_seed: int, size: int):

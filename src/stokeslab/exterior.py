@@ -21,8 +21,6 @@ from .grid import Field, Grid, divergence, l2_norm
 __all__ = [
     "AnnulusSpec",
     "RadialCutoff",
-    "CutoffPair",
-    "build_cutoffs",
     "bogovskii_apply",
     "solenoidal_extension",
     "divergence_defect",
@@ -90,19 +88,6 @@ class RadialCutoff:
         rs = np.where(r > 0, r, 1.0)
         dp = self.profile_d(r) / rs
         return Field(grid, np.stack([dp * xi for xi in grid.coords()]))
-
-
-@dataclass(frozen=True)
-class CutoffPair:
-    """The two shell cut-offs used by the extension: phi (radii R+2 / R+3)
-    and psi (radii R+1 / R+2)."""
-
-    phi: RadialCutoff
-    psi: RadialCutoff
-
-
-def build_cutoffs(R: float) -> CutoffPair:
-    return CutoffPair(phi=RadialCutoff(R + 2.0, R + 3.0), psi=RadialCutoff(R + 1.0, R + 2.0))
 
 
 # ---------------------------------------------------------------------------
@@ -332,12 +317,14 @@ def divergence_defect(B: Field, f: Field) -> float:
     return err / l2_norm(f)
 
 
-def solenoidal_extension(u0: Field, spec: AnnulusSpec, report: bool = False):
+def solenoidal_extension(u0: Field, spec: AnnulusSpec):
     """Extend a field solenoidal outside B_R to a solenoidal field everywhere.
 
-    Computes (1 - phi) u0 + B[(grad phi) . u0] with phi the cut-off equal to
-    1 inside |x| <= R+2 and 0 outside |x| >= R+3; the divergence correction
-    lives on the annulus D_{R+2}.  Requires R + 4 <= L.
+    Computes v0 = (1 - phi) u0 + B[(grad phi) . u0] with phi the cut-off equal
+    to 1 inside |x| <= R+2 and 0 outside |x| >= R+3; the divergence correction
+    lives on the annulus D_{R+2}.  Requires R + 4 <= L.  Returns (v0, info):
+    info holds the annulus solve's divergence defect (bog_defect) and the
+    global divergence of v0 relative to |u0| (pi/L) (div_v0_rel).
     """
     grid = u0.grid
     if not u0.is_vector:
@@ -357,7 +344,7 @@ def solenoidal_extension(u0: Field, spec: AnnulusSpec, report: bool = False):
             f"{defect / scale:.3e} exceeds {_DIV_RTOL:.1e}"
         )
 
-    cut = build_cutoffs(R).phi
+    cut = RadialCutoff(R + 2.0, R + 3.0)
     phi = cut.field(grid).data
     gphi = cut.gradient_field(grid).data
     fb_data = np.sum(gphi * u0.data, axis=0)
@@ -366,12 +353,7 @@ def solenoidal_extension(u0: Field, spec: AnnulusSpec, report: bool = False):
     # mean-zero holds analytically; on the grid only to quadrature accuracy
     B = bogovskii_apply(fb, inner, mean_rtol=max(1e-10, 0.5 * grid.h))
     v0 = Field(grid, (1.0 - phi) * u0.data + B.data)
-    if report:
-        info = {
-            "bog_defect": divergence_defect(B, fb),
-            "div_v0_rel": float(
-                np.sqrt(np.sum(divergence(v0).data ** 2) * grid.cell_volume) / scale
-            ),
-        }
-        return v0, info
-    return v0
+    return v0, {
+        "bog_defect": divergence_defect(B, fb),
+        "div_v0_rel": float(l2_norm(divergence(v0)) / scale),
+    }

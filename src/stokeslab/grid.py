@@ -120,8 +120,6 @@ class Grid:
 
     def bracket(self, s: float):
         """Japanese bracket weight <x>^s = (1 + |x|^2)^(s/2)."""
-        if s == 0.0:
-            return np.ones(self.shape)
         return (1.0 + self.radius_sq()) ** (0.5 * s)
 
     def min_wavenumber_sq(self) -> float:
@@ -331,20 +329,15 @@ def laplacian(f: Field) -> Field:
 def integrate(f: Field, q: float, weight=None) -> float:
     """Weighted Lebesgue norm (sum |f|^q w^q h^n)^(1/q), q >= 1.
 
-    weight is None (w = 1), a number s (w = <x>^s), or any object with a
-    sample(grid) method returning pointwise weight values.
+    weight is None (w = 1) or an exponent s (w = <x>^s, not evaluated at s = 0).
     """
     q = float(q)
     if not q >= 1.0:
         raise ValueError(f"Lebesgue index q must be >= 1, got {q}")
-    mag = f.magnitude()
-    if weight is None:
-        wq = 1.0
-    elif np.isscalar(weight):
-        wq = f.grid.bracket(float(weight) * q)
-    else:
-        wq = weight.sample(f.grid) ** q
-    total = np.sum(mag**q * wq) * f.grid.cell_volume
+    terms = f.magnitude() ** q
+    if weight is not None and float(weight) != 0.0:
+        terms *= f.grid.bracket(float(weight) * q)
+    total = np.sum(terms) * f.grid.cell_volume
     return float(total ** (1.0 / q))
 
 

@@ -82,9 +82,6 @@ class PeriodicForce:
         f = self.sampler(float(t) % self.T, grid)
         return Field(grid, self.amplitude * f.data)
 
-    def rescaled(self, amplitude: float) -> "PeriodicForce":
-        return PeriodicForce(T=self.T, sampler=self.sampler, amplitude=amplitude)
-
 
 @dataclass(frozen=True)
 class PicardConfig:
@@ -118,30 +115,26 @@ class PeriodicSolution:
         return Field(self.grid, self.snapshots[m])
 
 
-def single_mode_force(T: float, k_index: int = 1, wave_axis: int = 2,
-                      component: int = 0, amplitude: float = 1.0) -> PeriodicForce:
-    """cos(xi . x) cos(2 pi t / T) on one velocity component, xi along wave_axis.
+def single_mode_force(T: float, amplitude: float = 1.0) -> PeriodicForce:
+    """The velocity cos(pi x_3 / L) cos(2 pi t / T) e_1.
 
-    The component is orthogonal to the wavevector, so the mode is solenoidal
-    and the Leray projection leaves it untouched.
+    e_1 is orthogonal to the wavevector, so the mode is solenoidal and the
+    Leray projection leaves it untouched.
     """
-    if component == wave_axis:
-        raise ValueError("component must differ from the wave axis to stay solenoidal")
     omega = 2.0 * math.pi / T
 
     def sampler(t, grid):
-        k = 2.0 * math.pi * k_index / (2.0 * grid.L)
-        x = grid.coords()[wave_axis]
+        k = 2.0 * math.pi / (2.0 * grid.L)
+        x = grid.coords()[2]
         data = np.zeros((grid.n,) + grid.shape)
-        data[component] = np.cos(k * x) * math.cos(omega * t)
+        data[0] = np.cos(k * x) * math.cos(omega * t)
         return Field(grid, data)
 
     return PeriodicForce(T=T, sampler=sampler, amplitude=amplitude)
 
 
-def random_solenoidal_force(T: float, seed: int, k0: float = 1.0,
-                            amplitude: float = 1.0) -> PeriodicForce:
-    """Seeded smooth solenoidal profile times cos(2 pi t / T)."""
+def random_solenoidal_force(T: float, seed: int, amplitude: float = 1.0) -> PeriodicForce:
+    """Seeded smooth solenoidal profile (corpus band k0 = 1) times cos(2 pi t / T)."""
     from .corpus import random_smooth_field
     from .semigroup import leray_project
 
@@ -151,7 +144,7 @@ def random_solenoidal_force(T: float, seed: int, k0: float = 1.0,
     def sampler(t, grid):
         key = (grid.n, grid.N, grid.L)
         if key not in cache:
-            raw = random_smooth_field(grid, seed, components=grid.n, k0=k0)
+            raw = random_smooth_field(grid, seed, components=grid.n, k0=1.0)
             cache[key] = leray_project(raw).data
         return Field(grid, cache[key] * math.cos(omega * t))
 
@@ -204,9 +197,9 @@ def _solenoidal_defect(sp, uh) -> float:
 _SOLENOIDAL_RTOL = 1e-8
 
 
-def _require_solenoidal(sp, uh, what: str, rtol: float = _SOLENOIDAL_RTOL) -> None:
+def _require_solenoidal(sp, uh, what: str) -> None:
     defect = _solenoidal_defect(sp, uh)
-    if defect > rtol:
+    if defect > _SOLENOIDAL_RTOL:
         raise ValueError(f"{what} is not solenoidal: relative divergence {defect:.3e}")
 
 
@@ -236,13 +229,13 @@ def _resolve_periodic(h_hats: np.ndarray, sp, T: float,
     return _fft.ifft(Hf, axis=0)
 
 
-def nonlinearity(u: Field, solenoidal_rtol: float = _SOLENOIDAL_RTOL) -> Field:
+def nonlinearity(u: Field) -> Field:
     """-P(u . grad u), spectrally de-aliased; u must be solenoidal."""
     sp = _spectral(u.grid)
     if not u.is_vector:
         raise ValueError("the advection nonlinearity expects a vector field")
     uh = sp.forward(u.data)
-    _require_solenoidal(sp, uh, "input", solenoidal_rtol)
+    _require_solenoidal(sp, uh, "input")
     return Field(u.grid, sp.inverse(_nonlin_hat(sp, uh)))
 
 
@@ -382,7 +375,7 @@ def weighted_report(sol: PeriodicSolution, force: PeriodicForce,
     (max of the two component norms), and their ratio.
     """
     g = sol.grid
-    hs = HypothesisSet(n=g.n, q1=q1, q2=q2, s=s)
+    hs = HypothesisSet(n=g.n, q1=q1, q2=q2)
 
     sup_u = 0.0
     for m in range(len(sol.node_times)):

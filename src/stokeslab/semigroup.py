@@ -28,7 +28,6 @@ __all__ = [
     "leray_project",
     "stokes_apply",
     "semigroup_gradient_apply",
-    "half_laplacian",
     "fractional_integral",
     "kernel_domination_constant",
     "riesz_gradient_check",
@@ -36,7 +35,6 @@ __all__ = [
     "ExponentFit",
     "fit_power_law",
     "predicted_exponent",
-    "decay_rate",
     "decay_harness",
     "write_decay_csv",
 ]
@@ -93,12 +91,6 @@ def semigroup_gradient_apply(f: Field, t: float, j: int) -> Field:
         raise ValueError(f"semigroup gradient needs t > 0, got {t}")
     sp = f.grid.spectral()
     return Field(f.grid, sp.apply(f.data, 1j * sp.k[j] * np.exp(-t * sp.ksq)))
-
-
-def half_laplacian(f: Field) -> Field:
-    """(-Laplace)^(1/2), multiplier |xi|."""
-    sp = f.grid.spectral()
-    return Field(f.grid, sp.apply(f.data, np.sqrt(sp.ksq)))
 
 
 def fractional_integral(f: Field, lam: float) -> Field:
@@ -168,11 +160,11 @@ def kernel_domination_constant(n: int, lam: float) -> float:
 
 
 def riesz_gradient_check(v: Field, q: float = 2.0, s: float = 0.0) -> float:
-    """Ratio of weighted norms of grad v and (-Laplace)^(1/2) v."""
+    """Ratio of weighted norms of grad v and (-Laplace)^(1/2) v (multiplier |xi|)."""
     if v.is_vector:
         raise ValueError("riesz check expects a scalar field")
-    den_field = half_laplacian(v)
-    den = integrate(den_field, q, s)
+    sp = v.grid.spectral()
+    den = integrate(Field(v.grid, sp.apply(v.data, np.sqrt(sp.ksq))), q, s)
     if den < 1e-14:
         raise ValueError("(-Laplace)^(1/2) v vanishes; input is (numerically) constant")
     num = integrate(gradient(v), q, s)
@@ -227,7 +219,7 @@ def predicted_exponent(n: int, p: float, q: float, s: float, s0: float, alpha_or
     return -(n / 2.0) * (1.0 / p - 1.0 / q) - alpha_order / 2.0 - (s - s0) / 2.0
 
 
-def decay_rate(t, n: int, p: float, q: float, s: float, s0: float, alpha_order: int):
+def _decay_rate(t, n: int, p: float, q: float, s: float, s0: float, alpha_order: int):
     t = np.asarray(t, float)
     return t ** (-(n / 2.0) * (1.0 / p - 1.0 / q) - alpha_order / 2.0) * (1.0 + t) ** (
         -(s - s0) / 2.0
@@ -287,7 +279,7 @@ def decay_harness(
 
     series = DecaySeries(t=t_ladder, values=values, n=n, p=p, q=q, s=s, s0=s0,
                          alpha_order=alpha_order)
-    rate = decay_rate(t_ladder, n, p, q, s, s0, alpha_order)
+    rate = _decay_rate(t_ladder, n, p, q, s, s0, alpha_order)
     envelope = values[0] / rate[0] * rate
     compliance = float(np.max(values / envelope))
     fit_mask = t_ladder >= 1.0
@@ -300,8 +292,8 @@ def decay_harness(
 
 def write_decay_csv(path, series: DecaySeries, fit: ExponentFit) -> None:
     """CSV with columns t, norm, predicted_envelope, ratio; fit JSON footer."""
-    g_rate = decay_rate(series.t, series.n, series.p, series.q, series.s, series.s0,
-                        series.alpha_order)
+    g_rate = _decay_rate(series.t, series.n, series.p, series.q, series.s, series.s0,
+                         series.alpha_order)
     envelope = series.values[0] / g_rate[0] * g_rate
     with open(path, "w", newline="") as fh:
         wr = csv.writer(fh)

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grid import Field, Grid, gradient_magnitude, integrate
+from .grid import Field, gradient_magnitude, integrate
 
 __all__ = [
     "RadialWeight",
@@ -64,9 +64,6 @@ class RadialWeight:
                 r_sq ** (0.5 * self.s),
                 np.inf if self.s < 0 else (0.0 if self.s > 0 else 1.0),
             )
-
-    def sample(self, grid: Grid):
-        return self.values_r2(grid.radius_sq())
 
 
 @dataclass(frozen=True)
@@ -133,13 +130,13 @@ def aq_check(
     cube_sides=None,
     centers=None,
     n: int = 3,
-    base_points: int = 32,
 ) -> AqReport:
     """Sampled Muckenhoupt A_q diagnostic for a radial weight.
 
     cube_sides must span at least three decades.  Each cube product is
-    computed at base_points and 2x base_points per axis; the relative jump
-    between the two is recorded alongside the refined product.
+    computed at m and 2m midpoints per axis, m = max(8, ceil(32768^(1/n)))
+    (32 at n = 3); the relative jump between the two is recorded alongside
+    the refined product.
     """
     if not q > 1.0:
         raise ValueError(f"Muckenhoupt index q must exceed 1, got {q}")
@@ -154,7 +151,6 @@ def aq_check(
         centers = [0.0, 1.0, 8.0, 64.0]
 
     m = max(8, int(np.ceil(32768 ** (1.0 / n))))
-    m = max(m, base_points if n == 3 else m)
     coarse = _cube_points(n, m)
     fine = _cube_points(n, 2 * m)
 
@@ -236,12 +232,12 @@ def _sup_of_averages(f: Field, kernels) -> Field:
     return Field(f.grid, out)
 
 
-def mollifier_sup(f: Field, eps_ladder=None) -> Field:
-    """sup over the ladder of Gaussian mollifications of |f| (discrete masses)."""
+def mollifier_sup(f: Field) -> Field:
+    """sup over 12 Gaussian mollifications of |f| (discrete masses), widths
+    geometric from h/2 to L/6."""
     g = f.grid
-    if eps_ladder is None:
-        eps_ladder = np.geomspace(g.h / 2.0, g.L / 6.0, 12)
-    kernels = (np.exp(-g.offset_sq() / (2.0 * eps**2)) for eps in eps_ladder)
+    widths = np.geomspace(g.h / 2.0, g.L / 6.0, 12)
+    kernels = (np.exp(-g.offset_sq() / (2.0 * eps**2)) for eps in widths)
     return _sup_of_averages(f, (ker / ker.sum() for ker in kernels))
 
 
@@ -276,7 +272,6 @@ class HypothesisSet:
     n: int
     q1: float
     q2: float
-    s: float | None = None
 
     def __post_init__(self):
         if not np.all((1.0 < self.q1) & (self.q1 < self.n)):

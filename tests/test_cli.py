@@ -113,18 +113,30 @@ def test_deterministic_artifacts(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "payload",
-    [{"nonsense": 1}, {"N": None}, [1, 2], {"N": "abc"}],
-    ids=["unknown-key", "null-value", "top-level-list", "non-numeric"],
+    "command, payload",
+    [("decay", {"nonsense": 1}), ("decay", {"N": None}), ("decay", [1, 2]),
+     ("decay", {"N": "abc"}), ("check-weight", {"form": "weird"}),
+     ("solve-periodic", {"force": "bogus"})],
+    ids=["unknown-key", "null-value", "top-level-list", "non-numeric", "form-unknown",
+         "force-unknown"],
 )
-def test_invalid_config_file(payload, tmp_path, capsys):
+def test_invalid_config_file(command, payload, tmp_path, capsys):
     cfgfile = tmp_path / "cfg.json"
     cfgfile.write_text(json.dumps(payload))
     status, out = run_cli(
-        capsys, "decay", "--config", str(cfgfile), "--out", str(tmp_path)
+        capsys, command, "--config", str(cfgfile), "--out", str(tmp_path / "out")
     )
     assert status == 2
     assert out["error"] == "invalid-config"
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["decay", "--help"]])
+def test_help_prints_usage(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: stokeslab")
 
 
 def test_precondition_violation_is_machine_readable(tmp_path, capsys):
@@ -321,9 +333,19 @@ def test_run_node_not_solenoidal(small_run, tmp_path, capsys):
         (["admissible-range", "--out", "<file>"], "invalid-config", 2),
         (["admissible-range", "--out", "<file>/sub"], "invalid-config", 2),
         (["--threads", "-2", "admissible-range"], "invalid-config", 2),
+        (["decay", "--N", "abc"], "invalid-config", 2),
+        (["decay", "--bogus", "1"], "invalid-config", 2),
+        (["no-such-command"], "invalid-config", 2),
+        (["check-weight", "--form", "weird"], "invalid-config", 2),
+        (["check-weight", "--sides", "1,x"], "invalid-config", 2),
+        (["check-weight", "--sides", "0.1,nan,1000"], "invalid-config", 2),
+        (["feasibility", "--scan", "2"], "invalid-config", 2),
+        (["solve-periodic", "--linear", "5", "--N", "16"], "invalid-config", 2),
     ],
     ids=["decay-points-0", "decay-points-1", "scan-step-0", "scan-empty", "force-unknown",
-         "steps-0", "out-is-file", "out-under-file", "threads-negative"],
+         "steps-0", "out-is-file", "out-under-file", "threads-negative", "N-not-int",
+         "unknown-flag", "unknown-command", "form-unknown", "sides-not-numbers", "sides-nan",
+         "scan-2", "linear-5"],
 )
 def test_out_of_range_inputs(argv, error, status, small_run, tmp_path, capsys):
     (tmp_path / "file").write_text("")

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -42,7 +43,7 @@ def test_force_is_exactly_periodic():
 def test_force_amplitude_scales_norms():
     g = small_grid()
     force = single_mode_force(T, amplitude=1.0)
-    doubled = force.rescaled(2.0)
+    doubled = dataclasses.replace(force, amplitude=2.0)
     na = integrate(force.field(g, 0.2), 2.0, 1.0)
     nb = integrate(doubled.field(g, 0.2), 2.0, 1.0)
     assert nb == pytest.approx(2.0 * na, rel=1e-14)
@@ -145,7 +146,7 @@ def test_zero_force_fixed_point():
 
 def test_linear_single_mode_matches_ode_solution():
     g = small_grid()
-    force = single_mode_force(T, k_index=1, wave_axis=2, component=0)
+    force = single_mode_force(T)
     cfg = PicardConfig(M=16, tol=1e-10, max_iter=5, linear_only=True)
     sol = picard_solve(force, cfg, g)
     kappa = (math.pi / g.L) ** 2
@@ -367,7 +368,7 @@ def test_weighted_report_force_norm_homogeneous():
     g = small_grid()
     cfg = PicardConfig(M=8, tol=1e-8, max_iter=20)
     f1 = random_solenoidal_force(T, seed=9, amplitude=0.01)
-    f2 = f1.rescaled(0.02)
+    f2 = dataclasses.replace(f1, amplitude=0.02)
     sol = picard_solve(f1, cfg, g)
     r1 = weighted_report(sol, f1, 2.0, 2.0, 1.0)
     r2 = weighted_report(sol, f2, 2.0, 2.0, 1.0)
