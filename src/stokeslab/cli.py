@@ -198,6 +198,8 @@ def _resolve_config(args) -> dict:
             if k not in schema:
                 raise ConfigError(f"unknown option {k!r} for {args.command}")
             try:
+                if schema[k][0] is int and isinstance(v, float) and not v.is_integer():
+                    raise ValueError(f"{v!r} is not an integer")
                 cfg[k] = schema[k][0](v)
             except (TypeError, ValueError) as exc:
                 raise ConfigError(f"option {k!r} in config file: {exc}")
@@ -408,7 +410,8 @@ def _load_run(command, run_dir):
     """(solution, force, Picard config) of a solve-periodic run directory.
 
     A missing --run is a ConfigError; an unreadable or inconsistent run
-    raises OSError, KeyError or ValueError.
+    raises OSError, KeyError or ValueError, and a config value of the wrong
+    type a TypeError.
     """
     if not run_dir:
         raise ConfigError(f"{command} needs --run pointing at a solve-periodic directory")
@@ -417,6 +420,8 @@ def _load_run(command, run_dir):
         raise ValueError(f"{run_dir!r} holds no solve-periodic manifest.json")
     with open(path) as fh:
         manifest = json.load(fh)
+    if not isinstance(manifest, dict) or not isinstance(manifest.get("config", {}), dict):
+        raise ValueError(f"{path!r} does not hold a JSON object with an object 'config'")
     if manifest["command"] != "solve-periodic":
         raise ValueError(f"{run_dir!r} was written by {manifest['command']!r}, "
                          f"not solve-periodic")
@@ -502,7 +507,7 @@ def _run(args) -> int:
         inputs = (_load_run(args.command, cfg["run"]),) if "run" in cfg else ()
     except ConfigError as exc:
         return _fail("invalid-config", str(exc))
-    except (OSError, KeyError, ValueError) as exc:
+    except (OSError, KeyError, TypeError, ValueError) as exc:
         detail = f"run manifest lacks {exc}" if isinstance(exc, KeyError) else str(exc)
         return _fail("precondition-violation", detail)
 

@@ -8,10 +8,10 @@ set per axis is {2*pi*k/(2L) : k = -N/2, ..., N/2 - 1}.
 
 All spectral work goes through one layer per grid, Grid.spectral(): scipy.fft
 real transforms over the last n axes, batched over leading axes (components,
-time nodes), in the rfftn half-spectrum layout.  It holds broadcastable
-wavenumbers k and |xi|^2 (ksq) and the 2/3-rule mask (dealias), and provides
-forward/inverse, apply (multiplier), project (Leray), l2 (Parseval), grad/div
-coefficients and gradient_magnitude.
+time nodes), in the rfftn half-spectrum layout.  It builds broadcastable
+wavenumbers k, |xi|^2 (ksq) and the 2/3-rule mask (dealias) on first use.
+It provides forward/inverse, apply (multiplier), project (Leray), l2
+(Parseval), grad/div coefficients and gradient_magnitude.
 
 Nyquist policy: the frequency index N/2 has no conjugate partner on an
 even grid.  First-derivative multipliers i xi_j vanish on the Nyquist plane
@@ -146,30 +146,50 @@ class Spectral:
         self.n = n
         self.axes = tuple(range(-n, 0))
         self.shape = (N,) * (n - 1) + (N // 2 + 1,)
-
-        def along(values, j):
-            return values.reshape((1,) * j + (-1,) + (1,) * (n - 1 - j))
-
-        full = 2.0 * np.pi * _fft.fftfreq(N, d=grid.h)
-        half = 2.0 * np.pi * _fft.rfftfreq(N, d=grid.h)
-        freqs = [full] * (n - 1) + [half]
-        self.ksq = sum(along(f, j) ** 2 for j, f in enumerate(freqs))
-        self._ksq_safe = np.where(self.ksq == 0.0, 1.0, self.ksq)
-        # derivative wavenumbers: zero at index N/2 (the Nyquist policy)
-        self.k = [along(np.where(np.arange(f.size) == N // 2, 0.0, f), j)
-                  for j, f in enumerate(freqs)]
-        # |frequency index| per axis, broadcastable like k
-        index = [np.abs(_fft.fftfreq(N) * N)] * (n - 1) + [_fft.rfftfreq(N) * N]
-        self.index = [along(i, j) for j, i in enumerate(index)]
-        # Parseval weights: interior half-spectrum modes stand for two
-        pw = np.full(N // 2 + 1, 2.0)
-        pw[0] = pw[-1] = 1.0
-        self._pw = along(pw, n - 1)
         tail = (slice(None),) * n
         self._comp = [(Ellipsis, j) + tail for j in range(n)]
         self._nyquist = [(Ellipsis, N // 2) + (slice(None),) * (n - 1 - j)
                          for j in range(n)]
         self._zero = (Ellipsis,) + (0,) * n
+
+    # wavenumber arrays are built on first use, so a layer that only
+    # transforms (the doubled grid of fractional_integral) never holds them
+
+    def _xi(self, zero_nyquist=False):
+        """Angular frequencies per axis as broadcastable arrays, the half axis last."""
+        N, h = self.grid.N, self.grid.h
+        full, half = 2.0 * np.pi * _fft.fftfreq(N, d=h), 2.0 * np.pi * _fft.rfftfreq(N, d=h)
+        if zero_nyquist:
+            full[N // 2] = half[-1] = 0.0
+        return np.meshgrid(*([full] * (self.n - 1)), half, indexing="ij", sparse=True)
+
+    @functools.cached_property
+    def ksq(self):
+        """|xi|^2, broadcastable like the coefficient arrays."""
+        return sum(x**2 for x in self._xi())
+
+    @functools.cached_property
+    def _ksq_safe(self):
+        return np.where(self.ksq == 0.0, 1.0, self.ksq)
+
+    @functools.cached_property
+    def k(self):
+        """Derivative wavenumbers per axis: zero at index N/2 (the Nyquist policy)."""
+        return self._xi(zero_nyquist=True)
+
+    @functools.cached_property
+    def index(self):
+        """|frequency index| per axis, broadcastable like k."""
+        N = self.grid.N
+        full, half = np.abs(_fft.fftfreq(N) * N), _fft.rfftfreq(N) * N
+        return np.meshgrid(*([full] * (self.n - 1)), half, indexing="ij", sparse=True)
+
+    @functools.cached_property
+    def _pw(self):
+        """Parseval weights of the half axis: interior modes stand for two."""
+        pw = np.full(self.grid.N // 2 + 1, 2.0)
+        pw[0] = pw[-1] = 1.0
+        return pw
 
     def forward(self, data):
         """rfftn over the grid axes, batched over leading axes."""

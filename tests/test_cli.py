@@ -116,9 +116,10 @@ def test_deterministic_artifacts(tmp_path, capsys):
     "command, payload",
     [("decay", {"nonsense": 1}), ("decay", {"N": None}), ("decay", [1, 2]),
      ("decay", {"N": "abc"}), ("check-weight", {"form": "weird"}),
-     ("solve-periodic", {"force": "bogus"})],
+     ("solve-periodic", {"force": "bogus"}), ("decay", {"N": 16.9}),
+     ("feasibility", {"scan": 1.7})],
     ids=["unknown-key", "null-value", "top-level-list", "non-numeric", "form-unknown",
-         "force-unknown"],
+         "force-unknown", "int-non-integral", "scan-non-integral"],
 )
 def test_invalid_config_file(command, payload, tmp_path, capsys):
     cfgfile = tmp_path / "cfg.json"
@@ -269,6 +270,25 @@ def test_run_manifest_of_another_command(small_run, tmp_path, capsys):
     manifest["command"] = "decay"
     (run / "manifest.json").write_text(json.dumps(manifest))
     assert "not solve-periodic" in _assert_rejected(capsys, run)
+
+
+@pytest.mark.parametrize(
+    "manifest", [[1, 2], {"command": "solve-periodic", "config": 5}],
+    ids=["manifest-list", "config-int"],
+)
+def test_run_manifest_not_an_object(manifest, small_run, tmp_path, capsys):
+    run = _copy_run(small_run, tmp_path / "run")
+    (run / "manifest.json").write_text(json.dumps(manifest))
+    assert "JSON object" in _assert_rejected(capsys, run)
+    _assert_rejected(capsys, run, "weighted-report")
+
+
+def test_run_manifest_config_value_of_wrong_type(small_run, tmp_path, capsys):
+    run = _copy_run(small_run, tmp_path / "run")
+    manifest = json.loads((run / "manifest.json").read_text())
+    manifest["config"]["M"] = "8"
+    (run / "manifest.json").write_text(json.dumps(manifest))
+    _assert_rejected(capsys, run)
 
 
 def test_run_manifest_unreadable(small_run, tmp_path, capsys):

@@ -20,6 +20,7 @@ from stokeslab.periodic import (
     weighted_report,
     _force_hat,
     _nonlin_hat,
+    _resolve_periodic,
 )
 
 T = 2.0 * math.pi
@@ -30,23 +31,20 @@ def small_grid():
 
 
 def test_force_is_exactly_periodic():
-    g = small_grid()
     force = random_solenoidal_force(T, seed=1, amplitude=0.5)
-    # evaluation goes through t mod T, so reduced arguments agree bitwise
-    assert np.array_equal(force.field(g, 0.3).data, force.field(g, 0.3 % T).data)
+    # the time factor goes through t mod T, so reduced arguments agree bitwise
+    assert force.factor(0.3) == force.factor(0.3 % T)
     # shifted by whole periods the argument only drifts at roundoff level
-    a = force.field(g, 0.3)
-    b = force.field(g, 0.3 + 5 * T)
-    assert np.abs(a.data - b.data).max() <= 1e-13 * np.abs(a.data).max()
+    a = force.factor(0.3)
+    b = force.factor(0.3 + 5 * T)
+    assert abs(a - b) <= 1e-13 * abs(a)
 
 
 def test_force_amplitude_scales_norms():
-    g = small_grid()
+    sp = small_grid().spectral()
     force = single_mode_force(T, amplitude=1.0)
     doubled = dataclasses.replace(force, amplitude=2.0)
-    na = integrate(force.field(g, 0.2), 2.0, 1.0)
-    nb = integrate(doubled.field(g, 0.2), 2.0, 1.0)
-    assert nb == pytest.approx(2.0 * na, rel=1e-14)
+    assert np.array_equal(_force_hat(doubled, sp), 2.0 * _force_hat(force, sp))
 
 
 def test_picard_config_validation():
@@ -59,7 +57,7 @@ def test_picard_config_validation():
     with pytest.raises(ValueError):
         PicardConfig(tail_eps=0.0)
     with pytest.raises(ValueError):
-        PeriodicForce(T=0.0, sampler=None)
+        PeriodicForce(T=0.0, profile=None)
 
 
 def test_nonlinearity_zero():
@@ -162,15 +160,12 @@ def test_linear_single_mode_matches_ode_solution():
 
 
 def test_poincare_map_translation_equivariance():
-    # shifting the forcing by T/2 shifts the node values by M/2 slots exactly
+    # shifting the forcing by T/2 shifts the node values by M/2 slots exactly;
+    # the shift turns cos(2 pi t / T) into its negative, i.e. amplitude -1
     g = small_grid()
     cfg = PicardConfig(M=16, linear_only=True)
     base = single_mode_force(T)
-
-    def shifted_sampler(t, grid):
-        return base.sampler((t + T / 2.0) % T, grid)
-
-    shifted = PeriodicForce(T=T, sampler=shifted_sampler)
+    shifted = dataclasses.replace(base, amplitude=-1.0)
     zeros = np.zeros((cfg.M, 3) + g.shape)
     out_base = poincare_map(zeros, base, cfg, g)
     out_shift = poincare_map(zeros, shifted, cfg, g)
@@ -189,18 +184,15 @@ def test_poincare_map_rejects_nonsolenoidal_snapshot():
 
 def test_node_refinement_converges_for_nonharmonic_forcing():
     # time profile exp(sin(w t)) has a full harmonic series; the node error
-    # against the harmonic-series solution must at least halve when M doubles
+    # against the harmonic-series solution must at least halve when M doubles.
+    # The forcing is not of the cos(w t) form, so its node data goes straight
+    # to the history-integral resolve.
     g = Grid(3, 16, 16.0)
+    sp = g.spectral()
     omega = 2 * math.pi / T
     k1 = 2 * math.pi / (2 * g.L)
     kappa = (math.pi / g.L) ** 2
-
-    def sampler(t, grid):
-        data = np.zeros((grid.n,) + grid.shape)
-        data[0] = np.cos(k1 * grid.coords()[2]) * math.exp(math.sin(omega * t))
-        return Field(grid, data)
-
-    force = PeriodicForce(T=T, sampler=sampler)
+    x3 = np.cos(k1 * g.coords()[2])
     # oracle: harmonic expansion of exp(sin), resolved far beyond both M values
     nh = 128
     tt = T * np.arange(nh) / nh
@@ -213,12 +205,14 @@ def test_node_refinement_converges_for_nonharmonic_forcing():
 
     errs = []
     for M in (8, 16):
-        cfg = PicardConfig(M=M, tol=1e-12, max_iter=5, linear_only=True)
-        sol = picard_solve(force, cfg, g)
-        x3 = np.cos(k1 * g.coords()[2])
+        times = T * np.arange(M) / M
+        data = np.zeros((M, 3) + g.shape)
+        for m, t in enumerate(times):
+            data[m, 0] = x3 * math.exp(math.sin(omega * t))
+        nodes = sp.inverse(_resolve_periodic(sp.forward(data), sp, T, 1e-12))
         err = max(
-            np.abs(sol.snapshots[m][0] - exact_profile(t) * x3).max()
-            for m, t in enumerate(sol.node_times)
+            np.abs(nodes[m][0] - exact_profile(t) * x3).max()
+            for m, t in enumerate(times)
         )
         errs.append(err)
     assert errs[1] <= 0.5 * errs[0] + 1e-14
@@ -295,9 +289,12 @@ def test_periodicity_check_rejects_nonsolenoidal_start():
 
 
 def _per_stage_march(sol, force, cfg, steps):
-    """Reference ETDRK4 march that evaluates the forcing at all four stage
-    times of every step; returns the periodicity defect."""
+    """Reference ETDRK4 march that transforms and projects the forcing
+    amplitude cos(2 pi t / T) profile at all four stage times of every step;
+    returns the periodicity defect."""
     sp = sol.grid.spectral()
+    omega = 2.0 * math.pi / force.T
+    profile = force.profile(sol.grid).data
     dt = force.T / steps
     Ldt = -sp.ksq * dt
     zc = Ldt[..., None] + np.exp(2j * np.pi * (np.arange(32) + 0.5) / 32)
@@ -308,7 +305,9 @@ def _per_stage_march(sol, force, cfg, steps):
     gamm = dt * ((-4.0 - 3.0 * zc - zc**2 + np.exp(zc) * (4.0 - zc)) / zc**3).mean(axis=-1)
 
     def rhs(uh, t):
-        return _force_hat(force, sp, t) + _nonlin_hat(sp, uh)
+        fh = sp.forward(force.amplitude * math.cos(omega * (t % force.T)) * profile)
+        fh *= sp.dealias
+        return sp.project(fh) + _nonlin_hat(sp, uh)
 
     start = uh = sp.forward(sol.snapshots[0])
     t = 0.0
@@ -325,23 +324,42 @@ def _per_stage_march(sol, force, cfg, steps):
     return sp.l2(uh - start) / sp.l2(start)
 
 
-def test_periodicity_check_one_force_evaluation_per_stage_time():
-    g = Grid(3, 16, 16.0)
-    base = random_solenoidal_force(T, seed=42, amplitude=0.5)
+def _counting(force):
+    """The force with a profile that records each grid it is evaluated on."""
     calls = []
 
-    def counting(t, grid):
-        calls.append(t)
-        return base.sampler(t, grid)
+    def profile(grid):
+        calls.append(grid)
+        return force.profile(grid)
 
-    force = PeriodicForce(T=T, sampler=counting, amplitude=base.amplitude)
+    return dataclasses.replace(force, profile=profile), calls
+
+
+def test_periodicity_check_one_profile_evaluation():
+    g = Grid(3, 16, 16.0)
+    base = random_solenoidal_force(T, seed=42, amplitude=0.5)
+    force, calls = _counting(base)
     cfg = PicardConfig(M=8, tol=1e-10, max_iter=30)
     sol = picard_solve(base, cfg, g)
     steps = 12
     defect = periodicity_check(sol, force, cfg, steps=steps)
-    assert len(calls) == 2 * steps + 1
+    assert len(calls) == 1
     ref = _per_stage_march(sol, base, cfg, steps)
     assert abs(defect - ref) <= 1e-12 * ref
+
+
+def test_each_entry_point_evaluates_the_profile_once():
+    g = Grid(3, 16, 16.0)
+    force, calls = _counting(random_solenoidal_force(T, seed=42, amplitude=0.5))
+    cfg = PicardConfig(M=8, tol=1e-10, max_iter=30)
+    sol = picard_solve(force, cfg, g)
+    assert len(calls) == 1
+    poincare_map(sol.snapshots, force, cfg, g)
+    assert len(calls) == 2
+    periodicity_check(sol, force, cfg, steps=4)
+    assert len(calls) == 3
+    weighted_report(sol, force, 2.0, 2.0, 1.0)
+    assert len(calls) == 4
 
 
 def test_weighted_ratio_stable_under_amplitude_halving():
@@ -373,3 +391,22 @@ def test_weighted_report_force_norm_homogeneous():
     r1 = weighted_report(sol, f1, 2.0, 2.0, 1.0)
     r2 = weighted_report(sol, f2, 2.0, 2.0, 1.0)
     assert r2["force_norm"] == pytest.approx(2.0 * r1["force_norm"], rel=1e-13)
+
+
+def test_weighted_report_force_norm_is_the_sup_over_nodes():
+    # the sup over the nodes of |<x>^{2s} f(t_m)| in both component norms,
+    # from amplitude cos(w t_m) profile, is the norm of |amplitude| profile
+    g = small_grid()
+    s = 1.0
+    force = random_solenoidal_force(T, seed=9, amplitude=-0.01)
+    sol = picard_solve(force, PicardConfig(M=8, max_iter=5, linear_only=True), g)
+    rep = weighted_report(sol, force, 2.0, 2.0, s)
+    assert rep["q12"] != rep["q22_star"]
+    profile = force.profile(g).data
+    node_sup = 0.0
+    for t in sol.node_times:
+        f = Field(g, force.amplitude * math.cos(2.0 * math.pi * t / T) * profile)
+        for q in (rep["q12"], rep["q22_star"]):
+            node_sup = max(node_sup, integrate(f, q, 2.0 * s))
+    assert node_sup > 0.0
+    assert rep["force_norm"] == pytest.approx(node_sup, rel=1e-13)

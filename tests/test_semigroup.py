@@ -269,6 +269,25 @@ def test_fractional_integral_rejects_bad_order():
             fractional_integral(f, lam)
 
 
+def test_fractional_integral_doubled_grid_builds_no_wavenumbers(monkeypatch):
+    # the doubled grid only transforms, so its spectral layer holds no |xi|^2,
+    # wavenumber, index, Parseval or de-aliasing arrays
+    g = Grid(3, 16, 4.0)
+    f = Field(g, np.exp(-g.radius_sq()))
+    built = []
+    spectral = Grid.spectral
+
+    def recording(grid):
+        built.append(spectral(grid))
+        return built[-1]
+
+    monkeypatch.setattr(Grid, "spectral", recording)
+    fractional_integral(f, 1.0)
+    assert [sp.grid.N for sp in built] == [32]
+    lazy = {"ksq", "_ksq_safe", "k", "index", "_pw", "dealias"}
+    assert lazy.isdisjoint(vars(built[0]))
+
+
 def test_fractional_two_weight_ratio_stable():
     # lam = n(1/p - 1/q) with p = 2, q = 6; same function on both grids
     coarse = random_smooth_field(Grid(3, 48, 8.0), 17)
