@@ -41,120 +41,6 @@ def _flag_name(key: str) -> str:
     return "--" + key.replace("_", "-")
 
 
-# subcommand -> {option: (type, default, help)}
-_SCHEMAS = {
-    "check-weight": {
-        "alpha": (float, 2.0, "weight exponent a of <x>^a (or |x|^a)"),
-        "q": (float, 2.0, "Lebesgue index"),
-        "n": (int, 3, "dimension"),
-        "form": (str, "inhomogeneous", "inhomogeneous (<x>^a) or homogeneous (|x|^a)"),
-        "sides": (str, "", "comma-separated cube sides (default: 2^-3..2^10)"),
-    },
-    "admissible-range": {
-        "q": (float, 2.0, "Lebesgue index"),
-        "n": (int, 3, "dimension"),
-    },
-    "feasibility": {
-        "n": (int, 5, "dimension"),
-        "q1": (float, 4.0, "first integrability index, 1 < q1 < n"),
-        "q2": (float, 3.0, "second integrability index, n/2 < q2 < n"),
-        "scan": (int, 0, "if 1, sweep the whole (q1, q2) grid at --step instead"),
-        "step": (float, 0.01, "grid step for --scan"),
-    },
-    "maximal": {
-        "seed": (int, 20260809, "corpus seed"),
-        "N": (int, 64, "samples per axis"),
-        "L": (float, 16.0, "half-extent of the cube"),
-        "q": (float, 2.0, "norm index for the operator-norm ratio"),
-        "s": (float, 1.0, "weight exponent for the operator-norm ratio"),
-        "radii": (int, 24, "number of ladder radii"),
-    },
-    "decay": {
-        "p": (float, 2.0, "source integrability index"),
-        "q": (float, 6.0, "target integrability index"),
-        "s": (float, 0.0, "source weight exponent"),
-        "s0": (float, 0.0, "target weight exponent"),
-        "alpha_order": (int, 0, "derivative order, 0 or 1"),
-        "tmin": (float, 1.0, "first ladder time"),
-        "tmax": (float, 64.0, "last ladder time"),
-        "points": (int, 13, "ladder size (geometric)"),
-        "seed": (int, 20260809, "corpus seed"),
-        "N": (int, 64, "samples per axis"),
-        "L": (float, 16.0, "half-extent of the cube"),
-    },
-    "frac-integral": {
-        "lam": (float, 1.0, "order of the fractional integral, in (0, n)"),
-        "p": (float, 2.0, "source index of the two-weight ratio"),
-        "q": (float, 6.0, "target index of the two-weight ratio"),
-        "s0": (float, 0.5, "shared weight exponent"),
-        "seed": (int, 20260809, "corpus seed"),
-        "N": (int, 96, "samples per axis"),
-        "L": (float, 5.0, "half-extent of the cube"),
-    },
-    "bogovskii-test": {
-        "R": (float, 2.0, "inner radius of the annulus D_R"),
-        "N": (int, 128, "samples per axis"),
-        "L": (float, 8.0, "half-extent of the cube"),
-    },
-    "extend": {
-        "R": (float, 1.0, "exterior radius: data solenoidal on |x| > R"),
-        "N": (int, 128, "samples per axis"),
-        "L": (float, 8.0, "half-extent of the cube"),
-    },
-    "solve-periodic": {
-        "eps": (float, 0.01, "forcing amplitude"),
-        "T": (float, 6.283185307179586, "period"),
-        "M": (int, 16, "time nodes per period (even, >= 8)"),
-        "N": (int, 32, "samples per axis"),
-        "L": (float, 16.0, "half-extent of the cube"),
-        "tol": (float, 1e-8, "fixed-point residual tolerance"),
-        "max_iter": (int, 40, "iteration cap"),
-        "tail_eps": (float, 1e-12, "history-sum tail threshold"),
-        "linear": (int, 0, "if 1, drop the advection term"),
-        "force": (str, "random", "forcing shape: random or single-mode"),
-        "seed": (int, 20260809, "seed of the random forcing profile"),
-    },
-    "periodicity-check": {
-        "run": (str, "", "directory written by solve-periodic"),
-        "steps": (int, 256, "time steps of the verification march"),
-    },
-    "weighted-report": {
-        "run": (str, "", "directory written by solve-periodic"),
-        "q1": (float, 2.0, "velocity norm index"),
-        "q2": (float, 2.0, "gradient norm index"),
-        "s": (float, 1.0, "weight exponent"),
-    },
-}
-
-# allowed values of the enumerated options, for flags and config files alike
-_CHOICES = {"form": ("inhomogeneous", "homogeneous"), "scan": (0, 1), "linear": (0, 1),
-            "force": ("random", "single-mode")}
-
-_DESCRIPTIONS = {
-    "check-weight": "sample the Muckenhoupt A_q cube product of a radial weight "
-    "over a cube ladder and classify it as finite/diverging/inconclusive",
-    "admissible-range": "open interval of s with <x>^(sq) in the A_q class",
-    "feasibility": "window of weight exponents s compatible with the periodic "
-    "small-data hypotheses, from the min-formula over derived indices",
-    "maximal": "centered maximal function of a seeded field: weighted operator "
-    "norm ratio and mollifier domination check",
-    "decay": "weighted decay ladder of the projected heat evolution with "
-    "log-log exponent fit and envelope compliance",
-    "frac-integral": "fractional integral of a seeded field: two-weight norm "
-    "ratio and the Gaussian point oracle",
-    "bogovskii-test": "divergence-equation solve on the annulus: divergence "
-    "defect, exact support containment, gradient-norm ratio",
-    "extend": "solenoidal extension through cut-off plus annulus correction: "
-    "global divergence defect and far-field equality",
-    "solve-periodic": "fixed point of the periodic history-integral map by "
-    "Picard iteration; writes node snapshots",
-    "periodicity-check": "re-simulate one period with an exponential "
-    "integrator and report the return defect",
-    "weighted-report": "weighted solution norms against the forcing size for "
-    "given exponents",
-}
-
-
 class _Parser(argparse.ArgumentParser):
     def error(self, message):          # usage errors join the JSON error contract
         raise ConfigError(message)
@@ -170,22 +56,21 @@ def _build_parser():
                     help="worker threads of the FFT backend (scipy.fft workers); "
                     "0 keeps its default of one")
     sub = ap.add_subparsers(dest="command", required=True)
-    for name, schema in _SCHEMAS.items():
-        sp = sub.add_parser(name, help=_DESCRIPTIONS[name],
-                            description=_DESCRIPTIONS[name])
+    for name, (_, description, options) in _COMMANDS.items():
+        sp = sub.add_parser(name, help=description, description=description)
         sp.add_argument("--config", type=str, default=None,
                         help="JSON file with option values (flags override)")
         sp.add_argument("--out", type=str, default=None,
                         help="output directory (default runs/<command>)")
-        for key, (typ, default, hlp) in schema.items():
+        for key, (typ, default, hlp, *_) in options.items():
             sp.add_argument(_flag_name(key), type=typ, default=None,
                             help=f"{hlp} (default {default})")
     return ap
 
 
 def _resolve_config(args) -> dict:
-    schema = _SCHEMAS[args.command]
-    cfg = {k: v for k, (_, v, _) in schema.items()}
+    schema = _COMMANDS[args.command][2]
+    cfg = {k: spec[1] for k, spec in schema.items()}
     if args.config:
         try:
             with open(args.config) as fh:
@@ -207,15 +92,16 @@ def _resolve_config(args) -> dict:
         v = getattr(args, k)
         if v is not None:
             cfg[k] = v
-    _check_choices(cfg)
+    _check_choices(cfg, schema)
     _cube_sides(cfg)            # a malformed --sides fails before any directory exists
     return cfg
 
 
-def _check_choices(cfg) -> None:
-    for k, allowed in _CHOICES.items():
-        if k in cfg and cfg[k] not in allowed:
-            raise ConfigError(f"option {k!r} must be one of {allowed}, got {cfg[k]!r}")
+def _check_choices(cfg, schema) -> None:
+    """Enumerated options hold one of their allowed values, for flags and files alike."""
+    for k, spec in schema.items():
+        if len(spec) == 4 and k in cfg and cfg[k] not in spec[3]:
+            raise ConfigError(f"option {k!r} must be one of {spec[3]}, got {cfg[k]!r}")
 
 
 def _cube_sides(cfg):
@@ -426,7 +312,7 @@ def _load_run(command, run_dir):
         raise ValueError(f"{run_dir!r} was written by {manifest['command']!r}, "
                          f"not solve-periodic")
     cfg = manifest["config"]
-    _check_choices(cfg)
+    _check_choices(cfg, _COMMANDS["solve-periodic"][2])
     grid = Grid(3, cfg["N"], cfg["L"])
     expected = (3, grid.N, grid.L, 3)
     snaps = []
@@ -438,11 +324,9 @@ def _load_run(command, run_dir):
             raise ValueError(f"{name} header (n, N, L, components) = {header} does not "
                              f"match the run manifest {expected}")
         snaps.append(f.data)
-    times = cfg["T"] * np.arange(cfg["M"]) / cfg["M"]
     sol = PeriodicSolution(
         grid=grid,
         T=cfg["T"],
-        node_times=times,
         snapshots=np.stack(snaps),
         residuals=np.zeros(cfg["M"]),
         iterations=0,
@@ -463,18 +347,103 @@ def _cmd_weighted_report(cfg, outdir, run):
     return rep, 0
 
 
+# subcommand -> (implementation, description,
+#                {option: (type, default, help[, allowed values])})
 _COMMANDS = {
-    "check-weight": _cmd_check_weight,
-    "admissible-range": _cmd_admissible_range,
-    "feasibility": _cmd_feasibility,
-    "maximal": _cmd_maximal,
-    "decay": _cmd_decay,
-    "frac-integral": _cmd_frac_integral,
-    "bogovskii-test": _cmd_bogovskii_test,
-    "extend": _cmd_extend,
-    "solve-periodic": _cmd_solve_periodic,
-    "periodicity-check": _cmd_periodicity_check,
-    "weighted-report": _cmd_weighted_report,
+    "check-weight": (_cmd_check_weight, "sample the Muckenhoupt A_q cube product of a radial "
+                     "weight over a cube ladder and classify it as finite/diverging/inconclusive", {
+        "alpha": (float, 2.0, "weight exponent a of <x>^a (or |x|^a)"),
+        "q": (float, 2.0, "Lebesgue index"),
+        "n": (int, 3, "dimension"),
+        "form": (str, "inhomogeneous", "inhomogeneous (<x>^a) or homogeneous (|x|^a)",
+                 ("inhomogeneous", "homogeneous")),
+        "sides": (str, "", "comma-separated cube sides (default: 2^-3..2^10)"),
+    }),
+    "admissible-range": (_cmd_admissible_range,
+                         "open interval of s with <x>^(sq) in the A_q class", {
+        "q": (float, 2.0, "Lebesgue index"),
+        "n": (int, 3, "dimension"),
+    }),
+    "feasibility": (_cmd_feasibility, "window of weight exponents s compatible with the "
+                    "periodic small-data hypotheses, from the min-formula over derived indices", {
+        "n": (int, 5, "dimension"),
+        "q1": (float, 4.0, "first integrability index, 1 < q1 < n"),
+        "q2": (float, 3.0, "second integrability index, n/2 < q2 < n"),
+        "scan": (int, 0, "if 1, sweep the whole (q1, q2) grid at --step instead", (0, 1)),
+        "step": (float, 0.01, "grid step for --scan"),
+    }),
+    "maximal": (_cmd_maximal, "centered maximal function of a seeded field: weighted "
+                "operator norm ratio and mollifier domination check", {
+        "seed": (int, 20260809, "corpus seed"),
+        "N": (int, 64, "samples per axis"),
+        "L": (float, 16.0, "half-extent of the cube"),
+        "q": (float, 2.0, "norm index for the operator-norm ratio"),
+        "s": (float, 1.0, "weight exponent for the operator-norm ratio"),
+        "radii": (int, 24, "number of ladder radii"),
+    }),
+    "decay": (_cmd_decay, "weighted decay ladder of the projected heat evolution with "
+              "log-log exponent fit and envelope compliance", {
+        "p": (float, 2.0, "source integrability index"),
+        "q": (float, 6.0, "target integrability index"),
+        "s": (float, 0.0, "source weight exponent"),
+        "s0": (float, 0.0, "target weight exponent"),
+        "alpha_order": (int, 0, "derivative order, 0 or 1"),
+        "tmin": (float, 1.0, "first ladder time"),
+        "tmax": (float, 64.0, "last ladder time"),
+        "points": (int, 13, "ladder size (geometric)"),
+        "seed": (int, 20260809, "corpus seed"),
+        "N": (int, 64, "samples per axis"),
+        "L": (float, 16.0, "half-extent of the cube"),
+    }),
+    "frac-integral": (_cmd_frac_integral, "fractional integral of a seeded field: "
+                      "two-weight norm ratio and the Gaussian point oracle", {
+        "lam": (float, 1.0, "order of the fractional integral, in (0, n)"),
+        "p": (float, 2.0, "source index of the two-weight ratio"),
+        "q": (float, 6.0, "target index of the two-weight ratio"),
+        "s0": (float, 0.5, "shared weight exponent"),
+        "seed": (int, 20260809, "corpus seed"),
+        "N": (int, 96, "samples per axis"),
+        "L": (float, 5.0, "half-extent of the cube"),
+    }),
+    "bogovskii-test": (_cmd_bogovskii_test, "divergence-equation solve on the annulus: "
+                       "divergence defect, exact support containment, gradient-norm ratio", {
+        "R": (float, 2.0, "inner radius of the annulus D_R"),
+        "N": (int, 128, "samples per axis"),
+        "L": (float, 8.0, "half-extent of the cube"),
+    }),
+    "extend": (_cmd_extend, "solenoidal extension through cut-off plus annulus correction: "
+               "global divergence defect and far-field equality", {
+        "R": (float, 1.0, "exterior radius: data solenoidal on |x| > R"),
+        "N": (int, 128, "samples per axis"),
+        "L": (float, 8.0, "half-extent of the cube"),
+    }),
+    "solve-periodic": (_cmd_solve_periodic, "fixed point of the periodic history-integral "
+                       "map by Picard iteration; writes node snapshots", {
+        "eps": (float, 0.01, "forcing amplitude"),
+        "T": (float, 6.283185307179586, "period"),
+        "M": (int, 16, "time nodes per period (even, >= 8)"),
+        "N": (int, 32, "samples per axis"),
+        "L": (float, 16.0, "half-extent of the cube"),
+        "tol": (float, 1e-8, "fixed-point residual tolerance"),
+        "max_iter": (int, 40, "iteration cap"),
+        "tail_eps": (float, 1e-12, "history-sum tail threshold"),
+        "linear": (int, 0, "if 1, drop the advection term", (0, 1)),
+        "force": (str, "random", "forcing shape: random or single-mode",
+                  ("random", "single-mode")),
+        "seed": (int, 20260809, "seed of the random forcing profile"),
+    }),
+    "periodicity-check": (_cmd_periodicity_check, "re-simulate one period with an "
+                          "exponential integrator and report the return defect", {
+        "run": (str, "", "directory written by solve-periodic"),
+        "steps": (int, 256, "time steps of the verification march"),
+    }),
+    "weighted-report": (_cmd_weighted_report,
+                        "weighted solution norms against the forcing size for given exponents", {
+        "run": (str, "", "directory written by solve-periodic"),
+        "q1": (float, 2.0, "velocity norm index"),
+        "q2": (float, 2.0, "gradient norm index"),
+        "s": (float, 1.0, "weight exponent"),
+    }),
 }
 
 
@@ -523,7 +492,7 @@ def _run(args) -> int:
 
     t0 = time.time()
     try:
-        result, status = _COMMANDS[args.command](cfg, outdir, *inputs)
+        result, status = _COMMANDS[args.command][0](cfg, outdir, *inputs)
     except ConfigError as exc:
         return _fail("invalid-config", str(exc))
     except (ValueError, RuntimeError) as exc:

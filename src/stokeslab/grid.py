@@ -65,8 +65,8 @@ class Grid:
             raise ValueError(f"dimension n must be >= 3, got {n}")
         if N < 8 or N % 2 != 0:
             raise ValueError(f"N must be even and >= 8, got {N}")
-        if not L > 0:
-            raise ValueError(f"L must be positive, got {L}")
+        if not 0 < L < np.inf:
+            raise ValueError(f"L must be positive and finite, got {L}")
         self.n = n
         self.N = N
         self.L = L
@@ -347,13 +347,16 @@ def laplacian(f: Field) -> Field:
 
 
 def integrate(f: Field, q: float, weight=None) -> float:
-    """Weighted Lebesgue norm (sum |f|^q w^q h^n)^(1/q), q >= 1.
+    """Weighted Lebesgue norm (sum |f|^q w^q h^n)^(1/q), finite q >= 1.
 
-    weight is None (w = 1) or an exponent s (w = <x>^s, not evaluated at s = 0).
+    weight is None (w = 1) or a finite exponent s (w = <x>^s, not evaluated
+    at s = 0).
     """
     q = float(q)
-    if not q >= 1.0:
-        raise ValueError(f"Lebesgue index q must be >= 1, got {q}")
+    if not 1.0 <= q < np.inf:
+        raise ValueError(f"Lebesgue index q must be finite and >= 1, got {q}")
+    if weight is not None and not np.isfinite(weight):
+        raise ValueError(f"weight exponent must be finite, got {weight}")
     terms = f.magnitude() ** q
     if weight is not None and float(weight) != 0.0:
         terms *= f.grid.bracket(float(weight) * q)

@@ -156,27 +156,22 @@ def aq_check(
 
     report = AqReport(q=float(q), weight=w)
     max_jump = 0.0
-    sup_by_side = {}
+    side_sups = []
     for side in cube_sides:
         best = 0.0
         for c in centers:
             p1 = _cube_product(w, q, c, side, *coarse)
-            p2 = _cube_product(w, q, c, side, *fine)
-            if np.isinf(p1) or np.isinf(p2):
-                jump = np.inf
-                prod = p2
-            else:
-                jump = abs(p2 / p1 - 1.0)
-                prod = p2
+            prod = _cube_product(w, q, c, side, *fine)
+            jump = np.inf if np.isinf(p1) or np.isinf(prod) else abs(prod / p1 - 1.0)
             assert not np.isfinite(prod) or prod >= 1.0 - 1e-9, "Jensen violated"
             report.samples.append(AqSample(center=c, side=side, product=prod,
                                            refinement_jump=jump))
             max_jump = max(max_jump, jump)
             best = max(best, prod)
-        sup_by_side[side] = best
+        side_sups.append(best)
 
-    sides = np.array(sorted(sup_by_side))
-    running = np.maximum.accumulate([sup_by_side[s] for s in sides])
+    sides = np.array(cube_sides)
+    running = np.maximum.accumulate(side_sups)
     report.sup_estimate = float(running[-1])
 
     # per-decade growth of the running sup

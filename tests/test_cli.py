@@ -175,7 +175,8 @@ def test_threads_flag_reaches_fft_backend(tmp_path, capsys, monkeypatch):
     def probe(cfg, outdir):
         return {"workers": scipy.fft.get_workers()}, 0
 
-    monkeypatch.setitem(cli._COMMANDS, "admissible-range", probe)
+    _, description, options = cli._COMMANDS["admissible-range"]
+    monkeypatch.setitem(cli._COMMANDS, "admissible-range", (probe, description, options))
     status, out = run_cli(capsys, "--threads", "2", "admissible-range",
                           "--out", str(tmp_path / "a"))
     assert status == 0
@@ -361,11 +362,22 @@ def test_run_node_not_solenoidal(small_run, tmp_path, capsys):
         (["check-weight", "--sides", "0.1,nan,1000"], "invalid-config", 2),
         (["feasibility", "--scan", "2"], "invalid-config", 2),
         (["solve-periodic", "--linear", "5", "--N", "16"], "invalid-config", 2),
+        (["maximal", "--s", "nan", "--N", "16"], "precondition-violation", 1),
+        (["maximal", "--s", "inf", "--N", "16"], "precondition-violation", 1),
+        (["frac-integral", "--s0", "nan", "--N", "16"], "precondition-violation", 1),
+        (["weighted-report", "--run", "<run>", "--s", "nan"], "precondition-violation", 1),
+        (["maximal", "--L", "inf", "--N", "16"], "precondition-violation", 1),
+        (["decay", "--L", "inf", "--N", "16"], "precondition-violation", 1),
+        (["decay", "--tmin", "nan", "--N", "16"], "precondition-violation", 1),
+        (["decay", "--tmax", "inf", "--N", "16"], "precondition-violation", 1),
+        (["decay", "--tmin", "1", "--tmax", "1", "--N", "16"], "precondition-violation", 1),
     ],
     ids=["decay-points-0", "decay-points-1", "scan-step-0", "scan-empty", "force-unknown",
          "steps-0", "out-is-file", "out-under-file", "threads-negative", "N-not-int",
          "unknown-flag", "unknown-command", "form-unknown", "sides-not-numbers", "sides-nan",
-         "scan-2", "linear-5"],
+         "scan-2", "linear-5", "maximal-s-nan", "maximal-s-inf", "frac-s0-nan",
+         "report-s-nan", "maximal-L-inf", "decay-L-inf", "decay-tmin-nan", "decay-tmax-inf",
+         "decay-ladder-duplicate"],
 )
 def test_out_of_range_inputs(argv, error, status, small_run, tmp_path, capsys):
     (tmp_path / "file").write_text("")
@@ -382,3 +394,19 @@ def test_out_of_range_inputs(argv, error, status, small_run, tmp_path, capsys):
         assert os.listdir(tmp_path) == ["file"]
     else:
         assert json.loads((tmp_path / "out" / "error.json").read_text()) == out
+
+
+@pytest.mark.parametrize(
+    "argv, detail",
+    [
+        (["extend", "--L", "inf", "--N", "16"], "L must be positive and finite"),
+        (["decay", "--tmin", "nan", "--N", "16"], "positive finite times"),
+        (["decay", "--tmax", "inf", "--N", "16"], "positive finite times"),
+    ],
+    ids=["extend-L-inf", "decay-tmin-nan", "decay-tmax-inf"],
+)
+def test_non_finite_inputs_are_named_in_the_error(argv, detail, tmp_path, capsys):
+    status, out = run_cli(capsys, *argv, "--out", str(tmp_path / "out"))
+    assert status == 1
+    assert out["error"] == "precondition-violation"
+    assert detail in out["detail"]

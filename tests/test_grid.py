@@ -161,6 +161,23 @@ def test_integrate_rejects_small_q():
         integrate(f, 0.5)
 
 
+def test_integrate_rejects_infinite_q_and_non_finite_weight():
+    g = Grid(3, 8, 1.0)
+    f = Field(g, np.ones(g.shape))
+    for q in (np.inf, np.nan):
+        with pytest.raises(ValueError, match="finite and >= 1"):
+            integrate(f, q)
+    for s in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="weight exponent must be finite"):
+            integrate(f, 2.0, s)
+
+
+def test_grid_rejects_non_finite_extent():
+    for L in (np.inf, np.nan):
+        with pytest.raises(ValueError, match="positive and finite"):
+            Grid(3, 8, L)
+
+
 def test_quadrature_consistency_under_refinement():
     # C^1 bump: midpoint error must shrink by at least ~4x per h-halving
     from scipy.integrate import quad

@@ -368,6 +368,39 @@ def test_decay_harness_rejections():
         decay_harness(u, 2.0, 2.0, 1.0, -2.0, 0, [1.0, 2.0])    # s0 below -n/q
 
 
+def test_decay_harness_rejects_scalar_field():
+    g = Grid(3, 16, 8.0)
+    u = random_smooth_field(g, 2, components=1)
+    with pytest.raises(ValueError, match="vector field"):
+        decay_harness(u, 2.0, 2.0, 0.0, 0.0, 0, [1.0, 2.0])
+
+
+@pytest.mark.parametrize("ladder, message", [
+    ([1.0, np.nan], "positive finite times"),
+    ([1.0, np.inf], "positive finite times"),
+    ([0.0, 1.0], "positive finite times"),
+    ([1.0, 1.0, 2.0], "strictly increasing"),
+])
+def test_decay_harness_ladder_checks(ladder, message):
+    u = random_smooth_field(Grid(3, 16, 8.0), 2, components=3)
+    with pytest.raises(ValueError, match=message):
+        decay_harness(u, 2.0, 2.0, 0.0, 0.0, 0, ladder)
+
+
+def test_decay_harness_envelope_is_the_csv_envelope(tmp_path):
+    u = random_smooth_field(Grid(3, 16, 8.0), 3, components=3)
+    series, fit, compliance = decay_harness(u, 2.0, 4.0, 1.0, 0.0, 0, np.geomspace(1, 8, 4))
+    t = series.t
+    rate = t ** (-(3 / 2.0) * (1 / 2.0 - 1 / 4.0)) * (1.0 + t) ** -0.5
+    assert np.allclose(series.envelope, series.values[0] / rate[0] * rate, rtol=1e-14)
+    assert compliance == np.max(series.values / series.envelope)
+    path = tmp_path / "decay.csv"
+    write_decay_csv(path, series, fit)
+    with open(path, newline="") as fh:
+        rows = list(csv.reader(fh))[1:5]
+    assert [float(r[2]) for r in rows] == list(series.envelope)
+
+
 def test_decay_harness_weighted_case():
     g = Grid(3, 48, 16.0)
     u = random_smooth_field(g, 77, components=3)
