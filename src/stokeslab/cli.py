@@ -188,7 +188,8 @@ def _cmd_maximal(cfg, outdir):
 
 def _cmd_decay(cfg, outdir):
     grid, u0 = _corpus_field(cfg)
-    ladder = np.geomspace(cfg["tmin"], cfg["tmax"], cfg["points"])
+    with np.errstate(invalid="ignore"):   # decay_harness rejects non-finite times
+        ladder = np.geomspace(cfg["tmin"], cfg["tmax"], cfg["points"])
     series, fit, compliance = decay_harness(
         u0, cfg["p"], cfg["q"], cfg["s"], cfg["s0"], cfg["alpha_order"], ladder
     )

@@ -99,6 +99,8 @@ class PicardConfig:
             raise ValueError("node count M must be even and >= 8")
         if not self.tol > 0:
             raise ValueError("tolerance must be positive")
+        if self.max_iter < 1:
+            raise ValueError(f"iteration cap max_iter must be >= 1, got {self.max_iter}")
         if not self.tail_eps > 0:
             raise ValueError("tail threshold must be positive")
 
@@ -115,11 +117,15 @@ class PeriodicSolution:
 
     @property
     def node_times(self) -> np.ndarray:
-        M = len(self.snapshots)
-        return self.T * np.arange(M) / M
+        return _node_times(self.T, len(self.snapshots))
 
     def snapshot(self, m: int) -> Field:
         return Field(self.grid, self.snapshots[m])
+
+
+def _node_times(T: float, M: int) -> np.ndarray:
+    """The M uniform node times T m / M of one period."""
+    return T * np.arange(M) / M
 
 
 def single_mode_force(T: float, amplitude: float = 1.0) -> PeriodicForce:
@@ -234,8 +240,7 @@ def nonlinearity(u: Field) -> Field:
 
 def _map_hats(u_hats, force: PeriodicForce, fh, sp, cfg: PicardConfig):
     """H[u] at the nodes from node spectra u_hats and the forcing spectrum fh."""
-    M = u_hats.shape[0]
-    h_hats = np.multiply.outer(force.factor(force.T * np.arange(M) / M), fh)
+    h_hats = np.multiply.outer(force.factor(_node_times(force.T, u_hats.shape[0])), fh)
     if not cfg.linear_only:
         for m, uh in enumerate(u_hats):
             h_hats[m] += _nonlin_hat(sp, uh)
@@ -262,10 +267,8 @@ def picard_solve(force: PeriodicForce, cfg: PicardConfig, grid: Grid) -> Periodi
     u_hats = np.zeros((cfg.M, 3) + sp.shape, dtype=complex)
 
     history = []
-    residuals = np.zeros(cfg.M)
     converged = False
     grow_count = 0
-    it = 0
     for it in range(1, cfg.max_iter + 1):
         new = _map_hats(u_hats, force, fh, sp, cfg)
         scale = max(max(sp.l2(a) for a in new), 1e-300)

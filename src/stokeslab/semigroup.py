@@ -39,20 +39,20 @@ __all__ = [
 ]
 
 
-def heat_kernel(n: int, t: float, x) -> np.ndarray:
-    """Gaussian heat kernel (4 pi t)^(-n/2) exp(-|x|^2 / (4t)); x has shape (..., n)."""
+def _gaussian(n: int, t: float, r_sq):
+    """The heat kernel (4 pi t)^(-n/2) exp(-|x|^2 / (4t)) from r_sq = |x|^2."""
     if not t > 0:
         raise ValueError(f"heat kernel needs t > 0, got {t}")
-    x = np.asarray(x, dtype=float)
-    r_sq = np.sum(x**2, axis=-1)
     return (4.0 * np.pi * t) ** (-n / 2.0) * np.exp(-r_sq / (4.0 * t))
 
 
+def heat_kernel(n: int, t: float, x) -> np.ndarray:
+    """Gaussian heat kernel (4 pi t)^(-n/2) exp(-|x|^2 / (4t)); x has shape (..., n)."""
+    return _gaussian(n, t, np.sum(np.asarray(x, dtype=float) ** 2, axis=-1))
+
+
 def heat_kernel_field(grid: Grid, t: float) -> Field:
-    if not t > 0:
-        raise ValueError(f"heat kernel needs t > 0, got {t}")
-    val = (4.0 * np.pi * t) ** (-grid.n / 2.0) * np.exp(-grid.radius_sq() / (4.0 * t))
-    return Field(grid, val)
+    return Field(grid, _gaussian(grid.n, t, grid.radius_sq()))
 
 
 def heat_apply(f: Field, t: float) -> Field:
@@ -189,11 +189,11 @@ def fit_power_law(t, values) -> ExponentFit:
     lt = np.log(np.asarray(t, float))
     lv = np.log(np.asarray(values, float))
     A = np.vstack([lt, np.ones_like(lt)]).T
-    (slope, intercept), res, *_ = np.linalg.lstsq(A, lv, rcond=None)
+    (slope, intercept), *_ = np.linalg.lstsq(A, lv, rcond=None)
     ss_tot = float(np.sum((lv - lv.mean()) ** 2))
     ss_res = float(np.sum((A @ np.array([slope, intercept]) - lv) ** 2))
     r2 = 1.0 if ss_tot <= 1e-300 else max(0.0, 1.0 - ss_res / ss_tot)
-    return ExponentFit(slope=float(slope), intercept=float(intercept), r_squared=min(r2, 1.0))
+    return ExponentFit(slope=float(slope), intercept=float(intercept), r_squared=r2)
 
 
 def _envelope_exponents(n: int, p: float, q: float, s: float, s0: float, alpha_order: int):

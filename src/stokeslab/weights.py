@@ -13,7 +13,8 @@ cubes) are caught; thresholds below were calibrated on the <x>^a family.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -35,8 +36,8 @@ __all__ = [
 ]
 
 # verdict thresholds (see module docstring)
-STABLE_GROWTH = 1.05       # last-decade sup growth below this reads as settled
-DIVERGING_GROWTH = 1.5     # last-decade sup growth at or above this diverges
+STABLE_GROWTH = 1.05       # sup growth over the last ladder step below this reads as settled
+DIVERGING_GROWTH = 1.5     # sup growth over the last ladder step at or above this diverges
 JUMP_DIVERGING = 0.17      # refinement jump marking a divergent cube average
 JUMP_RESOLVED = 0.10       # refinement jump small enough to trust the cube
 
@@ -74,28 +75,20 @@ class AqSample:
     refinement_jump: float
 
 
-@dataclass
+@dataclass(frozen=True)
 class AqReport:
     q: float
     weight: RadialWeight
-    samples: list = field(default_factory=list)
-    sup_estimate: float = 1.0
-    verdict: str = "inconclusive"
+    samples: tuple
+    sup_estimate: float
+    verdict: str
 
     def to_json(self) -> str:
         return json.dumps(
             {
                 "q": self.q,
                 "weight": {"form": self.weight.form, "s": self.weight.s},
-                "samples": [
-                    {
-                        "center": s.center,
-                        "side": s.side,
-                        "product": s.product,
-                        "refinement_jump": s.refinement_jump,
-                    }
-                    for s in self.samples
-                ],
+                "samples": [asdict(s) for s in self.samples],
                 "sup": self.sup_estimate,
                 "verdict": self.verdict,
             },
@@ -136,7 +129,9 @@ def aq_check(
     cube_sides must span at least three decades.  Each cube product is
     computed at m and 2m midpoints per axis, m = max(8, ceil(32768^(1/n)))
     (32 at n = 3); the relative jump between the two is recorded alongside
-    the refined product.
+    the refined product.  The verdict reads the largest jump and the growth
+    of the running sup over the last ladder step: from the largest side
+    strictly below the largest to the largest.
     """
     if not q > 1.0:
         raise ValueError(f"Muckenhoupt index q must exceed 1, got {q}")
@@ -154,7 +149,7 @@ def aq_check(
     coarse = _cube_points(n, m)
     fine = _cube_points(n, 2 * m)
 
-    report = AqReport(q=float(q), weight=w)
+    samples = []
     max_jump = 0.0
     side_sups = []
     for side in cube_sides:
@@ -164,30 +159,24 @@ def aq_check(
             prod = _cube_product(w, q, c, side, *fine)
             jump = np.inf if np.isinf(p1) or np.isinf(prod) else abs(prod / p1 - 1.0)
             assert not np.isfinite(prod) or prod >= 1.0 - 1e-9, "Jensen violated"
-            report.samples.append(AqSample(center=c, side=side, product=prod,
-                                           refinement_jump=jump))
+            samples.append(AqSample(center=c, side=side, product=prod, refinement_jump=jump))
             max_jump = max(max_jump, jump)
             best = max(best, prod)
         side_sups.append(best)
 
     sides = np.array(cube_sides)
     running = np.maximum.accumulate(side_sups)
-    report.sup_estimate = float(running[-1])
-
-    # per-decade growth of the running sup
-    decades = np.floor(np.log10(sides) - np.log10(sides[-1]) + 1e-12)
-    last = running[-1]
-    prev_mask = decades < decades[-1] - 1e-9
-    prev = running[prev_mask][-1] if prev_mask.any() else running[0]
-    last_growth = last / prev if prev > 0 else np.inf
+    prev = running[sides < sides[-1]][-1]
+    last_growth = running[-1] / prev if prev > 0 else np.inf
 
     if max_jump >= JUMP_DIVERGING or last_growth >= DIVERGING_GROWTH:
-        report.verdict = "diverging"
+        verdict = "diverging"
     elif max_jump < JUMP_RESOLVED and last_growth < STABLE_GROWTH:
-        report.verdict = "finite"
+        verdict = "finite"
     else:
-        report.verdict = "inconclusive"
-    return report
+        verdict = "inconclusive"
+    return AqReport(q=float(q), weight=w, samples=tuple(samples),
+                    sup_estimate=float(running[-1]), verdict=verdict)
 
 
 def admissible_range(q: float, n: int):
@@ -236,24 +225,16 @@ def mollifier_sup(f: Field) -> Field:
     return _sup_of_averages(f, (ker / ker.sum() for ker in kernels))
 
 
-class Interval(tuple):
+class Interval(NamedTuple):
     """Open interval (lo, hi); empty when lo >= hi.  The bounds are arrays
     when the interval stands for a whole grid of windows."""
 
-    def __new__(cls, lo, hi):
-        return super().__new__(cls, (lo, hi) if np.ndim(lo) else (float(lo), float(hi)))
-
-    @property
-    def lo(self):
-        return self[0]
-
-    @property
-    def hi(self):
-        return self[1]
+    lo: float
+    hi: float
 
     @property
     def empty(self) -> bool:
-        return not self[0] < self[1]
+        return not self.lo < self.hi
 
 
 @dataclass(frozen=True)

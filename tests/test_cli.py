@@ -4,6 +4,7 @@ import os
 import struct
 import subprocess
 import sys
+import warnings
 
 import pytest
 
@@ -371,13 +372,17 @@ def test_run_node_not_solenoidal(small_run, tmp_path, capsys):
         (["decay", "--tmin", "nan", "--N", "16"], "precondition-violation", 1),
         (["decay", "--tmax", "inf", "--N", "16"], "precondition-violation", 1),
         (["decay", "--tmin", "1", "--tmax", "1", "--N", "16"], "precondition-violation", 1),
+        (["solve-periodic", "--max-iter", "0", "--N", "8", "--M", "8"],
+         "precondition-violation", 1),
+        (["solve-periodic", "--max-iter", "-3", "--N", "8", "--M", "8"],
+         "precondition-violation", 1),
     ],
     ids=["decay-points-0", "decay-points-1", "scan-step-0", "scan-empty", "force-unknown",
          "steps-0", "out-is-file", "out-under-file", "threads-negative", "N-not-int",
          "unknown-flag", "unknown-command", "form-unknown", "sides-not-numbers", "sides-nan",
          "scan-2", "linear-5", "maximal-s-nan", "maximal-s-inf", "frac-s0-nan",
          "report-s-nan", "maximal-L-inf", "decay-L-inf", "decay-tmin-nan", "decay-tmax-inf",
-         "decay-ladder-duplicate"],
+         "decay-ladder-duplicate", "max-iter-0", "max-iter-negative"],
 )
 def test_out_of_range_inputs(argv, error, status, small_run, tmp_path, capsys):
     (tmp_path / "file").write_text("")
@@ -406,7 +411,10 @@ def test_out_of_range_inputs(argv, error, status, small_run, tmp_path, capsys):
     ids=["extend-L-inf", "decay-tmin-nan", "decay-tmax-inf"],
 )
 def test_non_finite_inputs_are_named_in_the_error(argv, detail, tmp_path, capsys):
-    status, out = run_cli(capsys, *argv, "--out", str(tmp_path / "out"))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        status, out = run_cli(capsys, *argv, "--out", str(tmp_path / "out"))
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
     assert status == 1
     assert out["error"] == "precondition-violation"
     assert detail in out["detail"]

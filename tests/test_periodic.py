@@ -57,6 +57,8 @@ def test_picard_config_validation():
     with pytest.raises(ValueError):
         PicardConfig(tail_eps=0.0)
     with pytest.raises(ValueError):
+        PicardConfig(max_iter=0)
+    with pytest.raises(ValueError):
         PeriodicForce(T=0.0, profile=None)
 
 

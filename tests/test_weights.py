@@ -59,6 +59,14 @@ def test_aq_homogeneous_minus2_finite_on_shrinking_cubes():
     assert rep.verdict == "finite"
 
 
+def test_aq_growth_over_last_ladder_step_diverges():
+    # every refinement jump stays below the diverging threshold, so only the
+    # running sup's growth from side 10 to side 100 can give this verdict
+    rep = aq_check(RadialWeight(3.0), 2.0, cube_sides=[0.1, 1, 10, 100], centers=[0.0])
+    assert max(s.refinement_jump for s in rep.samples) < 0.17
+    assert rep.verdict == "diverging"
+
+
 @pytest.mark.parametrize("alpha,verdict", [
     (-2.0, "finite"),
     (-1.0, "finite"),
