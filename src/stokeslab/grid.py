@@ -10,8 +10,8 @@ All spectral work goes through one layer per grid, Grid.spectral(): scipy.fft
 real transforms over the last n axes, batched over leading axes (components,
 time nodes), in the rfftn half-spectrum layout.  It builds broadcastable
 wavenumbers k, |xi|^2 (ksq) and the 2/3-rule mask (dealias) on first use.
-It provides forward/inverse, apply (multiplier), project (Leray), l2
-(Parseval), grad/div coefficients and gradient_magnitude.
+It provides forward/inverse, apply (multiplier), project (Leray), l2 and
+power (Parseval), grad/div coefficients and gradient_magnitude.
 
 Nyquist policy: the frequency index N/2 has no conjugate partner on an
 even grid.  First-derivative multipliers i xi_j vanish on the Nyquist plane
@@ -191,6 +191,12 @@ class Spectral:
         pw[0] = pw[-1] = 1.0
         return pw
 
+    @functools.cached_property
+    def _scale(self):
+        """Physical measure of one squared coefficient, h^n / N^n."""
+        g = self.grid
+        return g.cell_volume / g.N**g.n
+
     def forward(self, data):
         """rfftn over the grid axes, batched over leading axes."""
         return _fft.rfftn(data, axes=self.axes)
@@ -236,9 +242,13 @@ class Spectral:
 
     def l2(self, hat) -> float:
         """Physical L^2 norm from half-spectrum coefficients (Parseval)."""
-        g = self.grid
-        scale = g.cell_volume / g.N**g.n
-        return float(np.sqrt(np.sum(self._pw * np.abs(hat) ** 2) * scale))
+        return float(np.sqrt(np.sum(self._pw * np.abs(hat) ** 2) * self._scale))
+
+    def power(self, hat):
+        """Parseval power per half-spectrum mode, summed over leading axes:
+        its total is the squared physical L^2 norm."""
+        total = np.square(np.abs(hat)).reshape((-1,) + self.shape).sum(axis=0)
+        return total * (self._pw * self._scale)
 
     def gradient_magnitude(self, hat):
         """Pointwise |grad u| (Frobenius norm for vectors) by one inverse."""

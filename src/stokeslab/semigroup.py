@@ -6,7 +6,11 @@ mean-zero fields this is the Stokes evolution of the truncated whole space.
 The decay harness records weighted norms along a time ladder, fits the
 log-log slope, and compares the series against the predicted envelope
     t^(-(n/2)(1/p - 1/q) - |a|/2) (1 + t)^(-(s - s0)/2)
-scaled to touch the first sample.
+scaled to touch the first sample.  The unweighted L^2 cases (q = 2,
+s0 = 0) are exact Parseval sums over the half spectrum with no inverse
+transform: the projection drops the Nyquist planes, the only modes where
+|xi|^2 differs from the squared derivative wavenumbers, so the gradient's
+power is |xi|^2 times the field's.
 """
 
 from __future__ import annotations
@@ -221,7 +225,9 @@ def decay_harness(
     u0 is Leray-projected once in spectral space and evolved by the heat
     multiplier at each ladder time; the series records the L^q norm with
     weight <x>^s0 of the evolved field (alpha_order 0) or of its gradient
-    magnitude (alpha_order 1).  Needs 1 < p <= q, -n/q < s0 <= s < n(1 - 1/p)
+    magnitude (alpha_order 1).  At q = 2, s0 = 0 each value is the Parseval
+    sum of the evolved power spectrum instead (see the module docstring).
+    Needs 1 < p <= q, -n/q < s0 <= s < n(1 - 1/p)
     and at least two distinct positive finite ladder times.
 
     Returns (DecaySeries, ExponentFit over t >= 1, bound_compliance), where
@@ -253,12 +259,19 @@ def decay_harness(
 
     sp = g.spectral()
     base = sp.project(sp.forward(u0.data))
-    values = []
-    for t in t_ladder:
-        prop = base * np.exp(-t * sp.ksq)
-        evolved = sp.inverse(prop) if alpha_order == 0 else sp.gradient_magnitude(prop)
-        values.append(integrate(Field(g, evolved), q, s0))
-    values = np.asarray(values)
+    if q == 2.0 and s0 == 0.0:
+        power = sp.power(base)
+        if alpha_order == 1:
+            power *= sp.ksq
+        values = np.array([math.sqrt(np.sum(power * np.exp(-2.0 * t * sp.ksq)))
+                           for t in t_ladder])
+    else:
+        values = []
+        for t in t_ladder:
+            prop = base * np.exp(-t * sp.ksq)
+            evolved = sp.inverse(prop) if alpha_order == 0 else sp.gradient_magnitude(prop)
+            values.append(integrate(Field(g, evolved), q, s0))
+        values = np.asarray(values)
     if not np.all(values > 0):
         raise ValueError("decay series values must be positive")
 

@@ -117,6 +117,11 @@ def _cube_product(w: RadialWeight, q: float, offset: float, side: float, u1, u_s
     return a1 * a2 ** (q - 1.0)
 
 
+def _check_dimension(n: int) -> None:
+    if not n >= 1:
+        raise ValueError(f"dimension n must be >= 1, got {n}")
+
+
 def aq_check(
     w: RadialWeight,
     q: float,
@@ -135,6 +140,7 @@ def aq_check(
     """
     if not q > 1.0:
         raise ValueError(f"Muckenhoupt index q must exceed 1, got {q}")
+    _check_dimension(n)
     if cube_sides is None:
         cube_sides = [2.0**k for k in range(-3, 11)]
     cube_sides = sorted(float(s) for s in cube_sides)
@@ -144,6 +150,8 @@ def aq_check(
         raise ValueError("cube ladder must span at least three decades of side length")
     if centers is None:
         centers = [0.0, 1.0, 8.0, 64.0]
+    if len(centers) == 0:
+        raise ValueError("aq_check needs at least one cube center")
 
     m = max(8, int(np.ceil(32768 ** (1.0 / n))))
     coarse = _cube_points(n, m)
@@ -183,6 +191,7 @@ def admissible_range(q: float, n: int):
     """Open interval of s with <x>^(sq) in the A_q class: (-n/q, n(1-1/q))."""
     if not q > 1.0:
         raise ValueError(f"Lebesgue index q must exceed 1, got {q}")
+    _check_dimension(n)
     return (-n / q, n * (1.0 - 1.0 / q))
 
 

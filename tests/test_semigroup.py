@@ -387,6 +387,14 @@ def test_decay_harness_ladder_checks(ladder, message):
         decay_harness(u, 2.0, 2.0, 0.0, 0.0, 0, ladder)
 
 
+@pytest.mark.parametrize("alpha_order", [0, 1])
+def test_decay_harness_zero_field_on_the_parseval_route(alpha_order):
+    # q = 2, s0 = 0 sums the power spectrum; a zero field still gives zero norms
+    u = Field(Grid(3, 16, 8.0), np.zeros((3, 16, 16, 16)))
+    with pytest.raises(ValueError, match="values must be positive"):
+        decay_harness(u, 2.0, 2.0, 0.0, 0.0, alpha_order, [1.0, 2.0])
+
+
 def test_decay_harness_envelope_is_the_csv_envelope(tmp_path):
     u = random_smooth_field(Grid(3, 16, 8.0), 3, components=3)
     series, fit, compliance = decay_harness(u, 2.0, 4.0, 1.0, 0.0, 0, np.geomspace(1, 8, 4))

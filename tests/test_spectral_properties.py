@@ -8,10 +8,10 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from stokeslab.grid import (
-    Field, Grid, divergence, gradient, l2_norm, laplacian, load_field, save_field,
+    Field, Grid, divergence, gradient, integrate, l2_norm, laplacian, load_field, save_field,
 )
 from stokeslab.periodic import _nonlin_hat
-from stokeslab.semigroup import heat_apply, leray_project
+from stokeslab.semigroup import decay_harness, heat_apply, leray_project
 
 # small grids keep the whole module near one second; derandomized so that a
 # run is reproducible
@@ -122,3 +122,24 @@ def test_divergence_form_matches_advective_form(N, L, seed):
     uh = sp.project(sp.forward(rng.standard_normal((3,) + g.shape)) * sp.dealias)
     ref = _advective_nonlin_hat(sp, uh)
     assert np.abs(_nonlin_hat(sp, uh) - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+@PROPERTY
+@given(st.integers(min_value=4, max_value=16).map(lambda half: 2 * half),
+       st.integers(min_value=0, max_value=2**32 - 1), st.sampled_from([0, 1]),
+       st.lists(st.floats(min_value=0.01, max_value=64.0), min_size=2, max_size=6,
+                unique=True))
+def test_parseval_decay_route_matches_real_space_norm(N, seed, alpha_order, times):
+    # rough data: the projection's dropped Nyquist planes are what make the
+    # |xi|^2-weighted power the gradient's power
+    g = Grid(3, N, 6.0)
+    sp = g.spectral()
+    u0 = Field(g, np.random.default_rng(seed).standard_normal((3,) + g.shape))
+    ladder = sorted(times)
+    series, _, _ = decay_harness(u0, 2.0, 2.0, 0.0, 0.0, alpha_order, ladder)
+    base = sp.project(sp.forward(u0.data))
+    for t, value in zip(ladder, series.values):
+        prop = base * np.exp(-t * sp.ksq)
+        evolved = sp.inverse(prop) if alpha_order == 0 else sp.gradient_magnitude(prop)
+        ref = integrate(Field(g, evolved), 2.0, 0.0)
+        assert abs(value / ref - 1.0) <= 1e-13

@@ -92,6 +92,12 @@ def test_aq_rejections():
         aq_check(RadialWeight(1.0), 1.0)
     with pytest.raises(ValueError):
         aq_check(RadialWeight(1.0), 2.0, cube_sides=[1.0, 2.0, 4.0])
+    # no cube center would leave every side's sup at 0.0, below Jensen's 1
+    with pytest.raises(ValueError, match="at least one cube center"):
+        aq_check(RadialWeight(0.0), 2.0, centers=[])
+    for n in (0, -1):
+        with pytest.raises(ValueError, match="dimension n must be >= 1"):
+            aq_check(RadialWeight(0.0), 2.0, n=n)
 
 
 def test_aq_report_json():
@@ -108,6 +114,9 @@ def test_admissible_range_values():
     assert admissible_range(2.0, 4) == pytest.approx((-2.0, 2.0))
     with pytest.raises(ValueError):
         admissible_range(1.0, 3)
+    for n in (0, -2):
+        with pytest.raises(ValueError, match="dimension n must be >= 1"):
+            admissible_range(2.0, n)
 
 
 @pytest.mark.parametrize("s", [-1.0, 0.25, 1.0])
