@@ -275,7 +275,7 @@ def _make_force(cfg):
 
 def _picard_config(cfg) -> PicardConfig:
     return PicardConfig(M=cfg["M"], tol=cfg["tol"], max_iter=cfg["max_iter"],
-                        tail_eps=cfg["tail_eps"], linear_only=bool(cfg["linear"]))
+                        linear_only=bool(cfg["linear"]))
 
 
 def _cmd_solve_periodic(cfg, outdir):
@@ -427,7 +427,6 @@ _COMMANDS = {
         "L": (float, 16.0, "half-extent of the cube"),
         "tol": (float, 1e-8, "fixed-point residual tolerance"),
         "max_iter": (int, 40, "iteration cap"),
-        "tail_eps": (float, 1e-12, "history-sum tail threshold"),
         "linear": (int, 0, "if 1, drop the advection term", (0, 1)),
         "force": (str, "random", "forcing shape: random or single-mode",
                   ("random", "single-mode")),

@@ -117,33 +117,41 @@ class _SphereSolver:
         self.eig = np.where(ll > 0, -ll * (ll + 1.0), np.inf)
 
     def _legendre_block(self, m, mu, sin_t):
-        """Normalized P_l^m(mu) and dP_l^m/dtheta for l = m..lmax (rows l < m zero)."""
+        """G and dP/dtheta for l = m..lmax (rows l < m zero), normalized.
+
+        G = P_l^m / sin(theta) for m >= 1 and G = P_l^0 for m = 0.  Both come
+        from division-free recurrences, so they hold at the poles: G obeys
+        the three-term recurrence of P_l^m, and dP/dtheta its derivative
+        (dmu/dtheta = -sin theta); Schaeffer, Geochem. Geophys. Geosyst. 14
+        (2013) 751.
+        """
         lmax = self.lmax
-        out = np.zeros((lmax + 1,) + mu.shape)
-        pmm = np.full(mu.shape, np.sqrt(1.0 / (4.0 * np.pi)))
+        G = np.zeros((lmax + 1,) + mu.shape)
+        dP = np.zeros_like(G)
+        c = np.sqrt(1.0 / (4.0 * np.pi))
         for k in range(1, m + 1):
-            pmm = -np.sqrt((2.0 * k + 1.0) / (2.0 * k)) * sin_t * pmm
-        out[m] = pmm
+            c *= -np.sqrt((2.0 * k + 1.0) / (2.0 * k))
+        G[m] = c * sin_t ** max(m - 1, 0)
+        dP[m] = m * mu * G[m]
+        sin_p = sin_t * sin_t if m else sin_t      # sin(theta) P_l^m = sin_p G_l
         if m + 1 <= lmax:
-            out[m + 1] = np.sqrt(2.0 * m + 3.0) * mu * pmm
+            a = np.sqrt(2.0 * m + 3.0)
+            G[m + 1] = a * mu * G[m]
+            dP[m + 1] = a * (mu * dP[m] - sin_p * G[m])
         for l in range(m + 2, lmax + 1):
             a = np.sqrt((4.0 * l * l - 1.0) / (l * l - m * m))
             b = np.sqrt(((l - 1.0) ** 2 - m * m) / (4.0 * (l - 1.0) ** 2 - 1.0))
-            out[l] = a * (mu * out[l - 1] - b * out[l - 2])
-        dout = np.zeros_like(out)
-        st = np.where(sin_t > 0, sin_t, 1.0)
-        for l in range(max(m, 1), lmax + 1):
-            e = np.sqrt((l * l - m * m) * (2.0 * l + 1.0) / (2.0 * l - 1.0))
-            # from (1-mu^2) dP_l^m/dmu = (l+m) P_{l-1}^m - l mu P_l^m
-            dout[l] = (l * mu * out[l] - e * out[l - 1]) / st
-        return out, dout
+            G[l] = a * (mu * G[l - 1] - b * G[l - 2])
+            dP[l] = a * (mu * dP[l - 1] - sin_p * G[l - 1] - b * dP[l - 2])
+        return G, dP
 
     def analyze(self, values):
         """Coefficients coef[m, l] of real values sampled on the (theta, phi) grid."""
         fk = scipy.fft.rfft(values, axis=1) * (2.0 * np.pi / self.n_phi)
         coef = np.zeros((self.lmax + 1, self.lmax + 1), dtype=complex)
         for m in range(self.lmax + 1):
-            P, _ = self._legendre_block(m, self.mu, self.sin_t)
+            G, _ = self._legendre_block(m, self.mu, self.sin_t)
+            P = G * self.sin_t if m else G
             coef[m] = (P * self.wgl) @ fk[:, m]
         return coef
 
@@ -156,21 +164,20 @@ class _SphereSolver:
         """
         mu = np.cos(theta)
         sin_t = np.sin(theta)
-        st = np.where(sin_t > 0, sin_t, 1.0)
         K = coef.shape[0]
         val = np.zeros((K,) + theta.shape)
         dth = np.zeros_like(val)
         dph = np.zeros_like(val)
         for m in range(self.lmax + 1):
-            P, dP = self._legendre_block(m, mu, sin_t)
+            G, dP = self._legendre_block(m, mu, sin_t)
             ab = np.concatenate([coef[:, m].real, coef[:, m].imag])   # (2K, lmax+1)
-            a, b = np.split(ab @ P, 2)
+            a, b = np.split(ab @ G, 2)
             da, db = np.split(ab @ dP, 2)
             w = 1.0 if m == 0 else 2.0
             c, s = w * np.cos(m * phi), w * np.sin(m * phi)
-            val += a * c - b * s
+            val += (sin_t if m else 1.0) * (a * c - b * s)
             dth += da * c - db * s
-            dph -= m * (a * s + b * c) / st
+            dph -= m * (a * s + b * c)
         return val, dth, dph
 
 

@@ -74,7 +74,6 @@ class Grid:
         self.cell_volume = self.h**n
         self.axis = -L + self.h * np.arange(N)
         self._coords = None
-        self._k = None
         self._r_sq = None
         self._offset_sq = None
         self._spectral = None
@@ -88,13 +87,6 @@ class Grid:
         if self._coords is None:
             self._coords = np.meshgrid(*([self.axis] * self.n), indexing="ij")
         return self._coords
-
-    def wavenumbers(self):
-        """Full-layout meshgrid wavenumber arrays in FFT (wrapped) order."""
-        if self._k is None:
-            k1 = 2.0 * np.pi * np.fft.fftfreq(self.N, d=self.h)
-            self._k = np.meshgrid(*([k1] * self.n), indexing="ij")
-        return self._k
 
     def spectral(self) -> "Spectral":
         """The grid's spectral layer, built on first use."""
@@ -300,16 +292,8 @@ class Field:
     def copy(self) -> "Field":
         return Field(self.grid, self.data.copy())
 
-    def __add__(self, other):
-        return Field(self.grid, self.data + other.data)
-
     def __sub__(self, other):
         return Field(self.grid, self.data - other.data)
-
-    def __mul__(self, scalar):
-        return Field(self.grid, self.data * float(scalar))
-
-    __rmul__ = __mul__
 
     def __repr__(self):
         kind = "vector" if self.is_vector else "scalar"
@@ -367,7 +351,7 @@ def integrate(f: Field, q: float, weight=None) -> float:
         raise ValueError(f"Lebesgue index q must be finite and >= 1, got {q}")
     if weight is not None and not np.isfinite(weight):
         raise ValueError(f"weight exponent must be finite, got {weight}")
-    terms = f.magnitude() ** q
+    terms = np.sum(f.data**2, axis=0) ** (0.5 * q) if f.is_vector else np.abs(f.data) ** q
     if weight is not None and float(weight) != 0.0:
         terms *= f.grid.bracket(float(weight) * q)
     total = np.sum(terms) * f.grid.cell_volume

@@ -4,14 +4,12 @@ The history-integral map
 
     H[u](t) = integral_{-infty}^t e^{-(t-tau)A} { B[u](tau) + P f(tau) } dtau
 
-is evaluated on M uniform nodes per period through the factorization
-sum_k S(kT) J(t) with J the one-period integral.  The node data h(tau) is
-identified with its trigonometric interpolant, for which both J and the
-geometric tail sum in k are available in closed form per (spatial mode,
-temporal frequency); the tail is truncated at the first k with
-exp(-k T kappa_min) below tail_eps, which multiplies the exact answer by
-(1 - exp(-(K+1) T |xi|^2)).  The zero spatial mode carries no decay on the
-torus and is projected out of forcing and solution throughout.
+is evaluated on M uniform nodes per period.  The node data h(tau) is
+identified with its trigonometric interpolant, for which the untruncated
+integral is exact in closed form: each (spatial mode xi, temporal frequency
+omega) coefficient is divided by |xi|^2 + i omega.  The zero spatial mode
+carries no decay on the torus and is projected out of forcing and solution
+throughout.
 
 The forcing is separable, f(t, x) = amplitude cos(2 pi t / T) profile(x):
 each solve transforms and projects amplitude * profile once and scales that
@@ -91,7 +89,6 @@ class PicardConfig:
     M: int = 16
     tol: float = 1e-8
     max_iter: int = 40
-    tail_eps: float = 1e-12
     linear_only: bool = False
 
     def __post_init__(self):
@@ -101,8 +98,6 @@ class PicardConfig:
             raise ValueError("tolerance must be positive")
         if self.max_iter < 1:
             raise ValueError(f"iteration cap max_iter must be >= 1, got {self.max_iter}")
-        if not self.tail_eps > 0:
-            raise ValueError("tail threshold must be positive")
 
 
 @dataclass
@@ -209,22 +204,14 @@ def _force_hat(force: PeriodicForce, sp) -> np.ndarray:
     return sp.project(fh)
 
 
-def _resolve_periodic(h_hats: np.ndarray, sp, T: float,
-                      tail_eps: float) -> np.ndarray:
+def _resolve_periodic(h_hats: np.ndarray, sp, T: float) -> np.ndarray:
     """Node values of the history integral for node data h (spectral)."""
-    kappa_min = sp.grid.min_wavenumber_sq()
-    if kappa_min * T < 1e-6:
-        raise ValueError(
-            f"non-convergent tail: kappa_min * T = {kappa_min * T:.2e} < 1e-6"
-        )
     M = h_hats.shape[0]
-    K = int(math.ceil(math.log(1.0 / tail_eps) / (T * kappa_min)))
     Hf = _fft.fft(h_hats, axis=0)
     nu_omega = 2.0 * np.pi / T * _fft.fftfreq(M) * M
-    tail = -np.expm1(-(K + 1) * T * sp.ksq)       # 1 - exp(...), zero at xi = 0
-    denom = sp.ksq[None, None] + 1j * nu_omega[:, None, None, None, None]
-    denom = np.where(denom == 0.0, 1.0, denom)
-    Hf *= tail[None, None] / denom
+    denom = sp.ksq + 1j * nu_omega[:, None, None, None, None]
+    # zero only at (xi, omega) = (0, 0); the zero spatial mode stays at zero
+    Hf *= np.divide(1.0, denom, out=np.zeros_like(denom), where=sp.ksq > 0.0)
     return _fft.ifft(Hf, axis=0)
 
 
@@ -244,7 +231,7 @@ def _map_hats(u_hats, force: PeriodicForce, fh, sp, cfg: PicardConfig):
     if not cfg.linear_only:
         for m, uh in enumerate(u_hats):
             h_hats[m] += _nonlin_hat(sp, uh)
-    return _resolve_periodic(h_hats, sp, force.T, cfg.tail_eps)
+    return _resolve_periodic(h_hats, sp, force.T)
 
 
 def poincare_map(snapshots, force: PeriodicForce, cfg: PicardConfig,

@@ -11,6 +11,8 @@ from stokeslab.exterior import (
     _SphereSolver,
 )
 
+import fft_reference
+
 
 def radial_test_data(grid, rc0=2.5, wd=0.4):
     """f = s'(r) + 2 s(r)/r for a radial bump s; the solution is s(r) x/|x|."""
@@ -39,16 +41,7 @@ def curl_exterior_data(grid, R):
     t = (r - (R + 2.0)) / 1.0
     prof = np.where(np.abs(t) < 1, (1 - t * t) ** 3, 0.0)
     A = np.stack([-Y * prof, X * prof, np.zeros_like(prof)])
-    k = grid.wavenumbers()
-    Ah = [np.fft.fftn(A[j]) for j in range(3)]
-    u0 = np.stack(
-        [
-            np.fft.ifftn(1j * (k[1] * Ah[2] - k[2] * Ah[1])).real,
-            np.fft.ifftn(1j * (k[2] * Ah[0] - k[0] * Ah[2])).real,
-            np.fft.ifftn(1j * (k[0] * Ah[1] - k[1] * Ah[0])).real,
-        ]
-    )
-    return Field(grid, u0)
+    return Field(grid, fft_reference.curl(grid, A))
 
 
 def test_annulus_spec_validation():
@@ -121,17 +114,32 @@ def test_sphere_synthesis_matches_full_harmonic_sum():
     coef = random_real_coef(rng, lmax)
     th = rng.uniform(0.05, np.pi - 0.05, 40)
     ph = rng.uniform(0.0, 2 * np.pi, 40)
-    # the full sum over -l <= m <= l with c_{l,-m} = (-1)^m conj(c_{l,m})
-    ref = np.zeros((3, th.size), dtype=complex)
-    for m in range(-lmax, lmax + 1):
-        for ell in range(abs(m), lmax + 1):
-            c = coef[m, ell] if m >= 0 else (-1) ** m * np.conj(coef[-m, ell])
-            y, dy = sph_harm_y(ell, m, th, ph, diff_n=1)   # dy[:, 0] d/dtheta, dy[:, 1] d/dphi
-            ref += c * np.stack([y, dy[:, 0], dy[:, 1] / np.sin(th)])
-    assert np.abs(ref.imag).max() < 1e-12 * np.abs(ref.real).max()
+
+    def reference(th, ph):
+        # the full sum over -l <= m <= l with c_{l,-m} = (-1)^m conj(c_{l,m})
+        ref = np.zeros((3, th.size), dtype=complex)
+        for m in range(-lmax, lmax + 1):
+            for ell in range(abs(m), lmax + 1):
+                c = coef[m, ell] if m >= 0 else (-1) ** m * np.conj(coef[-m, ell])
+                y, dy = sph_harm_y(ell, m, th, ph, diff_n=1)   # dy[:, 0] d/dtheta, dy[:, 1] d/dphi
+                ref += c * np.stack([y, dy[:, 0], dy[:, 1] / np.sin(th)])
+        assert np.abs(ref.imag).max() < 1e-12 * np.abs(ref.real).max()
+        return ref.real
+
+    ref = reference(th, ph)
     got = np.concatenate(sph.synth_at(coef[None], th, ph))
     for k in range(3):
-        assert np.abs(got[k] - ref[k].real).max() <= 1e-12 * np.abs(ref[k].real).max()
+        assert np.abs(got[k] - ref[k]).max() <= 1e-12 * np.abs(ref[k]).max()
+    # at the poles the surface gradient is the limit along the meridian phi;
+    # Richardson extrapolation from theta = d, 2d away from each pole
+    d = 1e-6
+    pole, inward = np.array([0.0, np.arccos(-1.0)]), np.array([1.0, -1.0])
+    ph = rng.uniform(0.0, 2 * np.pi, 2)
+    near = [reference(pole + j * d * inward, ph) for j in (1, 2)]
+    limit = 2.0 * near[0] - near[1]
+    got = np.concatenate(sph.synth_at(coef[None], pole, ph))
+    for k in range(3):
+        assert np.abs(got[k] - limit[k]).max() <= 1e-8 * np.abs(limit[k]).max()
 
 
 def test_sphere_analysis_inverts_synthesis():
@@ -228,13 +236,7 @@ def test_extension_far_field_identity():
     prof = np.where(np.abs(t) < 1, (1 - t * t) ** 3, 0.0)
     X, Y, _ = g.coords()
     A = np.stack([-Y * prof, X * prof, np.zeros(g.shape)])
-    k = g.wavenumbers()
-    Ah = [np.fft.fftn(A[j]) for j in range(3)]
-    u0 = Field(g, np.stack([
-        np.fft.ifftn(1j * (k[1] * Ah[2] - k[2] * Ah[1])).real,
-        np.fft.ifftn(1j * (k[2] * Ah[0] - k[0] * Ah[2])).real,
-        np.fft.ifftn(1j * (k[0] * Ah[1] - k[1] * Ah[0])).real,
-    ]))
+    u0 = Field(g, fft_reference.curl(g, A))
     v0, _ = solenoidal_extension(u0, AnnulusSpec(R))
     far = r >= R + 3.0
     assert np.array_equal(v0.data[:, far], u0.data[:, far])
