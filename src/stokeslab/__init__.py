@@ -10,7 +10,6 @@ from .grid import (
     gradient_magnitude,
     inner,
     integrate,
-    l2_norm,
     laplacian,
     load_field,
     save_field,

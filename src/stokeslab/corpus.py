@@ -9,7 +9,7 @@ from __future__ import annotations
 import numpy as np
 from scipy import fft as _fft
 
-from .grid import Field, Grid, l2_norm
+from .grid import Field, Grid, integrate
 
 PRNG_ID = "numpy.random.default_rng (PCG64)"
 
@@ -41,7 +41,7 @@ def random_smooth_field(
     smooth = sp.apply(rng.standard_normal(shape), profile)
     data = sp.apply(smooth * envelope, lowpass)
     f = Field(grid, data)
-    scale = l2_norm(f)
+    scale = integrate(f, 2)
     return Field(grid, data / scale) if scale > 0 else f
 
 

@@ -10,8 +10,8 @@ All spectral work goes through one layer per grid, Grid.spectral(): scipy.fft
 real transforms over the last n axes, batched over leading axes (components,
 time nodes), in the rfftn half-spectrum layout.  It builds broadcastable
 wavenumbers k, |xi|^2 (ksq) and the 2/3-rule mask (dealias) on first use.
-It provides forward/inverse, apply (multiplier), project (Leray), l2 and
-power (Parseval), grad/div coefficients and gradient_magnitude.
+It provides forward/inverse, apply (multiplier), project (Leray), power
+(Parseval) and its root l2, grad/div coefficients and gradient_magnitude.
 
 Nyquist policy: the frequency index N/2 has no conjugate partner on an
 even grid.  First-derivative multipliers i xi_j vanish on the Nyquist plane
@@ -43,7 +43,6 @@ __all__ = [
     "laplacian",
     "integrate",
     "inner",
-    "l2_norm",
     "save_field",
     "load_field",
 ]
@@ -113,10 +112,6 @@ class Grid:
     def bracket(self, s: float):
         """Japanese bracket weight <x>^s = (1 + |x|^2)^(s/2)."""
         return (1.0 + self.radius_sq()) ** (0.5 * s)
-
-    def min_wavenumber_sq(self) -> float:
-        """Smallest nonzero |xi|^2 on the grid, (pi/L)^2."""
-        return (np.pi / self.L) ** 2
 
     def compatible(self, other: "Grid") -> bool:
         return (self.n, self.N) == (other.n, other.N) and self.L == other.L
@@ -234,7 +229,7 @@ class Spectral:
 
     def l2(self, hat) -> float:
         """Physical L^2 norm from half-spectrum coefficients (Parseval)."""
-        return float(np.sqrt(np.sum(self._pw * np.abs(hat) ** 2) * self._scale))
+        return float(np.sqrt(np.sum(self.power(hat))))
 
     def power(self, hat):
         """Parseval power per half-spectrum mode, summed over leading axes:
@@ -351,7 +346,8 @@ def integrate(f: Field, q: float, weight=None) -> float:
         raise ValueError(f"Lebesgue index q must be finite and >= 1, got {q}")
     if weight is not None and not np.isfinite(weight):
         raise ValueError(f"weight exponent must be finite, got {weight}")
-    terms = np.sum(f.data**2, axis=0) ** (0.5 * q) if f.is_vector else np.abs(f.data) ** q
+    terms = np.sum(f.data**2, axis=0) if f.is_vector else np.abs(f.data)
+    terms **= 0.5 * q if f.is_vector else q      # in place: one full-size temporary, not two
     if weight is not None and float(weight) != 0.0:
         terms *= f.grid.bracket(float(weight) * q)
     total = np.sum(terms) * f.grid.cell_volume
@@ -361,10 +357,6 @@ def integrate(f: Field, q: float, weight=None) -> float:
 def inner(f: Field, g: Field) -> float:
     """L^2 inner product on the grid."""
     return float(np.sum(f.data * g.data) * f.grid.cell_volume)
-
-
-def l2_norm(f: Field) -> float:
-    return float(np.sqrt(np.sum(f.data**2) * f.grid.cell_volume))
 
 
 # Flat binary field format: little-endian header (n, N int64, L float64,

@@ -7,7 +7,10 @@ The history-integral map
 is evaluated on M uniform nodes per period.  The node data h(tau) is
 identified with its trigonometric interpolant, for which the untruncated
 integral is exact in closed form: each (spatial mode xi, temporal frequency
-omega) coefficient is divided by |xi|^2 + i omega.  The zero spatial mode
+omega) coefficient is divided by |xi|^2 + i omega.  On even M the Nyquist
+node mode (-1)^m is read as cos(Omega t), Omega = pi M / T, which is real
+and mirror-symmetric; its history integral at the nodes is
+|xi|^2 / (|xi|^4 + Omega^2) times the data.  The zero spatial mode
 carries no decay on the torus and is projected out of forcing and solution
 throughout.
 
@@ -16,9 +19,9 @@ each solve transforms and projects amplitude * profile once and scales that
 spectrum by the scalar time factor at every node or stage time.
 
 Fixed points of the map are T-periodic mild solutions; picard_solve
-iterates from u = 0 and reports per-node residuals.  periodicity_check
-re-simulates one period with an independent ETDRK4 exponential integrator
-(Cox & Matthews 2002).
+iterates from u = 0 and records the largest node residual of each
+iteration.  periodicity_check re-simulates one period with an independent
+ETDRK4 exponential integrator (Cox & Matthews 2002).
 
 The advection term is evaluated in divergence form, u . grad u = div(u (x) u),
 which holds for solenoidal u: one batched inverse transform of u, the six
@@ -105,10 +108,12 @@ class PeriodicSolution:
     grid: Grid
     T: float
     snapshots: np.ndarray          # (M, n) + grid.shape
-    residuals: np.ndarray          # per-node relative residual at exit
-    iterations: int
-    converged: bool
-    residual_history: list = field(default_factory=list)
+    converged: bool = False
+    residual_history: list = field(default_factory=list)   # max node residual per iteration
+
+    @property
+    def iterations(self) -> int:
+        return len(self.residual_history)
 
     @property
     def node_times(self) -> np.ndarray:
@@ -209,9 +214,14 @@ def _resolve_periodic(h_hats: np.ndarray, sp, T: float) -> np.ndarray:
     M = h_hats.shape[0]
     Hf = _fft.fft(h_hats, axis=0)
     nu_omega = 2.0 * np.pi / T * _fft.fftfreq(M) * M
-    denom = sp.ksq + 1j * nu_omega[:, None, None, None, None]
-    # zero only at (xi, omega) = (0, 0); the zero spatial mode stays at zero
-    Hf *= np.divide(1.0, denom, out=np.zeros_like(denom), where=sp.ksq > 0.0)
+    # 1 / (|xi|^2 + i omega), zero only at (xi, omega) = (0, 0): the zero
+    # spatial mode stays at zero
+    inv = np.zeros((M, 1) + sp.shape, dtype=complex)
+    np.divide(1.0, sp.ksq + 1j * nu_omega[:, None, None, None, None], out=inv,
+              where=sp.ksq > 0.0)
+    # the Nyquist node mode is cos(Omega t), whose sin part vanishes at the nodes
+    inv[M // 2] = inv[M // 2].real
+    Hf *= inv
     return _fft.ifft(Hf, axis=0)
 
 
@@ -256,11 +266,10 @@ def picard_solve(force: PeriodicForce, cfg: PicardConfig, grid: Grid) -> Periodi
     history = []
     converged = False
     grow_count = 0
-    for it in range(1, cfg.max_iter + 1):
+    for _ in range(cfg.max_iter):
         new = _map_hats(u_hats, force, fh, sp, cfg)
         scale = max(max(sp.l2(a) for a in new), 1e-300)
-        residuals = np.array([sp.l2(a - b) for a, b in zip(new, u_hats)]) / scale
-        res = float(residuals.max())
+        res = max(sp.l2(a - b) for a, b in zip(new, u_hats)) / scale
         history.append(res)
         u_hats = new
         if res <= cfg.tol:
@@ -274,16 +283,8 @@ def picard_solve(force: PeriodicForce, cfg: PicardConfig, grid: Grid) -> Periodi
         else:
             grow_count = 0
 
-    snapshots = sp.inverse(u_hats)
-    return PeriodicSolution(
-        grid=grid,
-        T=force.T,
-        snapshots=snapshots,
-        residuals=residuals,
-        iterations=it,
-        converged=converged,
-        residual_history=history,
-    )
+    return PeriodicSolution(grid=grid, T=force.T, snapshots=sp.inverse(u_hats),
+                            converged=converged, residual_history=history)
 
 
 def periodicity_check(sol: PeriodicSolution, force: PeriodicForce,

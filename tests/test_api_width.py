@@ -1,6 +1,7 @@
 """The package's top-level API is no wider than what its callers use."""
 
 import ast
+import importlib
 import pathlib
 import re
 
@@ -28,3 +29,16 @@ def test_every_top_level_name_has_a_caller():
     assert "Grid" in names and "__version__" in names
     unused = [n for n in names if not re.search(rf"\b{re.escape(n)}\b", text)]
     assert not unused, f"exported by stokeslab but named by no caller: {unused}"
+
+
+def test_every_demo_import_exists():
+    # the demos run nowhere in the suite, so a name they import from the
+    # package must be checked here
+    missing = []
+    for path in sorted(ROOT.glob("demos/*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("stokeslab"):
+                module = importlib.import_module(node.module)
+                missing += [f"{path.name}: {node.module}.{alias.name}"
+                            for alias in node.names if not hasattr(module, alias.name)]
+    assert not missing, f"demos import names the package does not define: {missing}"

@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 import os
 import struct
 import subprocess
@@ -95,6 +96,41 @@ def test_run_chain_periodicity_and_report(tmp_path, capsys):
     assert status == 0
     assert rep["applicable"] is True
     assert rep["ratio"] > 0
+
+
+def _floats(value):
+    """Every float in a JSON value, nested lists and objects included."""
+    if isinstance(value, float):
+        return [value]
+    if isinstance(value, dict):
+        value = list(value.values())
+    if isinstance(value, list):
+        return [x for v in value for x in _floats(v)]
+    return []
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["maximal", "--N", "16"],
+     ["frac-integral", "--N", "16", "--L", "5"],
+     ["bogovskii-test", "--N", "32", "--L", "4", "--R", "1"],
+     ["extend", "--N", "32", "--L", "5", "--R", "0.5"],
+     ["feasibility", "--n", "3", "--scan", "1", "--step", "0.05"],
+     ["solve-periodic", "--force", "single-mode", "--linear", "1", "--N", "16", "--M", "8"]],
+    ids=lambda argv: argv[0],
+)
+def test_command_success_paths(argv, tmp_path, capsys):
+    status, out = run_cli(capsys, *argv, "--out", str(tmp_path))
+    assert status == 0
+    assert all(math.isfinite(x) for x in _floats(out))
+    assert json.loads((tmp_path / "result.json").read_text()) == out
+    cfg = json.loads((tmp_path / "manifest.json").read_text())["config"]
+    for path in tmp_path.glob("*.field"):
+        assert load_field(path).grid.compatible(Grid(3, cfg["N"], cfg["L"]))
+    if argv[0] == "bogovskii-test":
+        assert out["support_exact"] is True
+    if argv[0] == "extend":
+        assert out["far_field_exact"] is True
 
 
 def test_deterministic_artifacts(tmp_path, capsys):

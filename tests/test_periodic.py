@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from stokeslab.grid import Field, Grid, gradient, integrate, l2_norm
+from stokeslab.grid import Field, Grid, gradient, integrate
 from stokeslab.corpus import random_smooth_field
 from stokeslab.semigroup import leray_project
 from stokeslab.periodic import (
@@ -103,8 +103,8 @@ def test_nonlinearity_output_solenoidal_and_mean_zero():
     u = leray_project(random_smooth_field(g, 6, components=3))
     B = nonlinearity(u)
     assert B.data.mean() == pytest.approx(0.0, abs=1e-16)
-    scale = np.sqrt(sum(l2_norm(gradient(Field(g, B.data[j]))) ** 2 for j in range(3)))
-    assert l2_norm(divergence(B)) <= 1e-10 * scale
+    scale = np.sqrt(sum(integrate(gradient(Field(g, B.data[j])), 2) ** 2 for j in range(3)))
+    assert integrate(divergence(B), 2) <= 1e-10 * scale
 
 
 def test_nonlinearity_weighted_hoelder_bound():
@@ -222,6 +222,25 @@ def test_node_refinement_converges_for_nonharmonic_forcing():
     assert errs[1] <= 0.5 * errs[0] + 1e-14
 
 
+@pytest.mark.parametrize("axis", [0, 1, 2])
+def test_nyquist_node_mode_resolves_as_cosine(axis):
+    # node data (-1)^m is cos(Omega t) at Omega = pi M / T, whose history
+    # integral at the nodes is kappa / (kappa^2 + Omega^2) times the data in
+    # every orientation of the spatial mode
+    g = small_grid()
+    sp = g.spectral()
+    M = 16
+    omega = math.pi * M / T
+    k = math.pi / g.L
+    kappa = k**2
+    data = np.zeros((M, 3) + g.shape)
+    for m in range(M):
+        data[m, (axis + 1) % 3] = (-1) ** m * np.cos(k * g.coords()[axis])
+    nodes = sp.inverse(_resolve_periodic(sp.forward(data), sp, T))
+    expected = kappa / (kappa**2 + omega**2) * data
+    assert np.abs(nodes - expected).max() <= 1e-12 * np.abs(expected).max()
+
+
 def test_outside_contraction_regime_raises():
     g = small_grid()
     force = random_solenoidal_force(T, seed=42, amplitude=2000.0)
@@ -244,10 +263,10 @@ def test_nonlinear_solve_contracts_and_is_solenoidal():
         u = sol.snapshot(m)
         assert u.data.mean() == pytest.approx(0.0, abs=1e-15)
         scale = np.sqrt(
-            sum(l2_norm(gradient(Field(g, u.data[j]))) ** 2 for j in range(3))
+            sum(integrate(gradient(Field(g, u.data[j])), 2) ** 2 for j in range(3))
         )
         if scale > 0:
-            assert l2_norm(divergence(u)) <= 1e-8 * scale
+            assert integrate(divergence(u), 2) <= 1e-8 * scale
 
 
 def test_nonlinear_contraction_factor_below_half():

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.signal import fftconvolve, resample
 
-from stokeslab.grid import Field, Grid, integrate, l2_norm
+from stokeslab.grid import Field, Grid, integrate
 from stokeslab.corpus import corpus_seeds, random_smooth_field, refine_field
 from stokeslab.semigroup import (
     decay_harness,
@@ -82,9 +82,9 @@ def test_heat_l2_contraction():
     g = Grid(3, 32, 8.0)
     for seed in corpus_seeds(3, 4):
         f = random_smooth_field(g, seed)
-        n0 = l2_norm(f)
+        n0 = integrate(f, 2)
         for t in (0.1, 1.0, 8.0):
-            assert l2_norm(heat_apply(f, t)) <= n0 * (1 + 1e-13)
+            assert integrate(heat_apply(f, t), 2) <= n0 * (1 + 1e-13)
 
 
 def test_heat_mass_conservation():
@@ -100,7 +100,7 @@ def test_leray_annihilates_gradients():
     g = Grid(3, 32, 8.0)
     gr = gradient(random_smooth_field(g, 5))
     out = leray_project(gr)
-    assert l2_norm(out) <= 1e-10 * l2_norm(gr)
+    assert integrate(out, 2) <= 1e-10 * integrate(gr, 2)
 
 
 def test_leray_keeps_solenoidal_mode():
@@ -134,8 +134,8 @@ def test_leray_output_solenoidal():
     g = Grid(3, 32, 8.0)
     v = random_smooth_field(g, 8, components=3)
     pv = leray_project(v)
-    scale = np.sqrt(sum(l2_norm(gradient(Field(g, pv.data[j]))) ** 2 for j in range(3)))
-    assert l2_norm(divergence(pv)) <= 1e-10 * scale
+    scale = np.sqrt(sum(integrate(gradient(Field(g, pv.data[j])), 2) ** 2 for j in range(3)))
+    assert integrate(divergence(pv), 2) <= 1e-10 * scale
 
 
 def test_stokes_equals_heat_on_solenoidal():
@@ -153,7 +153,7 @@ def test_stokes_kills_gradients_all_t():
     g = Grid(3, 32, 8.0)
     gr = gradient(random_smooth_field(g, 11))
     for t in (0.0, 0.5, 2.0):
-        assert l2_norm(stokes_apply(gr, t)) <= 1e-10 * l2_norm(gr)
+        assert integrate(stokes_apply(gr, t), 2) <= 1e-10 * integrate(gr, 2)
 
 
 def test_projection_commutes_with_heat():
@@ -186,10 +186,10 @@ def test_gradient_apply_smoothing_bound():
     cap = (2 * np.e) ** -0.5
     for seed in corpus_seeds(31, 3):
         u = random_smooth_field(g, seed)
-        n0 = l2_norm(u)
+        n0 = integrate(u, 2)
         for t in (0.25, 1.0, 4.0):
             grad_sq = sum(
-                l2_norm(semigroup_gradient_apply(u, t, j)) ** 2 for j in range(3)
+                integrate(semigroup_gradient_apply(u, t, j), 2) ** 2 for j in range(3)
             )
             assert np.sqrt(t * grad_sq) / n0 <= cap * (1 + 1e-10)
 
@@ -447,6 +447,6 @@ def test_leray_idempotent_for_rough_data_any_dimension():
         ppv = leray_project(pv)
         assert np.abs(ppv.data - pv.data).max() <= 1e-12
         gscale = np.sqrt(
-            sum(l2_norm(gradient(Field(g, pv.data[j]))) ** 2 for j in range(n))
+            sum(integrate(gradient(Field(g, pv.data[j])), 2) ** 2 for j in range(n))
         )
-        assert l2_norm(divergence(pv)) <= 1e-12 * gscale
+        assert integrate(divergence(pv), 2) <= 1e-12 * gscale
