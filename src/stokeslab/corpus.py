@@ -63,11 +63,21 @@ def refine_field(f: Field, factor: int = 2) -> Field:
     if factor < 2:
         raise ValueError(f"refinement factor must be >= 2, got {factor}")
     g = f.grid
-    fine_grid = Grid(g.n, factor * g.N, g.L)
-    data = f.data
-    for ax in range(data.ndim - g.n, data.ndim):
+    return Field(Grid(g.n, factor * g.N, g.L), refine_block(f.data, g.n, factor))
+
+
+def refine_block(data, n: int, factor: int, window: slice = slice(None)):
+    """refine_field on a bare array whose last n axes are grid axes.
+
+    Each axis is cut to the fine-index window right after it is refined, so
+    the later axes transform only the lines that cross the window.  Every
+    line is transformed whole, so the block is bit-identical to the same
+    window of the full refinement.
+    """
+    for ax in range(data.ndim - n, data.ndim):
+        N = data.shape[ax]
         hat = _fft.rfft(data, axis=ax)
         hat *= factor
-        hat[(slice(None),) * ax + (g.N // 2,)] *= 0.5
-        data = _fft.irfft(hat, n=factor * g.N, axis=ax)
-    return Field(fine_grid, data)
+        hat[(slice(None),) * ax + (N // 2,)] *= 0.5
+        data = _fft.irfft(hat, n=factor * N, axis=ax)[(slice(None),) * ax + (window,)]
+    return data

@@ -416,6 +416,8 @@ def test_run_node_not_solenoidal(small_run, tmp_path, capsys):
         (["check-weight", "--n", "-1"], "precondition-violation", 1),
         (["admissible-range", "--n", "0"], "precondition-violation", 1),
         (["admissible-range", "--n", "-1"], "precondition-violation", 1),
+        (["bogovskii-test", "--N", "8", "--L", "100"], "precondition-violation", 1),
+        (["extend", "--N", "8", "--L", "100"], "precondition-violation", 1),
     ],
     ids=["decay-points-0", "decay-points-1", "scan-step-0", "scan-empty", "force-unknown",
          "steps-0", "out-is-file", "out-under-file", "threads-negative", "N-not-int",
@@ -423,7 +425,8 @@ def test_run_node_not_solenoidal(small_run, tmp_path, capsys):
          "scan-2", "linear-5", "maximal-s-nan", "maximal-s-inf", "frac-s0-nan",
          "report-s-nan", "maximal-L-inf", "decay-L-inf", "decay-tmin-nan", "decay-tmax-inf",
          "decay-ladder-duplicate", "max-iter-0", "max-iter-negative", "check-weight-n-0",
-         "check-weight-n-negative", "admissible-range-n-0", "admissible-range-n-negative"],
+         "check-weight-n-negative", "admissible-range-n-0", "admissible-range-n-negative",
+         "bogovskii-empty-annulus", "extend-empty-annulus"],
 )
 def test_out_of_range_inputs(argv, error, status, small_run, tmp_path, capsys):
     (tmp_path / "file").write_text("")

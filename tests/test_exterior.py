@@ -8,8 +8,11 @@ from stokeslab.exterior import (
     bogovskii_apply,
     divergence_defect,
     solenoidal_extension,
+    _FieldSampler,
     _SphereSolver,
+    _equator_fold,
 )
+from stokeslab.corpus import random_smooth_field, refine_field
 
 import fft_reference
 
@@ -151,6 +154,91 @@ def test_sphere_analysis_inverts_synthesis():
     assert np.abs(back - coef).max() <= 1e-12 * np.abs(coef).max()
 
 
+def annulus_points(grid, R):
+    """The annulus mask and its points, components first, as bogovskii_apply takes them."""
+    r = np.sqrt(grid.radius_sq())
+    inside = (r > R) & (r < R + 1.0)
+    return inside, np.stack([x[inside] for x in grid.coords()])
+
+
+def sampler_points(grid, R):
+    """Every point bogovskii_apply samples: sphere-grid rays and annulus rays."""
+    sph = _SphereSolver()
+    rho = R + 0.5 * (np.polynomial.legendre.leggauss(24)[0] + 1.0)
+    st = sph.sin_t[:, None]
+    dirs = np.stack(np.broadcast_arrays(st * np.cos(sph.phi), st * np.sin(sph.phi),
+                                        sph.mu[:, None]))
+    _, P = annulus_points(grid, R)
+    pr = np.sqrt(np.sum(P**2, axis=0))
+    rho_p = R + (pr - R) * (rho[:, None] - R)
+    return [(rho[:, None, None] * dirs[:, None]).reshape(3, -1),
+            (rho_p * (P / pr)[:, None]).reshape(3, -1)]
+
+
+def full_grid_samples(f, points):
+    """The sampler without a window: whole-grid refinement and a wrapping prefilter."""
+    from scipy.ndimage import map_coordinates, spline_filter
+
+    fine = refine_field(f)
+    coeffs = spline_filter(fine.data, order=3, mode="grid-wrap")
+    return map_coordinates(coeffs, (points + fine.grid.L) / fine.grid.h, order=3,
+                           mode="grid-wrap", prefilter=False)
+
+
+def test_windowed_sampler_matches_full_grid():
+    g = Grid(3, 64, 16.0)
+    R = 3.0
+    f = random_smooth_field(g, 17)
+    sampler = _FieldSampler(f, R + 1.0)
+    assert sampler.coeffs.shape == (97, 97, 97)       # of 128 fine samples per axis
+    for points in sampler_points(g, R):
+        ref = full_grid_samples(f, points)
+        assert np.abs(sampler(points) - ref).max() <= 1e-14 * np.abs(ref).max()
+
+
+def test_sampler_without_room_for_a_window_is_the_full_grid_path():
+    g = Grid(3, 64, 8.0)
+    R = 3.0
+    f = random_smooth_field(g, 17)
+    sampler = _FieldSampler(f, R + 1.0)
+    assert sampler.coeffs.shape == (128, 128, 128)
+    for points in sampler_points(g, R):
+        assert np.array_equal(sampler(points), full_grid_samples(f, points))
+
+
+@pytest.mark.parametrize("N, L, R", [(64, 8.0, 2.0), (100, 7.3, 2.0)])
+def test_equator_fold_matches_direct_synthesis(N, L, R):
+    g = Grid(3, N, L)
+    inside, P = annulus_points(g, R)
+    if N == 100:
+        # drop a few z > 0 points so that their mirrors have no partner
+        top = np.argwhere(inside & (g.coords()[2] > 0.0))[::97]
+        inside[tuple(top.T)] = False
+        P = np.stack([x[inside] for x in g.coords()])
+    pr = np.sqrt(np.sum(P**2, axis=0))
+    theta = np.arccos(np.clip(P[2] / pr, -1.0, 1.0))
+    phi = np.mod(np.arctan2(P[1], P[0]), 2.0 * np.pi)
+    sph = _SphereSolver()
+    rng = np.random.default_rng(N)
+    coef = np.stack([random_real_coef(rng, sph.lmax) for _ in range(2)])
+
+    direct, src, order = _equator_fold(inside)
+    assert np.all(P[2][direct][src] > 0.0) and np.all(P[2][~direct] < 0.0)
+    # reflections are found by index: their z mirrors the source's to rounding only
+    mirror_gap = np.abs(P[2][~direct] + P[2][direct][src])
+    assert mirror_gap.max() <= 1e-14 * L
+    if N == 100:
+        assert np.any(P[2][direct] < 0.0)            # unpaired points below the equator
+        assert mirror_gap.max() > 0.0
+    else:
+        assert np.any(P[2] == 0.0)                    # the equator
+        axis = (P[0] == 0.0) & (P[1] == 0.0)          # the z-axis, at both poles
+        assert np.any(axis & (P[2] > 0.0)) and np.any(axis & (P[2] < 0.0))
+    folded = sph.synth_at(coef, theta[direct], phi[direct], mirror=src)
+    for got, ref in zip(folded, sph.synth_at(coef, theta, phi)):
+        assert np.abs(got[:, order] - ref).max() <= 1e-13 * np.abs(ref).max()
+
+
 def test_bogovskii_zero_input():
     g = Grid(3, 32, 8.0)
     out = bogovskii_apply(Field(g, np.zeros(g.shape)), AnnulusSpec(2.0))
@@ -262,6 +350,18 @@ def test_extension_rejects_nonsolenoidal():
     data = np.stack([np.exp(-((r - 4.0) ** 2)), np.zeros(g.shape), np.zeros(g.shape)])
     with pytest.raises(ValueError, match="solenoidal"):
         solenoidal_extension(Field(g, data), AnnulusSpec(1.0))
+
+
+def test_vanishing_data_has_no_relative_defect():
+    # on a coarse wide grid no sample falls in the annulus, so the data are 0
+    g = Grid(3, 8, 100.0)
+    f = dipole_data(g)
+    assert np.all(f.data == 0.0)
+    B = bogovskii_apply(f, AnnulusSpec(2.0))
+    with pytest.raises(ValueError, match="vanishes"):
+        divergence_defect(B, f)
+    with pytest.raises(ValueError, match="vanishes"):
+        solenoidal_extension(Field(g, np.zeros((3,) + g.shape)), AnnulusSpec(1.0))
 
 
 def test_extension_weighted_inflation():
