@@ -3,9 +3,11 @@
 Configuration comes from an optional JSON file plus command-line flags
 (flags win).  Each run writes its artifacts into an output directory
 together with a manifest recording the exact configuration, its hash, and
-library versions.  Identical configuration and seed give bit-identical
-data artifacts (result.json, CSV, field binaries); wall time lives only in
-manifest.json.
+library versions; a solve-periodic manifest also records the sha256 of each
+node file, and the commands that read that directory check every node
+against it before they write anything.  Identical configuration and seed
+give bit-identical data artifacts (result.json, CSV, field binaries); wall
+time lives only in manifest.json.
 """
 
 from __future__ import annotations
@@ -283,8 +285,8 @@ def _cmd_solve_periodic(cfg, outdir):
     force = _make_force(cfg)
     pc = _picard_config(cfg)
     sol = picard_solve(force, pc, grid)
-    for m in range(pc.M):
-        save_field(sol.snapshot(m), os.path.join(outdir, f"node_{m:03d}.field"))
+    for m, name in enumerate(_node_names(pc.M)):
+        save_field(sol.snapshot(m), os.path.join(outdir, name))
     return {
         "converged": sol.converged,
         "iterations": sol.iterations,
@@ -293,12 +295,23 @@ def _cmd_solve_periodic(cfg, outdir):
     }, 0 if sol.converged else 1
 
 
+def _node_names(M):
+    return [f"node_{m:03d}.field" for m in range(M)]
+
+
+def _sha256(path) -> str:
+    with open(path, "rb") as fh:
+        return hashlib.sha256(fh.read()).hexdigest()
+
+
 def _load_run(command, run_dir):
     """(solution, force, Picard config) of a solve-periodic run directory.
 
-    A missing --run is a ConfigError; an unreadable or inconsistent run
-    raises OSError, KeyError or ValueError, and a config value of the wrong
-    type a TypeError.
+    Every node file must parse, carry the manifest's grid in its header and
+    hash to the sha256 that the manifest's artifacts record for it.  A
+    missing --run is a ConfigError; an unreadable or inconsistent run raises
+    OSError, KeyError or ValueError, and a config value of the wrong type a
+    TypeError.
     """
     if not run_dir:
         raise ConfigError(f"{command} needs --run pointing at a solve-periodic directory")
@@ -313,17 +326,23 @@ def _load_run(command, run_dir):
         raise ValueError(f"{run_dir!r} was written by {manifest['command']!r}, "
                          f"not solve-periodic")
     cfg = manifest["config"]
+    artifacts = manifest["artifacts"]
+    if not isinstance(artifacts, dict):
+        raise ValueError(f"{path!r} holds no object of artifact digests")
     _check_choices(cfg, _COMMANDS["solve-periodic"][2])
     grid = Grid(3, cfg["N"], cfg["L"])
     expected = (3, grid.N, grid.L, 3)
     snaps = []
-    for m in range(cfg["M"]):
-        name = f"node_{m:03d}.field"
-        f = load_field(os.path.join(run_dir, name))
+    for name in _node_names(cfg["M"]):
+        node = os.path.join(run_dir, name)
+        f = load_field(node)
         header = (f.grid.n, f.grid.N, f.grid.L, f.components)
         if header != expected:
             raise ValueError(f"{name} header (n, N, L, components) = {header} does not "
                              f"match the run manifest {expected}")
+        if _sha256(node) != artifacts.get(name):
+            raise ValueError(f"{name} is not the file the solve wrote: its sha256 does "
+                             f"not match the run manifest's artifacts")
         snaps.append(f.data)
     sol = PeriodicSolution(grid=grid, T=cfg["T"], snapshots=np.stack(snaps))
     return sol, _make_force(cfg), _picard_config(cfg)
@@ -504,6 +523,9 @@ def _run(args) -> int:
         },
         "wall_time_s": wall,
     }
+    if args.command == "solve-periodic":     # the one run directory other commands read
+        manifest["artifacts"] = {name: _sha256(os.path.join(outdir, name))
+                                 for name in _node_names(cfg["M"])}
     _write_json(os.path.join(outdir, "manifest.json"), manifest)
     print(json.dumps(result, sort_keys=True))
     return status

@@ -9,9 +9,16 @@ set per axis is {2*pi*k/(2L) : k = -N/2, ..., N/2 - 1}.
 All spectral work goes through one layer per grid, Grid.spectral(): scipy.fft
 real transforms over the last n axes, batched over leading axes (components,
 time nodes), in the rfftn half-spectrum layout.  It builds broadcastable
-wavenumbers k, |xi|^2 (ksq) and the 2/3-rule mask (dealias) on first use.
-It provides forward/inverse, apply (multiplier), project (Leray), power
-(Parseval) and its root l2, grad/div coefficients and gradient_magnitude.
+wavenumbers k and |xi|^2 (ksq) on first use.  It provides forward/inverse,
+apply (multiplier), project (Leray), power (Parseval) and its root l2,
+grad/div coefficients and gradient_magnitude.
+
+The layer owns the 2/3 rule.  The band is every mode with all |frequency
+index| < N/3, a box of c = ceil(N/3) nonnegative indices per axis; band()
+cuts it out of a half spectrum, from_band() zero-fills it back, and
+band_k / band_ksq hold its wavenumbers.  forward_band and inverse_band are
+the transform pair on the band, pruned: along each full axis the complex
+pass runs only over the lines that hold or feed band data (Markel 1971).
 
 Nyquist policy: the frequency index N/2 has no conjugate partner on an
 even grid.  First-derivative multipliers i xi_j vanish on the Nyquist plane
@@ -26,6 +33,7 @@ are unaffected.
 from __future__ import annotations
 
 import functools
+import itertools
 import os
 import struct
 
@@ -142,12 +150,16 @@ class Spectral:
     # wavenumber arrays are built on first use, so a layer that only
     # transforms (the doubled grid of fractional_integral) never holds them
 
-    def _xi(self, zero_nyquist=False):
-        """Angular frequencies per axis as broadcastable arrays, the half axis last."""
+    def _xi(self, zero_nyquist=False, band=False):
+        """Angular frequencies per axis as broadcastable arrays, the half axis last;
+        on the band's lines only if band."""
         N, h = self.grid.N, self.grid.h
         full, half = 2.0 * np.pi * _fft.fftfreq(N, d=h), 2.0 * np.pi * _fft.rfftfreq(N, d=h)
         if zero_nyquist:
             full[N // 2] = half[-1] = 0.0
+        if band:
+            c, pieces = self._band_pieces
+            full, half = np.concatenate([full[s] for _, s in pieces]), half[:c]
         return np.meshgrid(*([full] * (self.n - 1)), half, indexing="ij", sparse=True)
 
     @functools.cached_property
@@ -232,22 +244,97 @@ class Spectral:
         return float(np.sqrt(np.sum(self.power(hat))))
 
     def power(self, hat):
-        """Parseval power per half-spectrum mode, summed over leading axes:
-        its total is the squared physical L^2 norm."""
-        total = np.square(np.abs(hat)).reshape((-1,) + self.shape).sum(axis=0)
-        return total * (self._pw * self._scale)
+        """Parseval power per mode of a half spectrum or of its band, summed
+        over leading axes: its total is the squared physical L^2 norm.  The
+        band keeps the first indices of the half axis, so it takes the first
+        Parseval weights."""
+        shape = hat.shape[-self.n:]
+        total = np.square(np.abs(hat)).reshape((-1,) + shape).sum(axis=0)
+        return total * (self._pw[:shape[-1]] * self._scale)
 
     def gradient_magnitude(self, hat):
-        """Pointwise |grad u| (Frobenius norm for vectors) by one inverse."""
-        d = self.inverse(self.grad(hat))
-        np.square(d, out=d)
-        return np.sqrt(d.reshape((-1,) + self.grid.shape).sum(axis=0))
+        """Pointwise |grad u| (Frobenius norm for vectors), one derivative axis
+        at a time, so only that axis's derivatives are held; the squares are
+        summed in the order of a batched Jacobian (derivative axis, then
+        component)."""
+        acc = 0.0
+        for kj in self.k:
+            d = self.inverse(hat * (1j * kj))
+            np.square(d, out=d)
+            for row in d.reshape((-1,) + self.grid.shape):
+                acc += row
+        return np.sqrt(acc, out=acc)
+
+    # -- the 2/3 band ------------------------------------------------------
 
     @functools.cached_property
-    def dealias(self):
-        """2/3-rule mask: every |frequency index| below N/3."""
-        cut = self.grid.N / 3.0
-        return functools.reduce(np.logical_and, [idx < cut for idx in self.index])
+    def _band_pieces(self):
+        """c = ceil(N/3), the count of indices 0 <= k < N/3, and the two pieces
+        of a full axis in the band: (band slice, half-spectrum slice) of the
+        indices 0..c-1 and of -(c-1)..-1."""
+        N = self.grid.N
+        c = (N + 2) // 3
+        return c, ((slice(0, c), slice(0, c)), (slice(c, None), slice(N - c + 1, None)))
+
+    def _band_boxes(self):
+        """(band index, half-spectrum index) of each of the band's 2^(n-1) boxes."""
+        c, pieces = self._band_pieces
+        for combo in itertools.product(pieces, repeat=self.n - 1):
+            yield ((Ellipsis,) + tuple(b for b, _ in combo) + (slice(None),),
+                   (Ellipsis,) + tuple(h for _, h in combo) + (slice(0, c),))
+
+    def band(self, hat):
+        """The 2/3 band of half-spectrum coefficients, leading axes kept: per
+        axis the indices 0..c-1, then -(c-1)..-1 on the full axes."""
+        c = self._band_pieces[0]
+        out = np.empty(hat.shape[:-self.n] + (2 * c - 1,) * (self.n - 1) + (c,),
+                       dtype=complex)
+        for b, h in self._band_boxes():
+            out[b] = hat[h]
+        return out
+
+    def from_band(self, band):
+        """The half spectrum that equals band on the 2/3 band and is zero elsewhere."""
+        hat = np.zeros(band.shape[:-self.n] + self.shape, dtype=complex)
+        for b, h in self._band_boxes():
+            hat[h] = band[b]
+        return hat
+
+    @functools.cached_property
+    def band_k(self):
+        """Wavenumbers per axis on the band (no Nyquist index lies in it)."""
+        return self._xi(band=True)
+
+    @functools.cached_property
+    def band_ksq(self):
+        """|xi|^2 on the band."""
+        return sum(x**2 for x in self.band_k)
+
+    def _band_pass(self, wide, ax, transform):
+        """transform (fft or ifft) along axis ax, in place, over the lines of
+        wide (the half axis cut to the band) whose indices on the full axes
+        after ax lie in the band."""
+        pieces = [h for _, h in self._band_pieces[1]]
+        for lines in itertools.product(pieces, repeat=-2 - ax):
+            transform(wide[(Ellipsis, slice(None)) + lines + (slice(None),)],
+                      axis=ax, overwrite_x=True)
+
+    def forward_band(self, data):
+        """band(forward(data)), pruned: the rfft, then along each full axis
+        from the last the complex pass over the lines the band reads."""
+        hat = _fft.rfft(data, axis=-1)
+        for ax in range(-2, -self.n - 1, -1):
+            self._band_pass(hat[..., :self._band_pieces[0]], ax, _fft.fft)
+        return self.band(hat)
+
+    def inverse_band(self, band):
+        """inverse(from_band(band)), pruned: along each full axis from the
+        first the complex pass over the lines that hold band data, then the
+        irfft."""
+        hat = self.from_band(band)
+        for ax in range(-self.n, -1):
+            self._band_pass(hat[..., :self._band_pieces[0]], ax, _fft.ifft)
+        return _fft.irfft(hat, n=self.grid.N, axis=-1)
 
 
 class Field:

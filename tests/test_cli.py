@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import math
 import os
@@ -341,6 +342,47 @@ def test_run_missing_node_file(small_run, tmp_path, capsys):
     _assert_rejected(capsys, run)
 
 
+def _sha256(path):
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def test_solve_manifest_lists_node_digests(small_run):
+    manifest = json.loads((small_run / "manifest.json").read_text())
+    names = [f"node_{m:03d}.field" for m in range(8)]
+    assert manifest["artifacts"] == {name: _sha256(small_run / name) for name in names}
+
+
+def test_run_node_from_another_solve(small_run, tmp_path, capsys):
+    # the same grid and node count, another amplitude and seed
+    other = tmp_path / "other"
+    assert cli.main(["solve-periodic", "--eps", "0.01", "--seed", "3", "--N", "16",
+                     "--M", "8", "--out", str(other)]) == 0
+    capsys.readouterr()
+    run = _copy_run(small_run, tmp_path / "run")
+    (run / "node_003.field").write_bytes((other / "node_003.field").read_bytes())
+    for command in ("periodicity-check", "weighted-report"):
+        detail = _assert_rejected(capsys, run, command)
+        assert "node_003.field is not the file the solve wrote" in detail
+
+
+def test_run_node_edited_byte(small_run, tmp_path, capsys):
+    run = _copy_run(small_run, tmp_path / "run")
+    node = run / "node_005.field"
+    raw = bytearray(node.read_bytes())
+    raw[-1] ^= 1                     # the top byte of the last sample: still finite
+    node.write_bytes(bytes(raw))
+    assert "node_005.field is not the file" in _assert_rejected(capsys, run)
+
+
+def test_run_manifest_without_artifacts(small_run, tmp_path, capsys):
+    run = _copy_run(small_run, tmp_path / "run")
+    manifest = json.loads((run / "manifest.json").read_text())
+    del manifest["artifacts"]
+    (run / "manifest.json").write_text(json.dumps(manifest))
+    assert "'artifacts'" in _assert_rejected(capsys, run)
+    _assert_rejected(capsys, run, "weighted-report")
+
+
 def test_run_node_header_mismatch(small_run, tmp_path, capsys):
     run = _copy_run(small_run, tmp_path / "run")
     node = run / "node_002.field"
@@ -364,10 +406,14 @@ def test_run_node_trailing_bytes(small_run, tmp_path, capsys):
 
 
 def test_run_node_not_solenoidal(small_run, tmp_path, capsys):
+    # a node the manifest vouches for, but a gradient field
     run = _copy_run(small_run, tmp_path / "run")
     node = load_field(run / "node_000.field")
     g = Grid(3, node.grid.N, node.grid.L)
     save_field(gradient(random_smooth_field(g, seed=5, components=1)), run / "node_000.field")
+    manifest = json.loads((run / "manifest.json").read_text())
+    manifest["artifacts"]["node_000.field"] = _sha256(run / "node_000.field")
+    (run / "manifest.json").write_text(json.dumps(manifest))
     status, out = run_cli(capsys, "periodicity-check", "--run", str(run),
                           "--out", str(tmp_path / "check"))
     assert status == 1

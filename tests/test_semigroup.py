@@ -284,7 +284,7 @@ def test_fractional_integral_doubled_grid_builds_no_wavenumbers(monkeypatch):
     monkeypatch.setattr(Grid, "spectral", recording)
     fractional_integral(f, 1.0)
     assert [sp.grid.N for sp in built] == [32]
-    lazy = {"ksq", "_ksq_safe", "k", "index", "_pw", "dealias"}
+    lazy = {"ksq", "_ksq_safe", "k", "index", "_pw", "_band_pieces", "band_k", "band_ksq"}
     assert lazy.isdisjoint(vars(built[0]))
 
 

@@ -1,5 +1,6 @@
 """Property tests over random grids and seeds: the spectral layer's identities,
-the periodic solver's advection term and the field binary round trip."""
+its pruned band transforms, the periodic solver's advection term and the
+field binary round trip."""
 
 import os
 import tempfile
@@ -10,8 +11,10 @@ from hypothesis import given, settings, strategies as st
 from stokeslab.grid import (
     Field, Grid, divergence, gradient, integrate, laplacian, load_field, save_field,
 )
-from stokeslab.periodic import _nonlin_hat
+from stokeslab.periodic import _advection, nonlinearity
 from stokeslab.semigroup import decay_harness, heat_apply, leray_project
+
+import fft_reference
 
 # small grids keep the whole module near one second; derandomized so that a
 # run is reproducible
@@ -30,7 +33,7 @@ def grids(draw):
 def _band_limited(g, rng, components=None):
     shape = g.shape if components is None else (components,) + g.shape
     sp = g.spectral()
-    return sp.inverse(sp.forward(rng.standard_normal(shape)) * sp.dealias)
+    return sp.inverse_band(sp.forward_band(rng.standard_normal(shape)))
 
 
 @PROPERTY
@@ -86,6 +89,20 @@ def test_heat_semigroup_law(case, a, b):
 
 @PROPERTY
 @given(grids(), st.booleans())
+def test_gradient_magnitude_matches_batched_formula(case, vector):
+    # one derivative axis at a time adds the same squared rows in the same
+    # order as one inverse transform of the whole Jacobian
+    g, rng = case
+    sp = g.spectral()
+    hat = sp.forward(rng.standard_normal(((g.n,) if vector else ()) + g.shape))
+    d = sp.inverse(sp.grad(hat))
+    np.square(d, out=d)
+    assert np.array_equal(sp.gradient_magnitude(hat),
+                          np.sqrt(d.reshape((-1,) + g.shape).sum(axis=0)))
+
+
+@PROPERTY
+@given(grids(), st.booleans())
 def test_field_binary_roundtrip(case, vector):
     g, rng = case
     f = Field(g, rng.standard_normal(((g.n,) if vector else ()) + g.shape))
@@ -97,31 +114,66 @@ def test_field_binary_roundtrip(case, vector):
     assert np.array_equal(back.data, f.data)
 
 
-def _advective_nonlin_hat(sp, uh):
-    """Reference -P(u . grad u) in advective form: one inverse transform per
-    derivative i k_j u_i (9 in all), products summed in physical space."""
-    u = sp.inverse(uh)
-    conv = np.zeros_like(u)
-    for i in range(3):
-        for j in range(3):
-            conv[i] += u[j] * sp.inverse(1j * sp.k[j] * uh[i])
-    ch = sp.forward(conv)
-    ch *= sp.dealias
-    return sp.project(-ch)
+@PROPERTY
+@given(st.integers(min_value=4, max_value=20).map(lambda half: 2 * half),
+       st.floats(min_value=0.5, max_value=20.0), st.integers(min_value=0, max_value=2**32 - 1),
+       st.sampled_from([(), (2,), (2, 3)]))
+def test_pruned_band_pair_matches_full_transforms(N, L, seed, lead):
+    # inverse_band is the inverse of the zero-filled half spectrum and
+    # forward_band the band of the forward transform, batched over leading axes
+    g = Grid(3, N, L)
+    sp = g.spectral()
+    rng = np.random.default_rng(seed)
+    data = rng.standard_normal(lead + g.shape)
+    full = sp.forward(data)
+    band = sp.band(full)
+    c = (N + 2) // 3
+    assert band.shape == lead + (2 * c - 1, 2 * c - 1, c)
+    fb = sp.forward_band(data)
+    assert np.abs(fb - band).max() <= 1e-13 * np.abs(band).max()
+    ref = sp.inverse(sp.from_band(band))
+    out = sp.inverse_band(band)
+    assert np.abs(out - ref).max() <= 1e-13 * np.abs(ref).max()
+    # the zero fill keeps the band and nothing else
+    assert np.array_equal(sp.band(sp.from_band(band)), band)
+    assert abs(sp.l2(sp.from_band(band)) / sp.l2(band) - 1.0) <= 1e-14
+
+
+def _band_limited_solenoidal(g, rng):
+    sp = g.spectral()
+    return sp.inverse_band(sp.band(sp.project(sp.forward(rng.standard_normal((3,) + g.shape)))))
+
+
+@PROPERTY
+@given(st.sampled_from([8, 10, 12, 16, 20, 32]), st.floats(min_value=0.5, max_value=20.0),
+       st.integers(min_value=0, max_value=2**32 - 1))
+def test_divergence_form_matches_advective_form(N, L, seed):
+    # on projected data band-limited by the 2/3 rule, div(u (x) u) = u . grad u
+    # and both products alias only into masked modes; the reference sums the
+    # advective form on the full complex grid with its own mask and projection
+    g = Grid(3, N, L)
+    sp = g.spectral()
+    u = _band_limited_solenoidal(g, np.random.default_rng(seed))
+    ref = fft_reference.advection(g, u)
+    assert np.abs(sp.inverse_band(_advection(sp, u)) - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
 @PROPERTY
 @given(st.sampled_from([8, 10, 12, 16, 20]), st.floats(min_value=0.5, max_value=20.0),
        st.integers(min_value=0, max_value=2**32 - 1))
-def test_divergence_form_matches_advective_form(N, L, seed):
-    # on projected data band-limited by the 2/3 mask, div(u (x) u) = u . grad u
-    # and both products alias only into masked modes
+def test_nonlinearity_takes_every_mode_of_rough_input(N, L, seed):
+    # a solenoidal field with content outside the band enters nonlinearity
+    # untruncated: its products match the full-grid divergence form, and
+    # truncating the input to the band changes the result
     g = Grid(3, N, L)
     sp = g.spectral()
-    rng = np.random.default_rng(seed)
-    uh = sp.project(sp.forward(rng.standard_normal((3,) + g.shape)) * sp.dealias)
-    ref = _advective_nonlin_hat(sp, uh)
-    assert np.abs(_nonlin_hat(sp, uh) - ref).max() <= 1e-12 * np.abs(ref).max()
+    u = leray_project(Field(g, np.random.default_rng(seed).standard_normal((3,) + g.shape)))
+    ref = fft_reference.advection(g, u.data, form="divergence")
+    out = nonlinearity(u).data
+    scale = np.abs(ref).max()
+    assert np.abs(out - ref).max() <= 1e-13 * scale
+    truncated = nonlinearity(Field(g, sp.inverse_band(sp.forward_band(u.data)))).data
+    assert np.abs(truncated - ref).max() >= 1e-3 * scale
 
 
 @PROPERTY
