@@ -15,9 +15,11 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
 import sys
 import time
+from dataclasses import asdict
 
 import numpy as np
 import scipy.fft
@@ -121,15 +123,23 @@ class ConfigError(Exception):
     pass
 
 
-def _config_hash(cfg: dict) -> str:
-    blob = json.dumps(cfg, sort_keys=True).encode()
-    return hashlib.sha256(blob).hexdigest()
+def _null_if_not_finite(x):
+    """None for the documented non-finite outputs, so they are written as null."""
+    return x if math.isfinite(x) else None
+
+
+def _json_text(obj, **kw) -> str:
+    """Strict JSON with sorted keys; any non-finite number is a ValueError."""
+    try:
+        return json.dumps(obj, sort_keys=True, allow_nan=False, **kw)
+    except ValueError as exc:
+        raise ValueError(f"a non-finite number cannot be written as strict JSON: {exc}") from None
 
 
 def _write_json(path, obj) -> None:
+    text = _json_text(obj, indent=2)
     with open(path, "w") as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -145,13 +155,18 @@ def _corpus_field(cfg, components=3):
 def _cmd_check_weight(cfg, outdir):
     w = RadialWeight(s=cfg["alpha"], form=cfg["form"])
     report = aq_check(w, cfg["q"], cube_sides=_cube_sides(cfg), n=cfg["n"])
-    with open(os.path.join(outdir, "aq_report.json"), "w") as fh:
-        fh.write(report.to_json())
-        fh.write("\n")
-    return {
+    # an overflowing cube product, and the sup it sets, are written as null
+    samples = [{k: _null_if_not_finite(v) for k, v in asdict(s).items()}
+               for s in report.samples]
+    sup = _null_if_not_finite(report.sup_estimate)
+    _write_json(os.path.join(outdir, "aq_report.json"), {
+        "q": report.q,
+        "weight": {"form": w.form, "s": w.s},
+        "samples": samples,
+        "sup": sup,
         "verdict": report.verdict,
-        "sup_estimate": report.sup_estimate,
-    }, 0
+    })
+    return {"verdict": report.verdict, "sup_estimate": sup}, 0
 
 
 def _cmd_admissible_range(cfg, outdir):
@@ -357,7 +372,7 @@ def _cmd_periodicity_check(cfg, outdir, run):
 def _cmd_weighted_report(cfg, outdir, run):
     sol, force, _ = run
     rep = weighted_report(sol, force, cfg["q1"], cfg["q2"], cfg["s"])
-    return rep, 0
+    return {**rep, "ratio": _null_if_not_finite(rep["ratio"])}, 0   # NaN without forcing
 
 
 # subcommand -> (implementation, description,
@@ -473,7 +488,7 @@ def main(argv=None) -> int:
 def _fail(kind: str, detail: str, outdir=None) -> int:
     """Print the JSON error line, copy it to outdir/error.json if given; the exit code."""
     payload = {"error": kind, "detail": detail}
-    print(json.dumps(payload))
+    print(_json_text(payload))
     if outdir is not None:
         _write_json(os.path.join(outdir, "error.json"), payload)
     return 2 if kind == "invalid-config" else 1
@@ -502,32 +517,31 @@ def _run(args) -> int:
     except OSError as exc:
         return _fail("invalid-config", f"cannot create the output directory: {exc}")
 
-    t0 = time.time()
+    t0 = time.perf_counter()
     try:
         result, status = _COMMANDS[args.command][0](cfg, outdir, *inputs)
+        wall = time.perf_counter() - t0
+        manifest = {
+            "command": args.command,
+            "config": cfg,
+            "config_sha256": hashlib.sha256(_json_text(cfg).encode()).hexdigest(),
+            "prng": PRNG_ID,
+            "versions": {
+                "python": sys.version.split()[0],
+                "numpy": np.__version__,
+                "scipy": scipy.__version__,
+                "stokeslab": __version__,
+            },
+            "wall_time_s": wall,
+        }
+        _write_json(os.path.join(outdir, "result.json"), result)
+        if args.command == "solve-periodic":     # the one run directory other commands read
+            manifest["artifacts"] = {name: _sha256(os.path.join(outdir, name))
+                                     for name in _node_names(cfg["M"])}
+        _write_json(os.path.join(outdir, "manifest.json"), manifest)
     except (ValueError, RuntimeError) as exc:
         return _fail("precondition-violation", str(exc), outdir)
-    wall = time.time() - t0
-
-    _write_json(os.path.join(outdir, "result.json"), result)
-    manifest = {
-        "command": args.command,
-        "config": cfg,
-        "config_sha256": _config_hash(cfg),
-        "prng": PRNG_ID,
-        "versions": {
-            "python": sys.version.split()[0],
-            "numpy": np.__version__,
-            "scipy": scipy.__version__,
-            "stokeslab": __version__,
-        },
-        "wall_time_s": wall,
-    }
-    if args.command == "solve-periodic":     # the one run directory other commands read
-        manifest["artifacts"] = {name: _sha256(os.path.join(outdir, name))
-                                 for name in _node_names(cfg["M"])}
-    _write_json(os.path.join(outdir, "manifest.json"), manifest)
-    print(json.dumps(result, sort_keys=True))
+    print(_json_text(result))
     return status
 
 

@@ -66,13 +66,14 @@ def refine_field(f: Field, factor: int = 2) -> Field:
     return Field(Grid(g.n, factor * g.N, g.L), refine_block(f.data, g.n, factor))
 
 
-def refine_block(data, n: int, factor: int, window: slice = slice(None)):
+def refine_block(data, n: int, factor: int, window=slice(None)):
     """refine_field on a bare array whose last n axes are grid axes.
 
-    Each axis is cut to the fine-index window right after it is refined, so
-    the later axes transform only the lines that cross the window.  Every
-    line is transformed whole, so the block is bit-identical to the same
-    window of the full refinement.
+    window is a slice or an index array of fine indices, the same on every
+    axis.  Each axis is cut to it right after it is refined, so the later
+    axes transform only the lines that cross the window.  Every line is
+    transformed whole, so the block is bit-identical to the same window of
+    the full refinement.
     """
     for ax in range(data.ndim - n, data.ndim):
         N = data.shape[ax]

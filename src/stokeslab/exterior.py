@@ -8,12 +8,14 @@ supported exactly in the closed annulus and the construction is second
 order accurate in the grid spacing.  Everything here is n = 3 only.
 
 The solver pays only for the annulus.  Its field sampler refines and
-prefilters the cube around the ball |x| <= R + 1 plus a fixed margin, not
-the whole grid.  The spherical synthesis at the annulus points runs its
-Legendre recursion and matrix products only above the equator: the point
-set is symmetric under z -> -z (grid index k pairs with N - k on the last
-axis), and the parity of P_l^m gives the values below from the even and
-odd l + m sums above.
+prefilters only the cube around the ball |x| <= R + 1 plus a fixed margin;
+on a coarse grid that window is longer than the period and wraps round it.
+One Gauss-Legendre ray quadrature gives both the per-ray masses on the
+sphere grid and the partial ray integrals at the annulus points.  The
+spherical synthesis at the annulus points runs its Legendre recursion and
+matrix products only above the equator: the point set is symmetric under
+z -> -z (grid index k pairs with N - k on the last axis), and the parity
+of P_l^m gives the values below from the even and odd l + m sums above.
 """
 
 from __future__ import annotations
@@ -233,7 +235,7 @@ def _equator_fold(inside):
 # transition window of the radial mass-transport profile, inside (0, 1)
 _TRANSPORT_LO = 0.15
 _TRANSPORT_HI = 0.85
-# Gauss-Legendre nodes of the radial quadrature on [R, R+1]
+# Gauss-Legendre nodes of the ray quadrature _ray_integral
 _N_RAD = 24
 # relative divergence of u0 on the exterior region that still counts as zero
 _DIV_RTOL = 1e-8
@@ -247,12 +249,11 @@ class _FieldSampler:
     The samples are first upsampled 2x by trigonometric interpolation (the
     fields are band-limited), then read off with a cubic spline; the spline
     coefficients are prepared once.  Only the cube around the ball plus
-    _WINDOW_MARGIN fine samples per side is refined and prefiltered.  The
-    prefilter there mirrors at the window's edges instead of wrapping round
-    the grid; its recursion decays like (2 - sqrt 3)^d over d samples, so at
-    the ball that changes the coefficients by about 0.268^32 ~ 5e-19
-    relative.  When the window would reach past the grid's edge, the whole
-    grid is refined and prefiltered with wrap-around instead.
+    _WINDOW_MARGIN fine samples per side is refined and prefiltered; on a
+    coarse grid that window is longer than the period and wraps round it.
+    The prefilter mirrors at the window's edges instead of wrapping; its
+    recursion decays like (2 - sqrt 3)^d over d samples, so at the ball that
+    changes the coefficients by about 0.268^32 ~ 5e-19 relative.
     """
 
     def __init__(self, f: Field, radius: float):
@@ -265,21 +266,27 @@ class _FieldSampler:
         # fine indices of the ball's bounding box: edge and N_f - edge, so
         # the window is symmetric about x = 0 like the ball
         edge = int(np.floor((g.L - radius) / self.h))
-        lo, hi = edge - _WINDOW_MARGIN, Nf - edge + _WINDOW_MARGIN + 1
-        if lo < 0 or hi > Nf:
-            lo, window, self.mode = 0, slice(None), "grid-wrap"
-        else:
-            window, self.mode = slice(lo, hi), "mirror"
-        self.lo = lo
+        self.lo = edge - _WINDOW_MARGIN
+        window = np.arange(self.lo, Nf - edge + _WINDOW_MARGIN + 1) % Nf
         fine = refine_block(f.data, g.n, 2, window)
-        self.coeffs = spline_filter(fine, order=3, mode=self.mode)
+        self.coeffs = spline_filter(fine, order=3, mode="mirror")
 
     def __call__(self, points):
         """Values at points given components first, shape (3, ...)."""
         from scipy.ndimage import map_coordinates
 
         return map_coordinates(self.coeffs, (points + self.L) / self.h - self.lo, order=3,
-                               mode=self.mode, prefilter=False)
+                               mode="mirror", prefilter=False)
+
+
+def _ray_integral(sample_f, R, r, u):
+    """int_R^r f(rho u) rho^2 drho along the unit vectors u, shape (3, ...), to
+    the radii r (a scalar or an array of u's point shape), by Gauss-Legendre."""
+    t, w = (a.reshape((-1,) + (1,) * (u.ndim - 1))
+            for a in np.polynomial.legendre.leggauss(_N_RAD))
+    half = 0.5 * (r - R)
+    rho = R + half * (t + 1.0)                            # (n_rad, ...)
+    return np.sum(w * rho**2 * sample_f(rho * u[:, None]), axis=0) * half
 
 
 def bogovskii_apply(f: Field, spec: AnnulusSpec, mean_rtol: float = 1e-10) -> Field:
@@ -312,15 +319,11 @@ def bogovskii_apply(f: Field, spec: AnnulusSpec, mean_rtol: float = 1e-10) -> Fi
     sample_f = _FieldSampler(f, R + 1.0)
 
     # per-ray masses m(omega) = int_R^{R+1} f(rho omega) rho^2 drho on the sphere grid
-    tg, vg = np.polynomial.legendre.leggauss(_N_RAD)
-    rho = R + 0.5 * (tg + 1.0)          # nodes on [R, R+1]
-    wrho = 0.5 * vg
     st = sph.sin_t[:, None]
     dirs = np.stack(np.broadcast_arrays(
         st * np.cos(sph.phi), st * np.sin(sph.phi), sph.mu[:, None]
     ))  # (3, n_theta, n_phi)
-    fvals = sample_f(rho[:, None, None] * dirs[:, None])
-    m_grid = np.tensordot(wrho * rho**2, fvals, axes=(0, 0))
+    m_grid = _ray_integral(sample_f, R, R + 1.0, dirs)
 
     # correct the (tiny) residual mean so the l=0 mode is exactly absent
     coef = sph.analyze(m_grid)
@@ -347,11 +350,7 @@ def bogovskii_apply(f: Field, spec: AnnulusSpec, mean_rtol: float = 1e-10) -> Fi
     Md = _smoothstep7_d(tt) / width
 
     # radial part: (int_R^r f rho^2 - M(r) m(omega)) / r^2 along each ray
-    half = 0.5 * (pr - R)
-    rho_p = R + half[None, :] * (tg[:, None] + 1.0)      # (n_rad, Np)
-    fray = sample_f(rho_p * rhat[:, None])
-    F_p = np.sum((vg[:, None] * rho_p**2) * fray, axis=0) * half
-
+    F_p = _ray_integral(sample_f, R, pr, rhat)
     v_r = (F_p - M * m_p) / pr**2
 
     sin_tp = np.sin(theta_p)

@@ -20,7 +20,10 @@ spectrum by the scalar time factor at every node or stage time.
 
 Fixed points of the map are T-periodic mild solutions; picard_solve
 iterates from u = 0 and records the largest node residual of each
-iteration.  periodicity_check re-simulates one period with an independent
+iteration.  It stops once that residual is at most the tolerance, and
+raises ContractionError when it is not finite or has risen three times
+running; the forcing's period and amplitude must be finite.
+periodicity_check re-simulates one period with an independent
 ETDRK4 exponential integrator (Cox & Matthews 2002).
 
 Every spectrum the solver carries lies in the 2/3 band of the grid's
@@ -70,15 +73,16 @@ __all__ = [
 
 
 class ContractionError(RuntimeError):
-    """Raised when the fixed-point residuals stop contracting."""
+    """Raised when the fixed-point residuals stop contracting: the last
+    residual is not finite, or it has risen three times running."""
 
-    def __init__(self, growth_factor, history):
-        super().__init__(
-            f"outside contraction regime: residual growth factor "
-            f"{growth_factor:.3f} over the last iterations"
-        )
-        self.growth_factor = growth_factor
+    def __init__(self, history):
         self.history = history
+        self.growth_factor = (history[-1] / max(history[-4], 1e-300) if len(history) > 3
+                              else math.nan)
+        what = (f"residual growth factor {self.growth_factor:.3f} over the last iterations"
+                if math.isfinite(history[-1]) else f"residual {history[-1]} is not finite")
+        super().__init__(f"outside contraction regime: {what}")
 
 
 @dataclass(frozen=True)
@@ -90,8 +94,10 @@ class PeriodicForce:
     amplitude: float = 1.0
 
     def __post_init__(self):
-        if not self.T > 0:
-            raise ValueError("period must be positive")
+        if not 0 < self.T < math.inf:
+            raise ValueError(f"period T must be positive and finite, got {self.T}")
+        if not math.isfinite(self.amplitude):
+            raise ValueError(f"forcing amplitude must be finite, got {self.amplitude}")
 
     def factor(self, t):
         """The time factor cos(2 pi (t mod T) / T), elementwise over arrays."""
@@ -108,8 +114,8 @@ class PicardConfig:
     def __post_init__(self):
         if self.M < 8 or self.M % 2 != 0:
             raise ValueError("node count M must be even and >= 8")
-        if not self.tol > 0:
-            raise ValueError("tolerance must be positive")
+        if not 0 < self.tol < math.inf:
+            raise ValueError(f"tolerance must be positive and finite, got {self.tol}")
         if self.max_iter < 1:
             raise ValueError(f"iteration cap max_iter must be >= 1, got {self.max_iter}")
 
@@ -286,27 +292,19 @@ def picard_solve(force: PeriodicForce, cfg: PicardConfig, grid: Grid) -> Periodi
     u_hats = np.zeros((cfg.M,) + fh.shape, dtype=complex)
 
     history = []
-    converged = False
-    grow_count = 0
     for _ in range(cfg.max_iter):
         new = _map_hats(map(sp.inverse_band, u_hats), force, fh, sp, cfg)
         scale = max(max(sp.l2(a) for a in new), 1e-300)
-        res = max(sp.l2(a - b) for a, b in zip(new, u_hats)) / scale
-        history.append(res)
+        history.append(max(sp.l2(a - b) for a, b in zip(new, u_hats)) / scale)
         u_hats = new
-        if res <= cfg.tol:
-            converged = True
+        if history[-1] <= cfg.tol:
             break
-        if len(history) >= 2 and history[-1] >= history[-2]:
-            grow_count += 1
-            if grow_count >= 3:
-                growth = history[-1] / max(history[-4], 1e-300)
-                raise ContractionError(growth, history)
-        else:
-            grow_count = 0
+        if not math.isfinite(history[-1]) or (
+                len(history) >= 4 and history[-4] <= history[-3] <= history[-2] <= history[-1]):
+            raise ContractionError(history)
 
     return PeriodicSolution(grid=grid, T=force.T, snapshots=sp.inverse_band(u_hats),
-                            converged=converged, residual_history=history)
+                            converged=history[-1] <= cfg.tol, residual_history=history)
 
 
 def periodicity_check(sol: PeriodicSolution, force: PeriodicForce,

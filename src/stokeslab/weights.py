@@ -12,8 +12,7 @@ cubes) are caught; thresholds below were calibrated on the <x>^a family.
 
 from __future__ import annotations
 
-import json
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -83,18 +82,6 @@ class AqReport:
     sup_estimate: float
     verdict: str
 
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "q": self.q,
-                "weight": {"form": self.weight.form, "s": self.weight.s},
-                "samples": [asdict(s) for s in self.samples],
-                "sup": self.sup_estimate,
-                "verdict": self.verdict,
-            },
-            indent=2,
-        )
-
 
 def _cube_points(n: int, m: int):
     ax = (np.arange(m) + 0.5) / m - 0.5
@@ -138,8 +125,8 @@ def aq_check(
     of the running sup over the last ladder step: from the largest side
     strictly below the largest to the largest.
     """
-    if not q > 1.0:
-        raise ValueError(f"Muckenhoupt index q must exceed 1, got {q}")
+    if not 1.0 < q < np.inf:
+        raise ValueError(f"Muckenhoupt index q must be finite and exceed 1, got {q}")
     _check_dimension(n)
     if cube_sides is None:
         cube_sides = [2.0**k for k in range(-3, 11)]
@@ -189,8 +176,8 @@ def aq_check(
 
 def admissible_range(q: float, n: int):
     """Open interval of s with <x>^(sq) in the A_q class: (-n/q, n(1-1/q))."""
-    if not q > 1.0:
-        raise ValueError(f"Lebesgue index q must exceed 1, got {q}")
+    if not 1.0 < q < np.inf:
+        raise ValueError(f"Lebesgue index q must be finite and exceed 1, got {q}")
     _check_dimension(n)
     return (-n / q, n * (1.0 - 1.0 / q))
 

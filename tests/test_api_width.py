@@ -1,9 +1,13 @@
 """The package's top-level API is no wider than what its callers use."""
 
 import ast
-import importlib
+import os
 import pathlib
 import re
+import subprocess
+import sys
+
+import pytest
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 
@@ -31,14 +35,12 @@ def test_every_top_level_name_has_a_caller():
     assert not unused, f"exported by stokeslab but named by no caller: {unused}"
 
 
-def test_every_demo_import_exists():
-    # the demos run nowhere in the suite, so a name they import from the
-    # package must be checked here
-    missing = []
-    for path in sorted(ROOT.glob("demos/*.py")):
-        for node in ast.walk(ast.parse(path.read_text())):
-            if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("stokeslab"):
-                module = importlib.import_module(node.module)
-                missing += [f"{path.name}: {node.module}.{alias.name}"
-                            for alias in node.names if not hasattr(module, alias.name)]
-    assert not missing, f"demos import names the package does not define: {missing}"
+@pytest.mark.parametrize("demo", sorted(p.name for p in ROOT.glob("demos/*.py")))
+def test_demo_runs(demo, tmp_path):
+    # in tmp_path: demo 03 writes decay_demo.csv into its working directory
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, str(ROOT / "demos" / demo)], cwd=tmp_path,
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert "Traceback" not in proc.stdout + proc.stderr

@@ -15,10 +15,32 @@ from stokeslab.corpus import random_smooth_field
 from stokeslab.grid import Grid, gradient, load_field, save_field
 
 
+def _reject_constant(name):
+    raise ValueError(f"{name} is not a JSON number")
+
+
+def loads(text):
+    """Strict JSON: NaN, Infinity and -Infinity are rejected."""
+    return json.loads(text, parse_constant=_reject_constant)
+
+
+@pytest.fixture(autouse=True)
+def strict_json_files(monkeypatch):
+    """Every JSON file the CLI writes parses as strict JSON."""
+    write = cli._write_json
+
+    def checked(path, obj):
+        write(path, obj)
+        with open(path) as fh:
+            loads(fh.read())
+
+    monkeypatch.setattr(cli, "_write_json", checked)
+
+
 def run_cli(capsys, *argv):
     status = cli.main(list(argv))
     out = capsys.readouterr().out.strip().splitlines()[-1]
-    return status, json.loads(out)
+    return status, loads(out)
 
 
 def test_admissible_range_command(tmp_path, capsys):
@@ -36,8 +58,29 @@ def test_check_weight_finite(tmp_path, capsys):
     )
     assert status == 0
     assert out["verdict"] == "finite"
-    report = json.loads((tmp_path / "aq_report.json").read_text())
+    report = loads((tmp_path / "aq_report.json").read_text())
     assert report["verdict"] == "finite"
+
+
+def test_aq_report_json(tmp_path, capsys):
+    status, out = run_cli(capsys, "check-weight", "--alpha", "0.5", "--q", "2",
+                          "--out", str(tmp_path))
+    assert status == 0
+    doc = loads((tmp_path / "aq_report.json").read_text())
+    assert set(doc) == {"q", "weight", "sup", "samples", "verdict"}
+    assert doc["q"] == 2.0 and doc["verdict"] == out["verdict"]
+    assert doc["weight"] == {"form": "inhomogeneous", "s": 0.5}
+    assert doc["sup"] == out["sup_estimate"]
+    assert {"center", "side", "product", "refinement_jump"} <= set(doc["samples"][0])
+
+
+def test_check_weight_overflow_is_null(tmp_path, capsys):
+    status, out = run_cli(capsys, "check-weight", "--alpha", "1000", "--out", str(tmp_path))
+    assert status == 0
+    assert out == {"sup_estimate": None, "verdict": "diverging"}
+    doc = loads((tmp_path / "aq_report.json").read_text())
+    assert doc["sup"] is None
+    assert None in [s["product"] for s in doc["samples"]]
 
 
 def test_feasibility_command(tmp_path, capsys):
@@ -60,7 +103,7 @@ def test_decay_command_writes_csv(tmp_path, capsys):
     with open(tmp_path / "decay.csv", newline="") as fh:
         rows = list(csv.reader(fh))
     assert rows[0] == ["t", "norm", "predicted_envelope", "ratio"]
-    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    manifest = loads((tmp_path / "manifest.json").read_text())
     assert manifest["command"] == "decay"
     assert "config_sha256" in manifest and "wall_time_s" in manifest
     assert manifest["prng"].startswith("numpy.random")
@@ -100,8 +143,8 @@ def test_run_chain_periodicity_and_report(tmp_path, capsys):
 
 
 def _floats(value):
-    """Every float in a JSON value, nested lists and objects included."""
-    if isinstance(value, float):
+    """Every float and null in a JSON value, nested lists and objects included."""
+    if value is None or isinstance(value, float):
         return [value]
     if isinstance(value, dict):
         value = list(value.values())
@@ -123,9 +166,9 @@ def _floats(value):
 def test_command_success_paths(argv, tmp_path, capsys):
     status, out = run_cli(capsys, *argv, "--out", str(tmp_path))
     assert status == 0
-    assert all(math.isfinite(x) for x in _floats(out))
-    assert json.loads((tmp_path / "result.json").read_text()) == out
-    cfg = json.loads((tmp_path / "manifest.json").read_text())["config"]
+    assert all(x is not None and math.isfinite(x) for x in _floats(out))
+    assert loads((tmp_path / "result.json").read_text()) == out
+    cfg = loads((tmp_path / "manifest.json").read_text())["config"]
     for path in tmp_path.glob("*.field"):
         assert load_field(path).grid.compatible(Grid(3, cfg["N"], cfg["L"]))
     if argv[0] == "bogovskii-test":
@@ -144,8 +187,8 @@ def test_deterministic_artifacts(tmp_path, capsys):
     capsys.readouterr()
     assert (d1 / "result.json").read_bytes() == (d2 / "result.json").read_bytes()
     assert (d1 / "decay.csv").read_bytes() == (d2 / "decay.csv").read_bytes()
-    m1 = json.loads((d1 / "manifest.json").read_text())
-    m2 = json.loads((d2 / "manifest.json").read_text())
+    m1 = loads((d1 / "manifest.json").read_text())
+    m2 = loads((d2 / "manifest.json").read_text())
     m1.pop("wall_time_s"), m2.pop("wall_time_s")
     assert m1 == m2
 
@@ -170,6 +213,19 @@ def test_invalid_config_file(command, payload, tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("content", [None, "{not json"], ids=["unreadable", "bad-json"])
+def test_config_file_that_cannot_be_read(content, tmp_path, capsys):
+    cfgfile = tmp_path / "cfg.json"
+    if content is not None:
+        cfgfile.write_text(content)
+    status, out = run_cli(capsys, "decay", "--config", str(cfgfile),
+                          "--out", str(tmp_path / "out"))
+    assert status == 2
+    assert out["error"] == "invalid-config"
+    assert "cannot read config file" in out["detail"]
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("argv", [["--help"], ["decay", "--help"]])
 def test_help_prints_usage(argv, capsys):
     with pytest.raises(SystemExit) as exc:
@@ -184,8 +240,29 @@ def test_precondition_violation_is_machine_readable(tmp_path, capsys):
     )
     assert status == 1
     assert out["error"] == "precondition-violation"
-    err = json.loads((tmp_path / "error.json").read_text())
+    err = loads((tmp_path / "error.json").read_text())
     assert "detail" in err
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_non_finite_result_is_a_precondition_violation(value, tmp_path, capsys, monkeypatch):
+    """Only documented fields are written as null; any other non-finite number fails."""
+    _, description, options = cli._COMMANDS["admissible-range"]
+    monkeypatch.setitem(cli._COMMANDS, "admissible-range",
+                        (lambda cfg, outdir: ({"lo": 0.0, "hi": value}, 0), description, options))
+    status, out = run_cli(capsys, "admissible-range", "--out", str(tmp_path))
+    assert status == 1
+    assert out["error"] == "precondition-violation"
+    assert "non-finite" in out["detail"]
+    assert sorted(os.listdir(tmp_path)) == ["error.json"]
+
+
+def test_non_finite_unused_option_is_a_precondition_violation(tmp_path, capsys):
+    status, out = run_cli(capsys, "feasibility", "--step", "inf", "--out", str(tmp_path))
+    assert status == 1
+    assert out["error"] == "precondition-violation"
+    assert "non-finite" in out["detail"]
+    assert sorted(os.listdir(tmp_path)) == ["error.json"]
 
 
 def test_config_file_with_flag_override(tmp_path, capsys):
@@ -273,6 +350,14 @@ def _assert_rejected(capsys, run, command="periodicity-check"):
     return out["detail"]
 
 
+def test_weighted_report_of_zero_forcing_has_null_ratio(small_run, tmp_path, capsys):
+    status, out = run_cli(capsys, "weighted-report", "--run", str(small_run),
+                          "--out", str(tmp_path / "rep"))
+    assert status == 0
+    assert out["applicable"] is False and out["ratio"] is None
+    assert loads((tmp_path / "rep" / "result.json").read_text()) == out
+
+
 def test_run_missing_directory(tmp_path, capsys):
     missing = tmp_path / "missing"
     _assert_rejected(capsys, missing)
@@ -297,7 +382,7 @@ def test_run_empty_flag_is_invalid_config(tmp_path, capsys, monkeypatch):
 
 def test_run_manifest_missing_key(small_run, tmp_path, capsys):
     run = _copy_run(small_run, tmp_path / "run")
-    manifest = json.loads((run / "manifest.json").read_text())
+    manifest = loads((run / "manifest.json").read_text())
     del manifest["config"]["M"]
     (run / "manifest.json").write_text(json.dumps(manifest))
     assert "'M'" in _assert_rejected(capsys, run)
@@ -305,7 +390,7 @@ def test_run_manifest_missing_key(small_run, tmp_path, capsys):
 
 def test_run_manifest_of_another_command(small_run, tmp_path, capsys):
     run = _copy_run(small_run, tmp_path / "run")
-    manifest = json.loads((run / "manifest.json").read_text())
+    manifest = loads((run / "manifest.json").read_text())
     manifest["command"] = "decay"
     (run / "manifest.json").write_text(json.dumps(manifest))
     assert "not solve-periodic" in _assert_rejected(capsys, run)
@@ -324,7 +409,7 @@ def test_run_manifest_not_an_object(manifest, small_run, tmp_path, capsys):
 
 def test_run_manifest_config_value_of_wrong_type(small_run, tmp_path, capsys):
     run = _copy_run(small_run, tmp_path / "run")
-    manifest = json.loads((run / "manifest.json").read_text())
+    manifest = loads((run / "manifest.json").read_text())
     manifest["config"]["M"] = "8"
     (run / "manifest.json").write_text(json.dumps(manifest))
     _assert_rejected(capsys, run)
@@ -347,7 +432,7 @@ def _sha256(path):
 
 
 def test_solve_manifest_lists_node_digests(small_run):
-    manifest = json.loads((small_run / "manifest.json").read_text())
+    manifest = loads((small_run / "manifest.json").read_text())
     names = [f"node_{m:03d}.field" for m in range(8)]
     assert manifest["artifacts"] == {name: _sha256(small_run / name) for name in names}
 
@@ -376,11 +461,19 @@ def test_run_node_edited_byte(small_run, tmp_path, capsys):
 
 def test_run_manifest_without_artifacts(small_run, tmp_path, capsys):
     run = _copy_run(small_run, tmp_path / "run")
-    manifest = json.loads((run / "manifest.json").read_text())
+    manifest = loads((run / "manifest.json").read_text())
     del manifest["artifacts"]
     (run / "manifest.json").write_text(json.dumps(manifest))
     assert "'artifacts'" in _assert_rejected(capsys, run)
     _assert_rejected(capsys, run, "weighted-report")
+
+
+def test_run_manifest_artifacts_not_an_object(small_run, tmp_path, capsys):
+    run = _copy_run(small_run, tmp_path / "run")
+    manifest = loads((run / "manifest.json").read_text())
+    manifest["artifacts"] = ["node_000.field"]
+    (run / "manifest.json").write_text(json.dumps(manifest))
+    assert "no object of artifact digests" in _assert_rejected(capsys, run)
 
 
 def test_run_node_header_mismatch(small_run, tmp_path, capsys):
@@ -411,7 +504,7 @@ def test_run_node_not_solenoidal(small_run, tmp_path, capsys):
     node = load_field(run / "node_000.field")
     g = Grid(3, node.grid.N, node.grid.L)
     save_field(gradient(random_smooth_field(g, seed=5, components=1)), run / "node_000.field")
-    manifest = json.loads((run / "manifest.json").read_text())
+    manifest = loads((run / "manifest.json").read_text())
     manifest["artifacts"]["node_000.field"] = _sha256(run / "node_000.field")
     (run / "manifest.json").write_text(json.dumps(manifest))
     status, out = run_cli(capsys, "periodicity-check", "--run", str(run),
@@ -464,6 +557,16 @@ def test_run_node_not_solenoidal(small_run, tmp_path, capsys):
         (["admissible-range", "--n", "-1"], "precondition-violation", 1),
         (["bogovskii-test", "--N", "8", "--L", "100"], "precondition-violation", 1),
         (["extend", "--N", "8", "--L", "100"], "precondition-violation", 1),
+        (["solve-periodic", "--T", "inf", "--N", "8", "--M", "8"], "precondition-violation", 1),
+        (["solve-periodic", "--eps", "nan", "--N", "8", "--M", "8"],
+         "precondition-violation", 1),
+        (["solve-periodic", "--eps", "inf", "--N", "8", "--M", "8"],
+         "precondition-violation", 1),
+        (["solve-periodic", "--tol", "inf", "--N", "8", "--M", "8"],
+         "precondition-violation", 1),
+        (["check-weight", "--q", "inf"], "precondition-violation", 1),
+        (["admissible-range", "--q", "inf"], "precondition-violation", 1),
+        (["decay", "--alpha-order", "2", "--N", "16"], "precondition-violation", 1),
     ],
     ids=["decay-points-0", "decay-points-1", "scan-step-0", "scan-empty", "force-unknown",
          "steps-0", "out-is-file", "out-under-file", "threads-negative", "N-not-int",
@@ -472,7 +575,9 @@ def test_run_node_not_solenoidal(small_run, tmp_path, capsys):
          "report-s-nan", "maximal-L-inf", "decay-L-inf", "decay-tmin-nan", "decay-tmax-inf",
          "decay-ladder-duplicate", "max-iter-0", "max-iter-negative", "check-weight-n-0",
          "check-weight-n-negative", "admissible-range-n-0", "admissible-range-n-negative",
-         "bogovskii-empty-annulus", "extend-empty-annulus"],
+         "bogovskii-empty-annulus", "extend-empty-annulus", "solve-T-inf", "solve-eps-nan",
+         "solve-eps-inf", "solve-tol-inf", "check-weight-q-inf", "admissible-range-q-inf",
+         "decay-alpha-order-2"],
 )
 def test_out_of_range_inputs(argv, error, status, small_run, tmp_path, capsys):
     (tmp_path / "file").write_text("")
@@ -483,12 +588,12 @@ def test_out_of_range_inputs(argv, error, status, small_run, tmp_path, capsys):
     assert cli.main(argv) == status
     lines = capsys.readouterr().out.strip().splitlines()
     assert len(lines) == 1
-    out = json.loads(lines[0])
+    out = loads(lines[0])
     assert out["error"] == error and out["detail"]
     if error == "invalid-config":
         assert os.listdir(tmp_path) == ["file"]
     else:
-        assert json.loads((tmp_path / "out" / "error.json").read_text()) == out
+        assert loads((tmp_path / "out" / "error.json").read_text()) == out
 
 
 @pytest.mark.parametrize(
@@ -497,8 +602,14 @@ def test_out_of_range_inputs(argv, error, status, small_run, tmp_path, capsys):
         (["extend", "--L", "inf", "--N", "16"], "L must be positive and finite"),
         (["decay", "--tmin", "nan", "--N", "16"], "positive finite times"),
         (["decay", "--tmax", "inf", "--N", "16"], "positive finite times"),
+        (["solve-periodic", "--T", "inf", "--N", "8", "--M", "8"],
+         "period T must be positive and finite"),
+        (["solve-periodic", "--eps", "nan", "--N", "8", "--M", "8"],
+         "forcing amplitude must be finite"),
+        (["check-weight", "--q", "inf"], "q must be finite"),
     ],
-    ids=["extend-L-inf", "decay-tmin-nan", "decay-tmax-inf"],
+    ids=["extend-L-inf", "decay-tmin-nan", "decay-tmax-inf", "solve-T-inf", "solve-eps-nan",
+         "check-weight-q-inf"],
 )
 def test_non_finite_inputs_are_named_in_the_error(argv, detail, tmp_path, capsys):
     with warnings.catch_warnings(record=True) as caught:

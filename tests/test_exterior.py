@@ -197,13 +197,20 @@ def test_windowed_sampler_matches_full_grid():
 
 
 def test_sampler_without_room_for_a_window_is_the_full_grid_path():
-    g = Grid(3, 64, 8.0)
+    # the window wraps round the period: 129 fine samples of 128 per axis at
+    # N = 64 (extend's inner annulus), 97 of 64 at N = 32, 81 of 32 at N = 16
     R = 3.0
-    f = random_smooth_field(g, 17)
-    sampler = _FieldSampler(f, R + 1.0)
-    assert sampler.coeffs.shape == (128, 128, 128)
-    for points in sampler_points(g, R):
-        assert np.array_equal(sampler(points), full_grid_samples(f, points))
+    for N, side in [(64, 129), (32, 97), (16, 81)]:
+        g = Grid(3, N, 8.0)
+        f = random_smooth_field(g, 17)
+        sampler = _FieldSampler(f, R + 1.0)
+        assert sampler.coeffs.shape == (side,) * 3
+        for points in sampler_points(g, R):
+            ref = full_grid_samples(f, points)
+            if N == 64:
+                assert np.array_equal(sampler(points), ref)
+            else:
+                assert np.abs(sampler(points) - ref).max() <= 1e-14 * np.abs(ref).max()
 
 
 @pytest.mark.parametrize("N, L, R", [(64, 8.0, 2.0), (100, 7.3, 2.0)])

@@ -252,6 +252,17 @@ def test_load_field_rejects_trailing_bytes(tmp_path):
         load_field(path)
 
 
+@pytest.mark.parametrize("components", [0, 2, 4])
+def test_load_field_rejects_component_count(tmp_path, components):
+    g = Grid(3, 8, 1.0)
+    path = tmp_path / "field.bin"
+    save_field(Field(g, np.ones(g.shape)), path)
+    raw = path.read_bytes()
+    path.write_bytes(struct.pack("<qqdq", 3, 8, 1.0, components) + raw[32:])
+    with pytest.raises(ValueError, match=f"header gives {components} components"):
+        load_field(path)
+
+
 def test_curl_matches_full_spectrum_reference():
     # reference: per-component complex transforms on the full spectrum
     g = Grid(3, 16, 4.0)

@@ -250,6 +250,13 @@ def test_outside_contraction_regime_raises():
     assert err.value.growth_factor > 0
 
 
+def test_non_finite_residual_raises():
+    force = random_solenoidal_force(T, seed=42, amplitude=1e200)
+    with pytest.raises(ContractionError, match="not finite") as err:
+        picard_solve(force, PicardConfig(M=8, tol=1e-8, max_iter=30), small_grid())
+    assert len(err.value.history) <= 2
+
+
 def test_nonlinear_solve_contracts_and_is_solenoidal():
     from stokeslab.grid import divergence
 
