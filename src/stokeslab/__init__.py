@@ -8,14 +8,11 @@ from .grid import (
     divergence,
     gradient,
     gradient_magnitude,
-    inner,
     integrate,
-    laplacian,
     load_field,
     save_field,
 )
 from .weights import (
-    HypothesisSet,
     RadialWeight,
     admissible_range,
     aq_check,
@@ -27,22 +24,14 @@ from .weights import (
 )
 from .semigroup import (
     decay_harness,
-    fit_power_law,
     fractional_integral,
-    heat_apply,
-    heat_kernel,
     heat_kernel_field,
-    kernel_domination_constant,
     leray_project,
     predicted_exponent,
-    riesz_gradient_check,
-    semigroup_gradient_apply,
-    stokes_apply,
     write_decay_csv,
 )
 from .exterior import (
     AnnulusSpec,
-    RadialCutoff,
     bogovskii_apply,
     divergence_defect,
     solenoidal_extension,
@@ -52,10 +41,8 @@ from .periodic import (
     PeriodicForce,
     PeriodicSolution,
     PicardConfig,
-    nonlinearity,
     periodicity_check,
     picard_solve,
-    poincare_map,
     random_solenoidal_force,
     single_mode_force,
     weighted_report,

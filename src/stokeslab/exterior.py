@@ -388,8 +388,8 @@ def solenoidal_extension(u0: Field, spec: AnnulusSpec):
     if not u0.is_vector:
         raise ValueError("solenoidal_extension expects a vector field")
     R = spec.R
-    inner = AnnulusSpec(R + 2.0)
-    inner.validate_for(grid)
+    shell = AnnulusSpec(R + 2.0)
+    shell.validate_for(grid)
 
     scale = integrate(u0, 2) * (np.pi / grid.L)
     if scale == 0.0:
@@ -411,7 +411,7 @@ def solenoidal_extension(u0: Field, spec: AnnulusSpec):
     fb = Field(grid, fb_data)
 
     # mean-zero holds analytically; on the grid only to quadrature accuracy
-    B = bogovskii_apply(fb, inner, mean_rtol=max(1e-10, 0.5 * grid.h))
+    B = bogovskii_apply(fb, shell, mean_rtol=max(1e-10, 0.5 * grid.h))
     v0 = Field(grid, (1.0 - phi) * u0.data + B.data)
     return v0, {
         "bog_defect": divergence_defect(B, fb),

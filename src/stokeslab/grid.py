@@ -48,9 +48,7 @@ __all__ = [
     "gradient_magnitude",
     "divergence",
     "curl",
-    "laplacian",
     "integrate",
-    "inner",
     "save_field",
     "load_field",
 ]
@@ -120,9 +118,6 @@ class Grid:
     def bracket(self, s: float):
         """Japanese bracket weight <x>^s = (1 + |x|^2)^(s/2)."""
         return (1.0 + self.radius_sq()) ** (0.5 * s)
-
-    def compatible(self, other: "Grid") -> bool:
-        return (self.n, self.N) == (other.n, other.N) and self.L == other.L
 
     def __repr__(self):
         return f"Grid(n={self.n}, N={self.N}, L={self.L})"
@@ -371,9 +366,6 @@ class Field:
             return np.sqrt(np.sum(self.data**2, axis=0))
         return np.abs(self.data)
 
-    def copy(self) -> "Field":
-        return Field(self.grid, self.data.copy())
-
     def __sub__(self, other):
         return Field(self.grid, self.data - other.data)
 
@@ -416,12 +408,6 @@ def curl(v: Field) -> Field:
     return Field(g, sp.inverse(1j * ch))
 
 
-def laplacian(f: Field) -> Field:
-    """Spectral Laplacian, multiplier -|xi|^2 (per component)."""
-    sp = f.grid.spectral()
-    return Field(f.grid, sp.apply(f.data, -sp.ksq))
-
-
 def integrate(f: Field, q: float, weight=None) -> float:
     """Weighted Lebesgue norm (sum |f|^q w^q h^n)^(1/q), finite q >= 1.
 
@@ -439,11 +425,6 @@ def integrate(f: Field, q: float, weight=None) -> float:
         terms *= f.grid.bracket(float(weight) * q)
     total = np.sum(terms) * f.grid.cell_volume
     return float(total ** (1.0 / q))
-
-
-def inner(f: Field, g: Field) -> float:
-    """L^2 inner product on the grid."""
-    return float(np.sum(f.data * g.data) * f.grid.cell_volume)
 
 
 # Flat binary field format: little-endian header (n, N int64, L float64,

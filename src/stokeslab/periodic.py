@@ -38,11 +38,9 @@ samples and returns the band spectrum of -P div(u (x) u), which is
 u_i u_j, transforms them onto the band and contracts them with a real
 table A[i, p] per band mode that folds the contraction -i sum_j k_j T_ij,
 the 2/3 rule and the Leray projection together.  On data band-limited by
-the 2/3 rule this agrees with the advective form to rounding; other data
-(nonlinearity, poincare_map) enter with all their modes, untruncated.
-Every velocity the solver produces is projected, and the public entry
-points (nonlinearity, poincare_map, periodicity_check) reject an input
-whose relative divergence exceeds 1e-8.
+the 2/3 rule this agrees with the advective form to rounding.  Every
+velocity the solver produces is projected, and periodicity_check rejects
+a start whose relative divergence exceeds 1e-8.
 """
 
 from __future__ import annotations
@@ -63,8 +61,6 @@ __all__ = [
     "PeriodicSolution",
     "single_mode_force",
     "random_solenoidal_force",
-    "nonlinearity",
-    "poincare_map",
     "picard_solve",
     "periodicity_check",
     "weighted_report",
@@ -224,13 +220,6 @@ def _advection(sp, u):
 _SOLENOIDAL_RTOL = 1e-8
 
 
-def _require_solenoidal(sp, uh, what: str) -> None:
-    den = sp.l2(np.sqrt(sp.ksq) * uh)
-    defect = sp.l2(sp.div(uh)) / den if den > 0 else 0.0
-    if defect > _SOLENOIDAL_RTOL:
-        raise ValueError(f"{what} is not solenoidal: relative divergence {defect:.3e}")
-
-
 def _force_hat(force: PeriodicForce, sp) -> np.ndarray:
     """Band spectrum of the projected amplitude * profile; the forcing at
     time t is this times force.factor(t)."""
@@ -254,48 +243,26 @@ def _resolve_periodic(h_hats: np.ndarray, sp, T: float) -> np.ndarray:
     return _fft.ifft(Hf, axis=0)
 
 
-def nonlinearity(u: Field) -> Field:
-    """-P(u . grad u), spectrally de-aliased; u must be solenoidal."""
-    sp = _spectral(u.grid)
-    if not u.is_vector:
-        raise ValueError("the advection nonlinearity expects a vector field")
-    _require_solenoidal(sp, sp.forward(u.data), "input")
-    return Field(u.grid, sp.inverse_band(_advection(sp, u.data)))
-
-
-def _map_hats(nodes, force: PeriodicForce, fh, sp, cfg: PicardConfig):
-    """H[u] at the nodes as band spectra, from the real samples of u at each
-    node (an iterable, read only with advection) and the forcing spectrum fh."""
-    h_hats = np.multiply.outer(force.factor(_node_times(force.T, cfg.M)), fh)
-    if not cfg.linear_only:
-        for m, u in enumerate(nodes):
-            h_hats[m] += _advection(sp, u)
-    return _resolve_periodic(h_hats, sp, force.T)
-
-
-def poincare_map(snapshots, force: PeriodicForce, cfg: PicardConfig,
-                 grid: Grid) -> np.ndarray:
-    """One application of the history-integral map to node snapshots."""
-    sp = _spectral(grid)
-    snapshots = np.asarray(snapshots, dtype=float)
-    if snapshots.shape != (cfg.M, 3) + grid.shape:
-        raise ValueError("snapshots must have shape (M, 3) + grid.shape")
-    for m, u in enumerate(snapshots):
-        _require_solenoidal(sp, sp.forward(u), f"snapshot {m}")
-    return sp.inverse_band(_map_hats(snapshots, force, _force_hat(force, sp), sp, cfg))
-
-
 def picard_solve(force: PeriodicForce, cfg: PicardConfig, grid: Grid) -> PeriodicSolution:
     """Iterate u <- H[u] from u = 0 until the node residuals settle."""
     sp = _spectral(grid)
     fh = _force_hat(force, sp)
+    factors = force.factor(_node_times(force.T, cfg.M))
     u_hats = np.zeros((cfg.M,) + fh.shape, dtype=complex)
 
     history = []
     for _ in range(cfg.max_iter):
-        new = _map_hats(map(sp.inverse_band, u_hats), force, fh, sp, cfg)
-        scale = max(max(sp.l2(a) for a in new), 1e-300)
-        history.append(max(sp.l2(a - b) for a, b in zip(new, u_hats)) / scale)
+        # H[u] at the nodes as band spectra
+        h_hats = np.multiply.outer(factors, fh)
+        if not cfg.linear_only:
+            for m, u_hat in enumerate(u_hats):
+                h_hats[m] += _advection(sp, sp.inverse_band(u_hat))
+        new = _resolve_periodic(h_hats, sp, force.T)
+        # a force far outside the contraction regime overflows the norms;
+        # the non-finite residual is caught below
+        with np.errstate(over="ignore", invalid="ignore"):
+            scale = max(max(sp.l2(a) for a in new), 1e-300)
+            history.append(max(sp.l2(a - b) for a, b in zip(new, u_hats)) / scale)
         u_hats = new
         if history[-1] <= cfg.tol:
             break
@@ -322,7 +289,10 @@ def periodicity_check(sol: PeriodicSolution, force: PeriodicForce,
         raise ValueError(f"periodicity check needs at least one time step, got {steps}")
     sp = _spectral(sol.grid)
     full = sp.forward(sol.snapshots[0])
-    _require_solenoidal(sp, full, "u(0)")
+    den = sp.l2(np.sqrt(sp.ksq) * full)
+    defect = sp.l2(sp.div(full)) / den if den > 0 else 0.0
+    if defect > _SOLENOIDAL_RTOL:
+        raise ValueError(f"u(0) is not solenoidal: relative divergence {defect:.3e}")
     u0_norm = sp.l2(full)
     start = sp.band(full)
     outside = sp.l2(full - sp.from_band(start))

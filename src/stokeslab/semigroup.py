@@ -1,5 +1,5 @@
-"""Heat kernel, heat/Stokes semigroup, Leray projection, fractional integrals,
-and the two-weight decay-rate harness.
+"""Heat kernel samples, Leray projection, fractional integrals and the
+two-weight decay-rate harness.
 
 The semigroup acts by the spectral multiplier exp(-t |xi|^2); on solenoidal
 mean-zero fields this is the Stokes evolution of the truncated whole space.
@@ -22,18 +22,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import Field, Grid, gradient, integrate
+from .grid import Field, Grid, integrate
 
 __all__ = [
-    "heat_kernel",
     "heat_kernel_field",
-    "heat_apply",
     "leray_project",
-    "stokes_apply",
-    "semigroup_gradient_apply",
     "fractional_integral",
-    "kernel_domination_constant",
-    "riesz_gradient_check",
     "DecaySeries",
     "ExponentFit",
     "fit_power_law",
@@ -43,30 +37,12 @@ __all__ = [
 ]
 
 
-def _gaussian(n: int, t: float, r_sq):
-    """The heat kernel (4 pi t)^(-n/2) exp(-|x|^2 / (4t)) from r_sq = |x|^2."""
+def heat_kernel_field(grid: Grid, t: float) -> Field:
+    """Samples of the heat kernel (4 pi t)^(-n/2) exp(-|x|^2 / (4t)); t > 0."""
     if not t > 0:
         raise ValueError(f"heat kernel needs t > 0, got {t}")
-    return (4.0 * np.pi * t) ** (-n / 2.0) * np.exp(-r_sq / (4.0 * t))
-
-
-def heat_kernel(n: int, t: float, x) -> np.ndarray:
-    """Gaussian heat kernel (4 pi t)^(-n/2) exp(-|x|^2 / (4t)); x has shape (..., n)."""
-    return _gaussian(n, t, np.sum(np.asarray(x, dtype=float) ** 2, axis=-1))
-
-
-def heat_kernel_field(grid: Grid, t: float) -> Field:
-    return Field(grid, _gaussian(grid.n, t, grid.radius_sq()))
-
-
-def heat_apply(f: Field, t: float) -> Field:
-    """Heat semigroup, multiplier exp(-t |xi|^2); t = 0 is the identity."""
-    if t < 0:
-        raise ValueError(f"heat semigroup needs t >= 0, got {t}")
-    if t == 0:
-        return f.copy()
-    sp = f.grid.spectral()
-    return Field(f.grid, sp.apply(f.data, np.exp(-t * sp.ksq)))
+    return Field(grid, (4.0 * np.pi * t) ** (-grid.n / 2.0)
+                 * np.exp(-grid.radius_sq() / (4.0 * t)))
 
 
 def leray_project(v: Field) -> Field:
@@ -79,21 +55,6 @@ def leray_project(v: Field) -> Field:
         raise ValueError("Leray projection expects a vector field")
     sp = v.grid.spectral()
     return Field(v.grid, sp.inverse(sp.project(sp.forward(v.data))))
-
-
-def stokes_apply(v: Field, t: float) -> Field:
-    """Stokes semigroup on the truncated whole space: heat flow after projection."""
-    if t < 0:
-        raise ValueError(f"Stokes semigroup needs t >= 0, got {t}")
-    return heat_apply(leray_project(v), t)
-
-
-def semigroup_gradient_apply(f: Field, t: float, j: int) -> Field:
-    """d/dx_j of the heat evolution, multiplier i xi_j exp(-t |xi|^2); t > 0."""
-    if not t > 0:
-        raise ValueError(f"semigroup gradient needs t > 0, got {t}")
-    sp = f.grid.spectral()
-    return Field(f.grid, sp.apply(f.data, 1j * sp.k[j] * np.exp(-t * sp.ksq)))
 
 
 def fractional_integral(f: Field, lam: float) -> Field:
@@ -153,25 +114,6 @@ def fractional_integral(f: Field, lam: float) -> Field:
     hat = sp.forward(pad)
     hat *= sp.forward(ker)
     return Field(g, np.ascontiguousarray(sp.inverse(hat)[first]))
-
-
-def kernel_domination_constant(n: int, lam: float) -> float:
-    """Smallest C with E_t(x) <= C |x|^(lam-n) t^(-lam/2) pointwise."""
-    a = n - lam
-    peak = (2.0 * a / math.e) ** (a / 2.0) if a > 0 else 1.0
-    return peak / (4.0 * math.pi) ** (n / 2.0)
-
-
-def riesz_gradient_check(v: Field, q: float = 2.0, s: float = 0.0) -> float:
-    """Ratio of weighted norms of grad v and (-Laplace)^(1/2) v (multiplier |xi|)."""
-    if v.is_vector:
-        raise ValueError("riesz check expects a scalar field")
-    sp = v.grid.spectral()
-    den = integrate(Field(v.grid, sp.apply(v.data, np.sqrt(sp.ksq))), q, s)
-    if den < 1e-14:
-        raise ValueError("(-Laplace)^(1/2) v vanishes; input is (numerically) constant")
-    num = integrate(gradient(v), q, s)
-    return num / den
 
 
 @dataclass(frozen=True)

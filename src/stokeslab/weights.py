@@ -94,8 +94,8 @@ def _cube_points(n: int, m: int):
 def _cube_product(w: RadialWeight, q: float, offset: float, side: float, u1, u_sq):
     # |c e1 + side u|^2 expanded; offset is the center's coordinate on axis 1
     r_sq = offset**2 + 2.0 * offset * side * u1 + side**2 * u_sq
-    vals = w.values_r2(r_sq)
     with np.errstate(divide="ignore", over="ignore"):
+        vals = w.values_r2(r_sq)
         inv = vals ** (-1.0 / (q - 1.0))
     a1 = float(np.mean(vals))
     a2 = float(np.mean(inv))
@@ -162,7 +162,8 @@ def aq_check(
     sides = np.array(cube_sides)
     running = np.maximum.accumulate(side_sups)
     prev = running[sides < sides[-1]][-1]
-    last_growth = running[-1] / prev if prev > 0 else np.inf
+    # an infinite running sup grows without bound (inf / inf would be NaN)
+    last_growth = running[-1] / prev if prev > 0 and np.isfinite(running[-1]) else np.inf
 
     if max_jump >= JUMP_DIVERGING or last_growth >= DIVERGING_GROWTH:
         verdict = "diverging"

@@ -3,7 +3,6 @@
 import ast
 import os
 import pathlib
-import re
 import subprocess
 import sys
 
@@ -24,14 +23,36 @@ def _top_level_names():
     return names
 
 
+def _identifiers(path):
+    """Every identifier a module's code names: Name and Attribute nodes and
+    import aliases.  Strings and comments name nothing."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.add(node.name)
+    return names
+
+
+# picard_solve takes a PeriodicForce and raises ContractionError, so every
+# caller of the solver meets both; the CLI and the criteria build the force
+# through single_mode_force / random_solenoidal_force and catch the error as
+# a RuntimeError, so neither names them.
+SOLVER_INTERFACE = ("PeriodicForce", "ContractionError")
+
+
 def test_every_top_level_name_has_a_caller():
-    here = pathlib.Path(__file__).resolve()
+    # the callers are what the package is for: the CLI, the demos and the
+    # acceptance criteria; unit tests alone keep no name public
     callers = [ROOT / "src" / "stokeslab" / "cli.py", *sorted(ROOT.glob("demos/*.py")),
-               *(p for p in sorted(ROOT.glob("tests/*.py")) if p.resolve() != here)]
-    text = "\n".join(p.read_text() for p in callers)
+               ROOT / "tests" / "test_acceptance.py"]
+    named = set().union(*map(_identifiers, callers))
     names = _top_level_names()
     assert "Grid" in names and "__version__" in names
-    unused = [n for n in names if not re.search(rf"\b{re.escape(n)}\b", text)]
+    unused = [n for n in names if n not in named and n not in SOLVER_INTERFACE]
     assert not unused, f"exported by stokeslab but named by no caller: {unused}"
 
 

@@ -11,13 +11,12 @@ from stokeslab.periodic import (
     ContractionError,
     PeriodicForce,
     PicardConfig,
-    nonlinearity,
     periodicity_check,
     picard_solve,
-    poincare_map,
     random_solenoidal_force,
     single_mode_force,
     weighted_report,
+    _advection,
     _force_hat,
     _resolve_periodic,
 )
@@ -61,10 +60,15 @@ def test_picard_config_validation():
         PeriodicForce(T=0.0, profile=None)
 
 
+# The advection term -P(u . grad u), 2/3-rule de-aliased, as samples:
+# sp.inverse_band(_advection(sp, u))
+
+
 def test_nonlinearity_zero():
     g = small_grid()
-    out = nonlinearity(Field(g, np.zeros((3,) + g.shape)))
-    assert np.all(out.data == 0.0)
+    sp = g.spectral()
+    out = sp.inverse_band(_advection(sp, np.zeros((3,) + g.shape)))
+    assert np.all(out == 0.0)
 
 
 def test_nonlinearity_mode_arithmetic():
@@ -76,9 +80,9 @@ def test_nonlinearity_mode_arithmetic():
     data = np.zeros((3,) + g.shape)
     data[0] = np.cos(2 * k0 * Z)
     data[1] = np.cos(3 * k0 * X)
-    u = Field(g, data)
-    B = nonlinearity(u)
-    Bh = np.fft.fftn(B.data, axes=(1, 2, 3))
+    sp = g.spectral()
+    B = sp.inverse_band(_advection(sp, data))
+    Bh = np.fft.fftn(B, axes=(1, 2, 3))
     peak0 = np.abs(Bh).max()
     assert abs(Bh[:, 0, 0, 0]).max() <= 1e-16 * peak0
     allowed = np.zeros(g.shape, dtype=bool)
@@ -90,19 +94,13 @@ def test_nonlinearity_mode_arithmetic():
     assert np.abs(Bh[:, ~allowed]).max() <= 1e-10 * peak
 
 
-def test_nonlinearity_rejects_nonsolenoidal():
-    g = small_grid()
-    u = random_smooth_field(g, 5, components=3)   # not projected
-    with pytest.raises(ValueError, match="solenoidal"):
-        nonlinearity(u)
-
-
 def test_nonlinearity_output_solenoidal_and_mean_zero():
     from stokeslab.grid import divergence
 
     g = small_grid()
+    sp = g.spectral()
     u = leray_project(random_smooth_field(g, 6, components=3))
-    B = nonlinearity(u)
+    B = Field(g, sp.inverse_band(_advection(sp, u.data)))
     assert B.data.mean() == pytest.approx(0.0, abs=1e-16)
     scale = np.sqrt(sum(integrate(gradient(Field(g, B.data[j])), 2) ** 2 for j in range(3)))
     assert integrate(divergence(B), 2) <= 1e-10 * scale
@@ -112,10 +110,11 @@ def test_nonlinearity_weighted_hoelder_bound():
     # |u . grad u| <= |u| |grad u| pointwise makes the weighted product bound
     # exact on the grid; the projected term is recorded against the corpus max
     g = small_grid()
+    sp = g.spectral()
     s = 0.5
     for seed in (1, 2, 3):
         u = leray_project(random_smooth_field(g, seed, components=3))
-        B = nonlinearity(u)
+        B = Field(g, sp.inverse_band(_advection(sp, u.data)))
         nu = integrate(u, 2.0, s)
         grmag = np.sqrt(
             sum(gradient(Field(g, u.data[j])).magnitude() ** 2 for j in range(3))
@@ -166,25 +165,16 @@ def test_linear_single_mode_matches_ode_solution(period, rtol):
 
 def test_poincare_map_translation_equivariance():
     # shifting the forcing by T/2 shifts the node values by M/2 slots exactly;
-    # the shift turns cos(2 pi t / T) into its negative, i.e. amplitude -1
+    # the shift turns cos(2 pi t / T) into its negative, i.e. amplitude -1.
+    # One Picard iteration from u = 0 applies the map once: H[0]
     g = small_grid()
-    cfg = PicardConfig(M=16, linear_only=True)
+    cfg = PicardConfig(M=16, tol=1.0, max_iter=1, linear_only=True)
     base = single_mode_force(T)
     shifted = dataclasses.replace(base, amplitude=-1.0)
-    zeros = np.zeros((cfg.M, 3) + g.shape)
-    out_base = poincare_map(zeros, base, cfg, g)
-    out_shift = poincare_map(zeros, shifted, cfg, g)
+    out_base = picard_solve(base, cfg, g).snapshots
+    out_shift = picard_solve(shifted, cfg, g).snapshots
     rolled = np.roll(out_base, -cfg.M // 2, axis=0)
     assert np.abs(out_shift - rolled).max() <= 1e-12 * np.abs(out_base).max()
-
-
-def test_poincare_map_rejects_nonsolenoidal_snapshot():
-    g = Grid(3, 16, 16.0)
-    cfg = PicardConfig(M=8)
-    snaps = np.zeros((cfg.M, 3) + g.shape)
-    snaps[5] = gradient(random_smooth_field(g, seed=3, components=1)).data
-    with pytest.raises(ValueError, match="snapshot 5 is not solenoidal"):
-        poincare_map(snaps, single_mode_force(T), cfg, g)
 
 
 def test_node_refinement_converges_for_nonharmonic_forcing():
@@ -393,12 +383,10 @@ def test_each_entry_point_evaluates_the_profile_once():
     cfg = PicardConfig(M=8, tol=1e-10, max_iter=30)
     sol = picard_solve(force, cfg, g)
     assert len(calls) == 1
-    poincare_map(sol.snapshots, force, cfg, g)
-    assert len(calls) == 2
     periodicity_check(sol, force, cfg, steps=4)
-    assert len(calls) == 3
+    assert len(calls) == 2
     weighted_report(sol, force, 2.0, 2.0, 1.0)
-    assert len(calls) == 4
+    assert len(calls) == 3
 
 
 def test_weighted_ratio_stable_under_amplitude_halving():

@@ -6,34 +6,34 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.signal import fftconvolve, resample
 
-from stokeslab.grid import Field, Grid, integrate
+from stokeslab.grid import Field, Grid, gradient, integrate
 from stokeslab.corpus import corpus_seeds, random_smooth_field, refine_field
 from stokeslab.semigroup import (
     decay_harness,
     fit_power_law,
     fractional_integral,
-    heat_apply,
-    heat_kernel,
     heat_kernel_field,
-    kernel_domination_constant,
     leray_project,
     predicted_exponent,
-    riesz_gradient_check,
-    semigroup_gradient_apply,
-    stokes_apply,
     write_decay_csv,
 )
 
+# The heat semigroup is the spectral multiplier exp(-t |xi|^2):
+# sp.apply(data, np.exp(-t * sp.ksq)); the Stokes semigroup is the same
+# multiplier after the Leray projection.
+
 
 def test_heat_kernel_point_values():
+    # the origin (index N/2 on every axis) and h e1 are lattice points
+    g = Grid(3, 16, 4.0)
+    o = g.N // 2
     t = 1.0 / (4.0 * np.pi)
-    assert heat_kernel(3, t, np.zeros(3)) == pytest.approx(1.0, rel=1e-14)
-    t = 0.7
-    x = np.array([2.0 * np.sqrt(t), 0.0, 0.0])
+    assert heat_kernel_field(g, t).data[o, o, o] == pytest.approx(1.0, rel=1e-14)
+    t = (g.h / 2.0) ** 2                # |h e1|^2 / (4t) = 1
     expected = (4 * np.pi * t) ** -1.5 * np.exp(-1.0)
-    assert heat_kernel(3, t, x) == pytest.approx(expected, rel=1e-14)
+    assert heat_kernel_field(g, t).data[o + 1, o, o] == pytest.approx(expected, rel=1e-14)
     with pytest.raises(ValueError):
-        heat_kernel(3, 0.0, np.zeros(3))
+        heat_kernel_field(g, 0.0)
 
 
 def test_heat_kernel_unit_mass():
@@ -45,10 +45,11 @@ def test_heat_kernel_unit_mass():
 def test_heat_apply_gaussian_semigroup():
     # evolving the kernel at t0 for time t gives the kernel at t0 + t
     g = Grid(3, 64, 16.0)
+    sp = g.spectral()
     t0, t = 1.0, 1.5
-    evolved = heat_apply(heat_kernel_field(g, t0), t)
-    target = heat_kernel_field(g, t0 + t)
-    rel = np.abs(evolved.data - target.data).max() / target.data.max()
+    evolved = sp.apply(heat_kernel_field(g, t0).data, np.exp(-t * sp.ksq))
+    target = heat_kernel_field(g, t0 + t).data
+    rel = np.abs(evolved - target).max() / target.max()
     assert rel < 1e-8
 
 
@@ -56,47 +57,42 @@ def test_heat_apply_mode_eigenvalue():
     g = Grid(3, 32, 8.0)
     k = 2 * np.pi * 2 / (2 * g.L)
     f = Field(g, np.cos(k * g.coords()[0]))
-    out = heat_apply(f, 0.8)
-    assert np.abs(out.data - np.exp(-0.8 * k * k) * f.data).max() < 1e-12
-
-
-def test_heat_apply_identity_and_rejection():
-    g = Grid(3, 16, 4.0)
-    f = random_smooth_field(g, 1)
-    assert np.array_equal(heat_apply(f, 0.0).data, f.data)
-    with pytest.raises(ValueError):
-        heat_apply(f, -0.1)
+    sp = g.spectral()
+    out = sp.apply(f.data, np.exp(-0.8 * sp.ksq))
+    assert np.abs(out - np.exp(-0.8 * k * k) * f.data).max() < 1e-12
 
 
 def test_heat_semigroup_law():
     g = Grid(3, 32, 8.0)
-    f = random_smooth_field(g, 9)
+    sp = g.spectral()
+    f = random_smooth_field(g, 9).data
     for a in (0.1, 0.5, 1.0):
         for b in (0.1, 0.5, 1.0):
-            lhs = heat_apply(f, a + b)
-            rhs = heat_apply(heat_apply(f, a), b)
-            assert np.abs(lhs.data - rhs.data).max() <= 1e-10 * np.abs(lhs.data).max()
+            lhs = sp.apply(f, np.exp(-(a + b) * sp.ksq))
+            rhs = sp.apply(sp.apply(f, np.exp(-a * sp.ksq)), np.exp(-b * sp.ksq))
+            assert np.abs(lhs - rhs).max() <= 1e-10 * np.abs(lhs).max()
 
 
 def test_heat_l2_contraction():
     g = Grid(3, 32, 8.0)
+    sp = g.spectral()
     for seed in corpus_seeds(3, 4):
         f = random_smooth_field(g, seed)
         n0 = integrate(f, 2)
         for t in (0.1, 1.0, 8.0):
-            assert integrate(heat_apply(f, t), 2) <= n0 * (1 + 1e-13)
+            evolved = Field(g, sp.apply(f.data, np.exp(-t * sp.ksq)))
+            assert integrate(evolved, 2) <= n0 * (1 + 1e-13)
 
 
 def test_heat_mass_conservation():
     g = Grid(3, 32, 8.0)
-    f = random_smooth_field(g, 4)
+    sp = g.spectral()
+    f = random_smooth_field(g, 4).data
     for t in (0.5, 2.0):
-        assert heat_apply(f, t).data.mean() == pytest.approx(f.data.mean(), abs=1e-14)
+        assert sp.apply(f, np.exp(-t * sp.ksq)).mean() == pytest.approx(f.mean(), abs=1e-14)
 
 
 def test_leray_annihilates_gradients():
-    from stokeslab.grid import gradient
-
     g = Grid(3, 32, 8.0)
     gr = gradient(random_smooth_field(g, 5))
     out = leray_project(gr)
@@ -114,22 +110,21 @@ def test_leray_keeps_solenoidal_mode():
 
 
 def test_leray_idempotent_and_selfadjoint():
-    from stokeslab.grid import inner
-
     g = Grid(3, 32, 8.0)
     v = random_smooth_field(g, 6, components=3)
     w = random_smooth_field(g, 7, components=3)
     pv = leray_project(v)
     ppv = leray_project(pv)
     assert np.abs(ppv.data - pv.data).max() <= 1e-12 * np.abs(pv.data).max()
-    lhs = sum(inner(Field(g, pv.data[j]), Field(g, w.data[j])) for j in range(3))
+    # L^2 inner products on the grid, summed over components
+    lhs = np.sum(pv.data * w.data) * g.cell_volume
     pw = leray_project(w)
-    rhs = sum(inner(Field(g, v.data[j]), Field(g, pw.data[j])) for j in range(3))
+    rhs = np.sum(v.data * pw.data) * g.cell_volume
     assert abs(lhs - rhs) <= 1e-12 * max(abs(lhs), 1.0)
 
 
 def test_leray_output_solenoidal():
-    from stokeslab.grid import divergence, gradient
+    from stokeslab.grid import divergence
 
     g = Grid(3, 32, 8.0)
     v = random_smooth_field(g, 8, components=3)
@@ -141,55 +136,61 @@ def test_leray_output_solenoidal():
 def test_stokes_equals_heat_on_solenoidal():
     g = Grid(3, 32, 8.0)
     v = leray_project(random_smooth_field(g, 10, components=3))
-    t = 0.7
-    a = stokes_apply(v, t)
-    b = heat_apply(v, t)
-    assert np.abs(a.data - b.data).max() <= 1e-12 * np.abs(b.data).max()
+    sp = g.spectral()
+    heat = np.exp(-0.7 * sp.ksq)
+    a = sp.apply(leray_project(v).data, heat)
+    b = sp.apply(v.data, heat)
+    assert np.abs(a - b).max() <= 1e-12 * np.abs(b).max()
 
 
 def test_stokes_kills_gradients_all_t():
-    from stokeslab.grid import gradient
-
     g = Grid(3, 32, 8.0)
+    sp = g.spectral()
     gr = gradient(random_smooth_field(g, 11))
     for t in (0.0, 0.5, 2.0):
-        assert integrate(stokes_apply(gr, t), 2) <= 1e-10 * integrate(gr, 2)
+        stokes = Field(g, sp.apply(leray_project(gr).data, np.exp(-t * sp.ksq)))
+        assert integrate(stokes, 2) <= 1e-10 * integrate(gr, 2)
 
 
 def test_projection_commutes_with_heat():
     g = Grid(3, 32, 8.0)
+    sp = g.spectral()
     v = random_smooth_field(g, 12, components=3)
-    t = 0.3
-    a = leray_project(heat_apply(v, t))
-    b = heat_apply(leray_project(v), t)
-    assert np.abs(a.data - b.data).max() <= 1e-12 * np.abs(b.data).max()
+    heat = np.exp(-0.3 * sp.ksq)
+    a = leray_project(Field(g, sp.apply(v.data, heat))).data
+    b = sp.apply(leray_project(v).data, heat)
+    assert np.abs(a - b).max() <= 1e-12 * np.abs(b).max()
+
+
+# d/dx_j of the heat evolution is the multiplier i xi_j exp(-t |xi|^2)
 
 
 def test_gradient_apply_antisymmetry_and_mode():
     g = Grid(3, 32, 8.0)
-    gauss = Field(g, np.exp(-g.radius_sq()))
-    out = semigroup_gradient_apply(gauss, 0.5, 0)
-    flipped = out.data[::-1]            # x -> -x on axis 0 up to the grid shift
-    assert np.abs(np.roll(flipped, 1, axis=0) + out.data).max() < 1e-10
+    sp = g.spectral()
+    gauss = np.exp(-g.radius_sq())
+    out = sp.apply(gauss, 1j * sp.k[0] * np.exp(-0.5 * sp.ksq))
+    flipped = out[::-1]                 # x -> -x on axis 0 up to the grid shift
+    assert np.abs(np.roll(flipped, 1, axis=0) + out).max() < 1e-10
     k = 2 * np.pi * 3 / (2 * g.L)
-    mode = Field(g, np.cos(k * g.coords()[1]))
+    mode = np.cos(k * g.coords()[1])
     t = 0.4
-    dy = semigroup_gradient_apply(mode, t, 1)
-    assert np.abs(dy.data - (-k * np.exp(-t * k * k) * np.sin(k * g.coords()[1]))).max() < 1e-11
-    with pytest.raises(ValueError):
-        semigroup_gradient_apply(mode, 0.0, 1)
+    dy = sp.apply(mode, 1j * sp.k[1] * np.exp(-t * sp.ksq))
+    assert np.abs(dy - (-k * np.exp(-t * k * k) * np.sin(k * g.coords()[1]))).max() < 1e-11
 
 
 def test_gradient_apply_smoothing_bound():
     # sup_kappa (t kappa)^(1/2) e^(-t kappa) = (2e)^(-1/2) bounds the ratio
     g = Grid(3, 32, 16.0)
+    sp = g.spectral()
     cap = (2 * np.e) ** -0.5
     for seed in corpus_seeds(31, 3):
         u = random_smooth_field(g, seed)
         n0 = integrate(u, 2)
         for t in (0.25, 1.0, 4.0):
             grad_sq = sum(
-                integrate(semigroup_gradient_apply(u, t, j), 2) ** 2 for j in range(3)
+                integrate(Field(g, sp.apply(u.data, 1j * sp.k[j] * np.exp(-t * sp.ksq))), 2) ** 2
+                for j in range(3)
             )
             assert np.sqrt(t * grad_sq) / n0 <= cap * (1 + 1e-10)
 
@@ -317,10 +318,13 @@ def test_refine_field_matches_fourier_resampling(N, lead):
 
 
 def test_heat_kernel_dominated_by_riesz_kernel():
-    # E_t(x) <= C |x|^(lam-n) t^(-lam/2) with the analytic constant
+    # E_t(x) <= C |x|^(lam-n) t^(-lam/2) with the smallest such C: with
+    # a = n - lam and y = |x|^2 / t, E_t |x|^a t^(lam/2) = (4 pi)^(-n/2)
+    # y^(a/2) e^(-y/4), whose sup (2a/e)^(a/2) is taken at y = 2a
     g = Grid(3, 48, 12.0)
     lam = 1.5
-    C = kernel_domination_constant(3, lam)
+    a = 3 - lam
+    C = (2.0 * a / math.e) ** (a / 2.0) / (4.0 * math.pi) ** 1.5
     r = np.sqrt(g.radius_sq())
     mask = r > 0
     for t in (1.0, 4.0):
@@ -329,25 +333,27 @@ def test_heat_kernel_dominated_by_riesz_kernel():
         assert np.all(E[mask] <= bound * (1 + 1e-12))
 
 
+# Riesz bound: the weighted norm of grad f against that of (-Laplace)^(1/2) f,
+# the multiplier |xi|
+
+
 def test_riesz_ratio_unweighted_is_one():
     g = Grid(3, 32, 8.0)
+    sp = g.spectral()
     f = random_smooth_field(g, 19)
-    assert riesz_gradient_check(f, 2.0, 0.0) == pytest.approx(1.0, abs=1e-10)
+    half = Field(g, sp.apply(f.data, np.sqrt(sp.ksq)))
+    assert integrate(gradient(f), 2.0) / integrate(half, 2.0) == pytest.approx(1.0, abs=1e-10)
 
 
 def test_riesz_ratio_weighted_corpus():
     g = Grid(3, 48, 16.0)
-    ratios = [
-        riesz_gradient_check(random_smooth_field(g, seed), 2.0, 1.0)
-        for seed in corpus_seeds(5, 5)
-    ]
+    sp = g.spectral()
+    ratios = []
+    for seed in corpus_seeds(5, 5):
+        f = random_smooth_field(g, seed)
+        half = Field(g, sp.apply(f.data, np.sqrt(sp.ksq)))
+        ratios.append(integrate(gradient(f), 2.0, 1.0) / integrate(half, 2.0, 1.0))
     assert max(ratios) < 1.2
-
-
-def test_riesz_rejects_constant():
-    g = Grid(3, 16, 4.0)
-    with pytest.raises(ValueError):
-        riesz_gradient_check(Field(g, np.full(g.shape, 2.0)))
 
 
 def test_fit_power_law_exact():
@@ -437,7 +443,7 @@ def test_decay_csv_roundtrip(tmp_path):
 def test_leray_idempotent_for_rough_data_any_dimension():
     # full-spectrum input: unpaired Nyquist planes are dropped, so a second
     # application changes nothing and the output is exactly solenoidal
-    from stokeslab.grid import divergence, gradient
+    from stokeslab.grid import divergence
 
     for n, N in ((3, 16), (4, 12)):
         g = Grid(n, N, 2.0)
