@@ -26,7 +26,7 @@ print(f"Parseval check: physical {integrate(f, 2):.12f} vs spectral {sp.l2(F):.1
 
 # spectral calculus: div(grad) of a mode agrees with -|k|^2 times the mode
 k = 2 * np.pi / (2 * grid.L)
-mode = Field(grid, np.sin(3 * k * grid.coords()[0]))
+mode = Field(grid, np.broadcast_to(np.sin(3 * k * grid.coords()[0]), grid.shape))
 lap = divergence(gradient(mode))
 print(f"div grad vs -|k|^2: max error {np.abs(lap.data + (3*k)**2 * mode.data).max():.2e}")
 

@@ -1,4 +1,4 @@
-"""Cut-off functions, the annulus divergence solver, and solenoidal extension.
+"""The annulus divergence solver and the cut-off solenoidal extension.
 
 The divergence solver realizes a right inverse of div on mean-zero data
 over the annulus D_R = {R < |x| < R+1}: radial transport moves each ray's
@@ -30,7 +30,6 @@ from .grid import Field, Grid, divergence, integrate
 
 __all__ = [
     "AnnulusSpec",
-    "RadialCutoff",
     "bogovskii_apply",
     "solenoidal_extension",
     "divergence_defect",
@@ -72,32 +71,14 @@ def _smoothstep7_d(t):
     )
 
 
-class RadialCutoff:
-    """Radial profile equal to 1 for |x| <= r_on, 0 for |x| >= r_off."""
-
-    def __init__(self, r_on: float, r_off: float):
-        if not r_off > r_on:
-            raise ValueError("cutoff needs r_off > r_on")
-        self.r_on = float(r_on)
-        self.r_off = float(r_off)
-
-    def profile(self, r):
-        return 1.0 - _smoothstep7((r - self.r_on) / (self.r_off - self.r_on))
-
-    def profile_d(self, r):
-        return -_smoothstep7_d((r - self.r_on) / (self.r_off - self.r_on)) / (
-            self.r_off - self.r_on
-        )
-
-    def field(self, grid: Grid) -> Field:
-        return Field(grid, self.profile(np.sqrt(grid.radius_sq())))
-
-    def gradient_field(self, grid: Grid) -> Field:
-        """Analytic gradient, profile'(r) x/|x|."""
-        r = np.sqrt(grid.radius_sq())
-        rs = np.where(r > 0, r, 1.0)
-        dp = self.profile_d(r) / rs
-        return Field(grid, np.stack([dp * xi for xi in grid.coords()]))
+def _cut_off(u0: Field, R: float):
+    """The radial cut-off phi, 1 for |x| <= R+2 and 0 for |x| >= R+3, and
+    (grad phi) . u0 with grad phi = phi'(r) x/|x|; both as arrays."""
+    r = np.sqrt(u0.grid.radius_sq())
+    t = r - (R + 2.0)
+    dp = -_smoothstep7_d(t) / np.where(r > 0, r, 1.0)
+    (x0, x1, x2), u = u0.grid.coords(), u0.data
+    return 1.0 - _smoothstep7(t), dp * x0 * u[0] + dp * x1 * u[1] + dp * x2 * u[2]
 
 
 # ---------------------------------------------------------------------------
@@ -331,7 +312,7 @@ def bogovskii_apply(f: Field, spec: AnnulusSpec, mean_rtol: float = 1e-10) -> Fi
     phi_coef = coef / sph.eig      # Laplace-Beltrami Phi = m on the sphere
 
     # annulus target points and their unit vectors
-    P = np.stack([x[inside] for x in grid.coords()])
+    P = grid.axis[np.stack(np.nonzero(inside))]
     pr = r[inside]
     rhat = P / pr
     theta_p = np.arccos(np.clip(rhat[2], -1.0, 1.0))
@@ -394,20 +375,16 @@ def solenoidal_extension(u0: Field, spec: AnnulusSpec):
     scale = integrate(u0, 2) * (np.pi / grid.L)
     if scale == 0.0:
         raise ValueError("u0 vanishes on the grid: its relative divergence is 0/0")
-    r = np.sqrt(grid.radius_sq())
-    div_u0 = divergence(u0)
-    div_u0.data[r <= R] = 0.0          # the defect counts the exterior |x| > R only
-    defect = integrate(div_u0, 2)
+    # the defect counts the exterior |x| > R only
+    defect = integrate(Field(grid, np.where(np.sqrt(grid.radius_sq()) > R,
+                                            divergence(u0).data, 0.0)), 2)
     if defect > _DIV_RTOL * scale:
         raise ValueError(
             f"u0 is not solenoidal on the exterior region: relative divergence "
             f"{defect / scale:.3e} exceeds {_DIV_RTOL:.1e}"
         )
 
-    cut = RadialCutoff(R + 2.0, R + 3.0)
-    phi = cut.field(grid).data
-    gphi = cut.gradient_field(grid).data
-    fb_data = np.sum(gphi * u0.data, axis=0)
+    phi, fb_data = _cut_off(u0, R)
     fb = Field(grid, fb_data)
 
     # mean-zero holds analytically; on the grid only to quadrature accuracy

@@ -88,9 +88,10 @@ class Grid:
         return (self.N,) * self.n
 
     def coords(self):
-        """Meshgrid coordinate arrays, one per axis (ij indexing)."""
+        """Coordinates per axis as broadcastable arrays, like Spectral.k: axis j
+        has shape N along dimension j and 1 along the others."""
         if self._coords is None:
-            self._coords = np.meshgrid(*([self.axis] * self.n), indexing="ij")
+            self._coords = np.meshgrid(*([self.axis] * self.n), indexing="ij", sparse=True)
         return self._coords
 
     def spectral(self) -> "Spectral":
@@ -111,7 +112,7 @@ class Grid:
             step = np.arange(self.N) * self.h
             d1 = np.minimum(step, 2 * self.L - step)
             self._offset_sq = sum(
-                dd**2 for dd in np.meshgrid(*([d1] * self.n), indexing="ij")
+                dd**2 for dd in np.meshgrid(*([d1] * self.n), indexing="ij", sparse=True)
             )
         return self._offset_sq
 

@@ -101,7 +101,7 @@ def fractional_integral(f: Field, lam: float) -> Field:
     msub = 15
     hs = h / msub
     subc = hs * (np.arange(msub) - (msub - 1) / 2.0)
-    rc_sq = sum(c**2 for c in np.meshgrid(*([subc] * n), indexing="ij")).ravel()
+    rc_sq = sum(c**2 for c in np.meshgrid(*([subc] * n), indexing="ij", sparse=True)).ravel()
     ball_radius = (hs**n * math.gamma(n / 2.0 + 1.0)) ** (1.0 / n) / math.sqrt(math.pi)
     sphere_area = 2.0 * math.pi ** (n / 2.0) / math.gamma(n / 2.0)
     cell = float(np.sum(rc_sq[rc_sq > 0] ** (0.5 * (lam - n)))) * hs**n

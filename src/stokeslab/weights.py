@@ -39,6 +39,7 @@ STABLE_GROWTH = 1.05       # sup growth over the last ladder step below this rea
 DIVERGING_GROWTH = 1.5     # sup growth over the last ladder step at or above this diverges
 JUMP_DIVERGING = 0.17      # refinement jump marking a divergent cube average
 JUMP_RESOLVED = 0.10       # refinement jump small enough to trust the cube
+MAX_POINTS = 2**24         # largest quadrature or scan grid, checked before it is built
 
 
 @dataclass(frozen=True)
@@ -141,6 +142,9 @@ def aq_check(
         raise ValueError("aq_check needs at least one cube center")
 
     m = max(8, int(np.ceil(32768 ** (1.0 / n))))
+    if n * np.log2(2 * m) > np.log2(MAX_POINTS):      # in logs: a huge n costs nothing
+        raise ValueError(f"the fine cube has (2m)^n = {2 * m}^{n} midpoints at n = {n}, "
+                         f"more than {MAX_POINTS}")
     coarse = _cube_points(n, m)
     fine = _cube_points(n, 2 * m)
 
@@ -238,7 +242,7 @@ class Interval(NamedTuple):
 class HypothesisSet:
     """Exponent bookkeeping for the periodic-solution hypotheses.
 
-    q1 and q2 may be arrays of equal shape; every derived index and the
+    q1 and q2 may be broadcastable arrays; every derived index and the
     window bounds are then computed elementwise.
     """
 
@@ -267,11 +271,9 @@ class HypothesisSet:
 
     def s_window(self) -> Interval:
         lo = np.maximum(0.0, 2.0 - self.n / self.q2)
-        hi = np.minimum.reduce([
-            self.n * (1.0 - 1.0 / self.q1),
-            (self.n / 2.0) * (1.0 - 1.0 / self.q12),
-            (self.n / 2.0) * (1.0 - 1.0 / self.q22_star),
-        ])
+        hi = np.minimum(np.minimum(self.n * (1.0 - 1.0 / self.q1),
+                                   (self.n / 2.0) * (1.0 - 1.0 / self.q12)),
+                        (self.n / 2.0) * (1.0 - 1.0 / self.q22_star))
         return Interval(lo, hi)
 
 
@@ -282,13 +284,17 @@ def feasibility(n: int, q1: float, q2: float) -> Interval:
 
 def feasibility_scan(n: int, step: float = 0.01):
     """Vectorized sweep of (q1, q2); returns (grid count, nonempty count, widest)."""
-    if not step > 0:
-        raise ValueError(f"scan step must be positive, got {step}")
-    q1 = np.arange(1.0 + step, float(n), step)
-    q2 = np.arange(n / 2.0 + step, float(n), step)
-    if not (q1.size and q2.size):
+    if not 0 < step < np.inf:
+        raise ValueError(f"scan step must be positive and finite, got {step}")
+    starts = (1.0 + step, n / 2.0 + step)
+    sizes = [max(0, int(np.ceil((n - a) / step))) for a in starts]   # np.arange's lengths
+    if not (sizes[0] and sizes[1]):
         raise ValueError(f"scan step {step} leaves no (q1, q2) grid points at n = {n}")
-    Q1, Q2 = np.meshgrid(q1, q2, indexing="ij")
+    if sizes[0] * sizes[1] > MAX_POINTS:
+        raise ValueError(f"scan step {step} at n = {n} asks for {sizes[0]} x {sizes[1]} "
+                         f"(q1, q2) grid points, more than {MAX_POINTS}")
+    Q1, Q2 = np.meshgrid(*(np.arange(a, float(n), step) for a in starts),
+                         indexing="ij", sparse=True)
     lo, hi = HypothesisSet(n=n, q1=Q1, q2=Q2).s_window()
     width = hi - lo
     return int(width.size), int(np.count_nonzero(width > 0.0)), float(width.max())

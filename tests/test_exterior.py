@@ -4,12 +4,12 @@ import pytest
 from stokeslab.grid import Field, Grid, divergence, integrate
 from stokeslab.exterior import (
     AnnulusSpec,
-    RadialCutoff,
     bogovskii_apply,
     divergence_defect,
     solenoidal_extension,
     _FieldSampler,
     _SphereSolver,
+    _cut_off,
     _equator_fold,
 )
 from stokeslab.corpus import random_smooth_field, refine_field
@@ -59,20 +59,16 @@ def test_annulus_spec_validation():
 def test_cutoff_plateaus_and_support():
     g = Grid(3, 64, 8.0)
     R = 1.0
-    cut = RadialCutoff(R + 2.0, R + 3.0)
+    u0 = random_smooth_field(g, 3, components=3)
+    phi, fb = _cut_off(u0, R)
     r = np.sqrt(g.radius_sq())
-    phi = cut.field(g).data
     assert np.all(phi[r <= R + 2.0] == 1.0)
     assert np.all(phi[r >= R + 3.0] == 0.0)
     assert np.all((0.0 <= phi) & (phi <= 1.0))
-    gphi = cut.gradient_field(g).data
+    # (grad phi) . u0 lives on the open transition shell only
     shell = (r > R + 2.0) & (r < R + 3.0)
-    assert np.all(gphi[:, ~shell] == 0.0)
-
-
-def test_cutoff_validation():
-    with pytest.raises(ValueError):
-        RadialCutoff(3.0, 3.0)
+    assert np.all(fb[~shell] == 0.0)
+    assert np.any(fb[shell] != 0.0)
 
 
 def test_sphere_solver_identities():
@@ -158,7 +154,16 @@ def annulus_points(grid, R):
     """The annulus mask and its points, components first, as bogovskii_apply takes them."""
     r = np.sqrt(grid.radius_sq())
     inside = (r > R) & (r < R + 1.0)
-    return inside, np.stack([x[inside] for x in grid.coords()])
+    return inside, grid.axis[np.stack(np.nonzero(inside))]
+
+
+def test_annulus_points_by_index_are_the_dense_mask_gather():
+    # bogovskii_apply reads its points as grid.axis[nonzero(inside)]: the
+    # values and the C order of the mask gather from dense coordinate arrays
+    g = Grid(3, 128, 8.0)
+    inside, P = annulus_points(g, 2.0)
+    dense = np.meshgrid(*([g.axis] * 3), indexing="ij")
+    assert np.array_equal(P, np.stack([x[inside] for x in dense]))
 
 
 def sampler_points(grid, R):
@@ -221,7 +226,7 @@ def test_equator_fold_matches_direct_synthesis(N, L, R):
         # drop a few z > 0 points so that their mirrors have no partner
         top = np.argwhere(inside & (g.coords()[2] > 0.0))[::97]
         inside[tuple(top.T)] = False
-        P = np.stack([x[inside] for x in g.coords()])
+        P = g.axis[np.stack(np.nonzero(inside))]
     pr = np.sqrt(np.sum(P**2, axis=0))
     theta = np.arccos(np.clip(P[2] / pr, -1.0, 1.0))
     phi = np.mod(np.arctan2(P[1], P[0]), 2.0 * np.pi)

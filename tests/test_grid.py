@@ -57,9 +57,23 @@ def test_constant_spectral_mass_at_zero():
     assert np.abs(c).max() < 1e-9
 
 
+def test_coordinates_are_broadcastable_axes():
+    # three axes of N floats, not three dense N^3 arrays; the radial tables
+    # built from them are bit for bit the sums over dense meshgrids
+    g = Grid(3, 128, 8.0)
+    x = g.coords()
+    assert [a.shape for a in x] == [(128, 1, 1), (1, 128, 1), (1, 1, 128)]
+    assert sum(a.size for a in x) == 3 * 128
+    dense = np.meshgrid(*([g.axis] * 3), indexing="ij")
+    assert np.array_equal(g.radius_sq(), sum(d**2 for d in dense))
+    step = np.arange(g.N) * g.h
+    d1 = np.minimum(step, 2 * g.L - step)
+    assert np.array_equal(g.offset_sq(), sum(d**2 for d in np.meshgrid(d1, d1, d1, indexing="ij")))
+
+
 def test_single_cosine_mode_two_coefficients():
     g = Grid(3, 32, 4.0)
-    x1 = g.coords()[0]
+    x1 = np.broadcast_to(g.coords()[0], g.shape)
     F = g.spectral().forward(Field(g, np.cos(2 * np.pi * x1 / (2 * g.L))).data)
     mags = np.abs(F)
     peak = mags.max()
@@ -99,7 +113,7 @@ def test_gradient_sin_mode_analytic():
     g = Grid(3, 32, 4.0)
     k = 2 * np.pi / (2 * g.L)
     x1 = g.coords()[0]
-    grad = gradient(Field(g, np.sin(k * x1)))
+    grad = gradient(Field(g, np.broadcast_to(np.sin(k * x1), g.shape)))
     exact = k * np.cos(k * x1)
     assert np.abs(grad.data[0] - exact).max() < 1e-10
     assert np.abs(grad.data[1:]).max() < 1e-12
@@ -110,7 +124,8 @@ def test_div_grad_is_laplacian_band_limited():
     g = Grid(3, 32, 8.0)
     x1, x2, _ = g.coords()
     k = 2 * np.pi / (2 * g.L)
-    f = Field(g, np.sin(3 * k * x1) * np.cos(2 * k * x2) + 0.5 * np.cos(5 * k * x2))
+    f = Field(g, np.broadcast_to(np.sin(3 * k * x1) * np.cos(2 * k * x2)
+                                 + 0.5 * np.cos(5 * k * x2), g.shape))
     sp = g.spectral()
     lhs = divergence(gradient(f)).data
     rhs = sp.apply(f.data, -sp.ksq)             # the Laplacian's multiplier

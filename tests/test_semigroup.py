@@ -56,7 +56,7 @@ def test_heat_apply_gaussian_semigroup():
 def test_heat_apply_mode_eigenvalue():
     g = Grid(3, 32, 8.0)
     k = 2 * np.pi * 2 / (2 * g.L)
-    f = Field(g, np.cos(k * g.coords()[0]))
+    f = Field(g, np.broadcast_to(np.cos(k * g.coords()[0]), g.shape))
     sp = g.spectral()
     out = sp.apply(f.data, np.exp(-0.8 * sp.ksq))
     assert np.abs(out - np.exp(-0.8 * k * k) * f.data).max() < 1e-12
@@ -173,7 +173,7 @@ def test_gradient_apply_antisymmetry_and_mode():
     flipped = out[::-1]                 # x -> -x on axis 0 up to the grid shift
     assert np.abs(np.roll(flipped, 1, axis=0) + out).max() < 1e-10
     k = 2 * np.pi * 3 / (2 * g.L)
-    mode = np.cos(k * g.coords()[1])
+    mode = np.broadcast_to(np.cos(k * g.coords()[1]), g.shape)
     t = 0.4
     dy = sp.apply(mode, 1j * sp.k[1] * np.exp(-t * sp.ksq))
     assert np.abs(dy - (-k * np.exp(-t * k * k) * np.sin(k * g.coords()[1]))).max() < 1e-11

@@ -210,6 +210,23 @@ def test_feasibility_scan_rejects_empty_grid(step):
         feasibility_scan(3, step)
 
 
+def test_oversized_grids_are_refused_before_allocation():
+    # 16^7 = 2^28 fine cube midpoints, and about 2e6 x 1.5e6 scan points: both
+    # are refused from their sizes, so no array of them is ever traced
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=r"16\^7 midpoints"):
+            aq_check(RadialWeight(2.0), 2.0, n=7)
+        with pytest.raises(ValueError, match="more than 16777216"):
+            feasibility_scan(3, 1e-6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
 def test_feasibility_scan_matches_pointwise_windows():
     # the scan evaluates HypothesisSet on arrays; compare with scalar windows
     n, step = 5, 0.25
