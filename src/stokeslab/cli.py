@@ -22,13 +22,13 @@ import time
 from dataclasses import asdict
 
 import numpy as np
-import scipy.fft
+import scipy
 
 from . import __version__
 from .corpus import PRNG_ID, random_smooth_field
 from .exterior import AnnulusSpec, bogovskii_apply, divergence_defect, solenoidal_extension
 from .grid import (
-    Field, Grid, curl, gradient_magnitude, integrate, load_field, save_field,
+    Field, Grid, curl, fft_backend, gradient_magnitude, integrate, load_field, save_field,
 )
 from .periodic import (
     PeriodicSolution, PicardConfig, periodicity_check, picard_solve,
@@ -480,7 +480,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         return _fail("invalid-config", str(exc))
     if args.threads > 0:
-        with scipy.fft.set_workers(args.threads):
+        with fft_backend().set_workers(args.threads):
             return _run(args)
     return _run(args)
 

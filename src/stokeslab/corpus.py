@@ -7,9 +7,8 @@ explicitly, so a (seed, grid) pair pins every corpus field bit-for-bit.
 from __future__ import annotations
 
 import numpy as np
-from scipy import fft as _fft
 
-from .grid import Field, Grid, integrate
+from .grid import Field, Grid, integrate, refine_block
 
 PRNG_ID = "numpy.random.default_rng (PCG64)"
 
@@ -64,21 +63,3 @@ def refine_field(f: Field, factor: int = 2) -> Field:
         raise ValueError(f"refinement factor must be >= 2, got {factor}")
     g = f.grid
     return Field(Grid(g.n, factor * g.N, g.L), refine_block(f.data, g.n, factor))
-
-
-def refine_block(data, n: int, factor: int, window=slice(None)):
-    """refine_field on a bare array whose last n axes are grid axes.
-
-    window is a slice or an index array of fine indices, the same on every
-    axis.  Each axis is cut to it right after it is refined, so the later
-    axes transform only the lines that cross the window.  Every line is
-    transformed whole, so the block is bit-identical to the same window of
-    the full refinement.
-    """
-    for ax in range(data.ndim - n, data.ndim):
-        N = data.shape[ax]
-        hat = _fft.rfft(data, axis=ax)
-        hat *= factor
-        hat[(slice(None),) * ax + (N // 2,)] *= 0.5
-        data = _fft.irfft(hat, n=factor * N, axis=ax)[(slice(None),) * ax + (window,)]
-    return data

@@ -23,10 +23,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.fft
 
-from .corpus import refine_block
-from .grid import Field, Grid, divergence, integrate
+from .grid import Field, Grid, divergence, fft_backend, integrate, refine_block
 
 __all__ = [
     "AnnulusSpec",
@@ -138,7 +136,7 @@ class _SphereSolver:
 
     def analyze(self, values):
         """Coefficients coef[m, l] of real values sampled on the (theta, phi) grid."""
-        fk = scipy.fft.rfft(values, axis=1) * (2.0 * np.pi / self.n_phi)
+        fk = fft_backend().rfft(values, axis=1) * (2.0 * np.pi / self.n_phi)
         coef = np.zeros((self.lmax + 1, self.lmax + 1), dtype=complex)
         for m in range(self.lmax + 1):
             G, _ = self._legendre_block(m, self.mu, self.sin_t)

@@ -19,6 +19,14 @@ cuts it out of a half spectrum, from_band() zero-fills it back, and
 band_k / band_ksq hold its wavenumbers.  forward_band and inverse_band are
 the transform pair on the band, pruned: along each full axis the complex
 pass runs only over the lines that hold or feed band data (Markel 1971).
+convolve_even is the linear convolution with an even kernel on the doubled
+2N lattice, with no doubled grid: the kernel's spectrum is a DCT-I and the
+padded pair is pruned the same way.
+
+This module is the package's one import site of scipy.fft.  refine_block
+(Fourier refinement) lives here, and fft_backend() hands the backend to the
+one-axis transforms of the sphere solver and the periodic resolvent and to
+the CLI's --threads workers context.
 
 Nyquist policy: the frequency index N/2 has no conjugate partner on an
 even grid.  First-derivative multipliers i xi_j vanish on the Nyquist plane
@@ -144,7 +152,7 @@ class Spectral:
         self._zero = (Ellipsis,) + (0,) * n
 
     # wavenumber arrays are built on first use, so a layer that only
-    # transforms (the doubled grid of fractional_integral) never holds them
+    # transforms (fractional_integral's convolve_even) never holds them
 
     def _xi(self, zero_nyquist=False, band=False):
         """Angular frequencies per axis as broadcastable arrays, the half axis last;
@@ -331,6 +339,62 @@ class Spectral:
         for ax in range(-self.n, -1):
             self._band_pass(hat[..., :self._band_pieces[0]], ax, _fft.ifft)
         return _fft.irfft(hat, n=self.grid.N, axis=-1)
+
+    # -- linear convolution on the doubled lattice -------------------------
+
+    def convolve_even(self, data, kernel):
+        """The linear (non-periodic) convolution out_i = sum_j K(i - j) data_j
+        over i, j in [0, N)^n, for a kernel even in each offset component;
+        kernel holds K at the offsets {0..N}^n.
+
+        The sum is the circular convolution on the 2N lattice of the
+        zero-padded data and the wrapped kernel: for i, j in [0, N) the index
+        (i - j) mod 2N is never N, so K(N) is never read and the circular sum
+        is the linear one exactly.  The wrapped kernel is the even extension of
+        the block, whose 2N-point spectrum is real: the DCT-I of the block,
+        mirrored onto the full axes (Martucci 1994).  The transforms run one
+        axis at a time and are pruned (Markel 1971): on the way in over only
+        the lines that hold data, on the way out keeping only the first N
+        outputs of each axis.
+        """
+        n, N = self.n, self.grid.N
+        hat = _fft.rfft(data, n=2 * N, axis=-1)
+        for ax in range(-2, -n - 1, -1):
+            hat = _fft.fft(hat, n=2 * N, axis=ax)
+        mirror = np.concatenate([np.arange(N + 1), np.arange(N - 1, 0, -1)])
+        hat *= _fft.dctn(kernel, type=1)[np.ix_(*([mirror] * (n - 1)), np.arange(N + 1))]
+        for ax in range(-n, -1):         # in place, then a view of the first N outputs
+            hat = _fft.ifft(hat, axis=ax, overwrite_x=True)[
+                (Ellipsis, slice(0, N)) + (slice(None),) * (-1 - ax)]
+        return np.ascontiguousarray(_fft.irfft(hat, n=2 * N, axis=-1)[..., :N])
+
+
+def fft_backend():
+    """The transform backend, scipy.fft.  This module is the package's one
+    import site of it: the one-axis transforms outside the spectral layer
+    and the CLI's workers context go through here."""
+    return _fft
+
+
+def refine_block(data, n: int, factor: int, window=slice(None)):
+    """Trigonometric refinement by factor (corpus.refine_field) of a bare
+    array whose last n axes are grid axes: per axis the real half spectrum
+    is scaled by factor, its Nyquist bin halved, and the inverse transform
+    to factor * N samples pads it with zeros.
+
+    window is a slice or an index array of fine indices, the same on every
+    axis.  Each axis is cut to it right after it is refined, so the later
+    axes transform only the lines that cross the window.  Every line is
+    transformed whole, so the block is bit-identical to the same window of
+    the full refinement.
+    """
+    for ax in range(data.ndim - n, data.ndim):
+        N = data.shape[ax]
+        hat = _fft.rfft(data, axis=ax)
+        hat *= factor
+        hat[(slice(None),) * ax + (N // 2,)] *= 0.5
+        data = _fft.irfft(hat, n=factor * N, axis=ax)[(slice(None),) * ax + (window,)]
+    return data
 
 
 class Field:

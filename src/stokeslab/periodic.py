@@ -50,9 +50,8 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import fft as _fft
 
-from .grid import Field, Grid, gradient_magnitude, integrate
+from .grid import Field, Grid, fft_backend, gradient_magnitude, integrate
 from .weights import HypothesisSet
 
 __all__ = [
@@ -229,8 +228,9 @@ def _force_hat(force: PeriodicForce, sp) -> np.ndarray:
 def _resolve_periodic(h_hats: np.ndarray, sp, T: float) -> np.ndarray:
     """Node values of the history integral for node data h (band spectra)."""
     M = h_hats.shape[0]
-    Hf = _fft.fft(h_hats, axis=0)
-    nu_omega = 2.0 * np.pi / T * _fft.fftfreq(M) * M
+    fft = fft_backend()
+    Hf = fft.fft(h_hats, axis=0)
+    nu_omega = 2.0 * np.pi / T * fft.fftfreq(M) * M
     # 1 / (|xi|^2 + i omega), zero only at (xi, omega) = (0, 0): the zero
     # spatial mode stays at zero
     ksq = sp.band_ksq
@@ -240,7 +240,7 @@ def _resolve_periodic(h_hats: np.ndarray, sp, T: float) -> np.ndarray:
     # the Nyquist node mode is cos(Omega t), whose sin part vanishes at the nodes
     inv[M // 2] = inv[M // 2].real
     Hf *= inv
-    return _fft.ifft(Hf, axis=0)
+    return fft.ifft(Hf, axis=0)
 
 
 def picard_solve(force: PeriodicForce, cfg: PicardConfig, grid: Grid) -> PeriodicSolution:

@@ -66,13 +66,10 @@ def fractional_integral(f: Field, lam: float) -> Field:
     its midpoint value; the singular cell at y = 0 is replaced by the exact
     integral of the kernel over the ball of equal volume.
 
-    The sum is evaluated as a circular convolution on the doubled lattice
-    Grid(n, 2N, 2L), which has the same spacing h, through its spectral
-    layer: f is zero-padded into the first N slots per axis, K is stored at
-    the wrapped offsets d in {0..N-1, -N..-1}, and the first N slots of the
-    product's inverse are kept.  For i, j in [0, N) the index (i - j) mod 2N
-    is never N, so the kernel value at d = -N is never read and the circular
-    sum equals the linear one exactly.
+    K depends only on each |d_j|, so it is built on the (N + 1)^n offsets
+    d in {0..N}^n only, and the grid's spectral layer evaluates the sum
+    exactly as a circular convolution on the 2N lattice of this even kernel,
+    by a DCT-I and pruned padding (Spectral.convolve_even).
     """
     g = f.grid
     n, N = g.n, g.N
@@ -81,9 +78,7 @@ def fractional_integral(f: Field, lam: float) -> Field:
     if f.is_vector:
         raise ValueError("fractional integral expects a scalar field")
     h = g.h
-    # offsets h*d in wrapped order; Grid.offset_sq's min-image lengths round
-    # differently on negative d and would move tie cells across the 3h test
-    off = h * np.concatenate([np.arange(N), np.arange(-N, 0)])
+    off = h * np.arange(N + 1)
     off_sq = sum(o**2 for o in np.meshgrid(*([off] * n), indexing="ij", sparse=True))
     with np.errstate(divide="ignore"):
         ker = np.where(off_sq > 0, off_sq ** (0.5 * (lam - n)), 0.0) * h**n
@@ -107,13 +102,7 @@ def fractional_integral(f: Field, lam: float) -> Field:
     cell = float(np.sum(rc_sq[rc_sq > 0] ** (0.5 * (lam - n)))) * hs**n
     cell += sphere_area * ball_radius**lam / lam
     ker[(0,) * n] = cell
-    sp = Grid(n, 2 * N, 2.0 * g.L).spectral()
-    first = (slice(0, N),) * n
-    pad = np.zeros(ker.shape)
-    pad[first] = f.data
-    hat = sp.forward(pad)
-    hat *= sp.forward(ker)
-    return Field(g, np.ascontiguousarray(sp.inverse(hat)[first]))
+    return Field(g, g.spectral().convolve_even(f.data, ker))
 
 
 @dataclass(frozen=True)

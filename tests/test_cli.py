@@ -573,6 +573,8 @@ def test_run_node_not_solenoidal(small_run, tmp_path, capsys):
         (["check-weight", "--n", "12"], "precondition-violation", 1),
         (["feasibility", "--n", "3", "--scan", "1", "--step", "1e-6"],
          "precondition-violation", 1),
+        # side^2 overflows: refused before any cube product
+        (["check-weight", "--sides", "0.001,1e300"], "precondition-violation", 1),
     ],
     ids=["decay-points-0", "decay-points-1", "scan-step-0", "scan-empty", "force-unknown",
          "steps-0", "out-is-file", "out-under-file", "threads-negative", "N-not-int",
@@ -583,7 +585,8 @@ def test_run_node_not_solenoidal(small_run, tmp_path, capsys):
          "check-weight-n-negative", "admissible-range-n-0", "admissible-range-n-negative",
          "bogovskii-empty-annulus", "extend-empty-annulus", "solve-T-inf", "solve-eps-nan",
          "solve-eps-inf", "solve-tol-inf", "check-weight-q-inf", "admissible-range-q-inf",
-         "decay-alpha-order-2", "check-weight-n-7", "check-weight-n-12", "scan-step-1e-6"],
+         "decay-alpha-order-2", "check-weight-n-7", "check-weight-n-12", "scan-step-1e-6",
+         "sides-overflow"],
 )
 def test_out_of_range_inputs(argv, error, status, small_run, tmp_path, capsys):
     (tmp_path / "file").write_text("")

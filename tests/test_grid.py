@@ -297,3 +297,24 @@ def test_gradient_magnitude_matches_componentwise_gradients():
     assert np.abs(gradient_magnitude(v).data - ref).max() <= 1e-12 * ref.max()
     f = Field(g, v.data[0])
     assert np.abs(gradient_magnitude(f).data - gradient(f).magnitude()).max() <= 1e-14
+
+
+def test_only_the_spectral_layer_imports_scipy_fft():
+    # transforms have one owner: every other module reaches the backend
+    # through grid (refine_block, convolve_even, fft_backend)
+    import ast
+    import pathlib
+
+    src = pathlib.Path(__file__).resolve().parents[1] / "src" / "stokeslab"
+    importers = set()
+    for path in src.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [f"{node.module}.{a.name}" for a in node.names] + [node.module or ""]
+            else:
+                continue
+            if any(name == "scipy.fft" or name.startswith("scipy.fft.") for name in names):
+                importers.add(path.name)
+    assert importers == {"grid.py"}

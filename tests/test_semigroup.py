@@ -270,21 +270,28 @@ def test_fractional_integral_rejects_bad_order():
             fractional_integral(f, lam)
 
 
-def test_fractional_integral_doubled_grid_builds_no_wavenumbers(monkeypatch):
-    # the doubled grid only transforms, so its spectral layer holds no |xi|^2,
-    # wavenumber, index, Parseval or de-aliasing arrays
+def test_fractional_integral_builds_no_doubled_grid_and_holds_no_wavenumbers(monkeypatch):
+    # the padded convolution is a method of the field's own spectral layer:
+    # no Grid(n, 2N, 2L) is built, and the layer only transforms, so it holds
+    # no |xi|^2, wavenumber, index, Parseval or de-aliasing arrays
     g = Grid(3, 16, 4.0)
     f = Field(g, np.exp(-g.radius_sq()))
-    built = []
-    spectral = Grid.spectral
+    built, grids = [], []
+    spectral, init = Grid.spectral, Grid.__init__
 
     def recording(grid):
         built.append(spectral(grid))
         return built[-1]
 
+    def counting(grid, *args, **kwargs):
+        grids.append(grid)
+        init(grid, *args, **kwargs)
+
     monkeypatch.setattr(Grid, "spectral", recording)
+    monkeypatch.setattr(Grid, "__init__", counting)
     fractional_integral(f, 1.0)
-    assert [sp.grid.N for sp in built] == [32]
+    assert grids == []
+    assert [sp.grid for sp in built] == [g]
     lazy = {"ksq", "_ksq_safe", "k", "index", "_pw", "_band_pieces", "band_k", "band_ksq"}
     assert lazy.isdisjoint(vars(built[0]))
 

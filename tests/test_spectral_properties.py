@@ -1,6 +1,6 @@
 """Property tests over random grids and seeds: the spectral layer's identities,
-its pruned band transforms, the periodic solver's advection term and the
-field binary round trip."""
+its pruned band transforms and even-kernel convolution, the periodic solver's
+advection term and the field binary round trip."""
 
 import os
 import tempfile
@@ -139,6 +139,28 @@ def test_pruned_band_pair_matches_full_transforms(N, L, seed, lead):
     # the zero fill keeps the band and nothing else
     assert np.array_equal(sp.band(sp.from_band(band)), band)
     assert abs(sp.l2(sp.from_band(band)) / sp.l2(band) - 1.0) <= 1e-14
+
+
+@PROPERTY
+@given(st.integers(min_value=4, max_value=20).map(lambda half: 2 * half),
+       st.integers(min_value=0, max_value=2**32 - 1))
+def test_even_kernel_convolution_matches_the_doubled_grid(N, seed):
+    # convolve_even is the padded product on the 2N grid, inverse(forward(pad)
+    # * forward(wrapped kernel)) cropped to the first N slots, where the
+    # wrapped kernel is the even extension of the (N + 1)^3 block
+    g = Grid(3, N, 1.0)
+    rng = np.random.default_rng(seed)
+    data = rng.standard_normal(g.shape)
+    block = rng.standard_normal((N + 1,) * 3)
+    mirror = np.concatenate([np.arange(N + 1), np.arange(N - 1, 0, -1)])
+    doubled = Grid(3, 2 * N, 2.0).spectral()
+    pad = np.zeros(doubled.grid.shape)
+    pad[:N, :N, :N] = data
+    hat = doubled.forward(pad) * doubled.forward(block[np.ix_(mirror, mirror, mirror)])
+    ref = doubled.inverse(hat)[:N, :N, :N]
+    out = g.spectral().convolve_even(data, block)
+    assert out.shape == g.shape and out.flags.c_contiguous
+    assert np.abs(out - ref).max() <= 1e-13 * np.abs(ref).max()
 
 
 def _band_limited_solenoidal(g, rng):

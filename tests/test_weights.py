@@ -4,6 +4,8 @@ import pytest
 from stokeslab.grid import Field, Grid, integrate
 from stokeslab.corpus import corpus_seeds, random_smooth_field
 from stokeslab.weights import (
+    _cube_points,
+    _cube_product,
     HypothesisSet,
     RadialWeight,
     admissible_range,
@@ -225,6 +227,52 @@ def test_oversized_grids_are_refused_before_allocation():
     finally:
         tracemalloc.stop()
     assert peak < 2**20
+
+
+def _product(a1, a2, q):
+    return a1 * a2 ** (q - 1.0) if np.isfinite(a1) and np.isfinite(a2) else np.inf
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_grouped_cube_rule_is_the_full_midpoint_mean(n):
+    # against np.mean over the full meshgrid at aq_check's two resolutions;
+    # m = 9 at n = 5 puts a midpoint on the origin, where the homogeneous
+    # weight is infinite
+    m0 = max(8, int(np.ceil(32768 ** (1.0 / n))))
+    infinite = 0
+    for m in (m0, 2 * m0):
+        grouped = _cube_points(n, m)
+        assert grouped[0].size < m**n or n == 1
+        assert abs(grouped[2].sum() - 1.0) < 1e-14
+        ax = (np.arange(m) + 0.5) / m - 0.5
+        pts = np.meshgrid(*([ax] * n), indexing="ij")
+        u_sq = sum(p**2 for p in pts)
+        for c in (0.0, 1.0, 64.0):
+            for side in (1.0 / 8.0, 1.0, 1024.0):
+                r_sq = c**2 + 2.0 * c * side * pts[0] + side**2 * u_sq
+                for w in (RadialWeight(1.5), RadialWeight(-2.0, "homogeneous")):
+                    with np.errstate(divide="ignore"):
+                        vals = w.values_r2(r_sq)
+                    for q in (1.5, 2.0, 3.0):
+                        with np.errstate(divide="ignore"):
+                            a2 = np.mean(vals ** (-1.0 / (q - 1.0)))
+                        want = _product(np.mean(vals), a2, q)
+                        got = _cube_product(w, q, c, side, *grouped)
+                        if np.isinf(want):
+                            infinite += 1
+                            assert np.isinf(got)
+                        else:
+                            assert abs(got / want - 1.0) <= 1e-14
+    assert infinite == (9 if n == 5 else 0)
+
+
+def test_huge_cube_sides_are_refused_before_any_product():
+    # side^2 = 1e600 overflows; it used to raise OverflowError mid-ladder
+    with pytest.raises(ValueError, match="overflows"):
+        aq_check(RadialWeight(1.0), 2.0, cube_sides=[1e-3, 1e300])
+    with pytest.raises(ValueError, match="overflows"):
+        aq_check(RadialWeight(1.0), 2.0, cube_sides=[1e-3, 1.0], centers=[1e200])
+    aq_check(RadialWeight(1.0), 2.0, cube_sides=[1e-3, 1e150])
 
 
 def test_feasibility_scan_matches_pointwise_windows():
