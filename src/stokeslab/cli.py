@@ -87,6 +87,8 @@ def _resolve_config(args) -> dict:
             if k not in schema:
                 raise ConfigError(f"unknown option {k!r} for {args.command}")
             try:
+                if isinstance(v, bool):         # JSON true/false would read as 1/0
+                    raise TypeError(f"{json.dumps(v)} is a JSON boolean, which no option takes")
                 if schema[k][0] is int and isinstance(v, float) and not v.is_integer():
                     raise ValueError(f"{v!r} is not an integer")
                 cfg[k] = schema[k][0](v)
@@ -322,8 +324,9 @@ def _sha256(path) -> str:
 def _load_run(command, run_dir):
     """(solution, force, Picard config) of a solve-periodic run directory.
 
-    Every node file must parse, carry the manifest's grid in its header and
-    hash to the sha256 that the manifest's artifacts record for it.  A
+    The manifest's artifacts must hold one digest per node, checked before
+    any node is read.  Every node file must parse, carry the manifest's grid
+    in its header and hash to the sha256 that the artifacts record for it.  A
     missing --run is a ConfigError; an unreadable or inconsistent run raises
     OSError, KeyError or ValueError, and a config value of the wrong type a
     TypeError.
@@ -344,6 +347,10 @@ def _load_run(command, run_dir):
     artifacts = manifest["artifacts"]
     if not isinstance(artifacts, dict):
         raise ValueError(f"{path!r} holds no object of artifact digests")
+    # before any per-node work, which a huge M would make huge
+    if len(artifacts) != cfg["M"]:
+        raise ValueError(f"the run manifest lists {len(artifacts)} artifact digests "
+                         f"for M = {cfg['M']!r} nodes")
     _check_choices(cfg, _COMMANDS["solve-periodic"][2])
     grid = Grid(3, cfg["N"], cfg["L"])
     expected = (3, grid.N, grid.L, 3)
@@ -541,6 +548,8 @@ def _run(args) -> int:
         _write_json(os.path.join(outdir, "manifest.json"), manifest)
     except (ValueError, RuntimeError) as exc:
         return _fail("precondition-violation", str(exc), outdir)
+    except MemoryError as exc:          # numpy refuses an array larger than memory
+        return _fail("precondition-violation", f"out of memory: {exc}", outdir)
     print(_json_text(result))
     return status
 

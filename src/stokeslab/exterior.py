@@ -55,28 +55,21 @@ class AnnulusSpec:
 
 
 def _smoothstep7(t):
-    """C^3 smoothstep: 0 for t <= 0, 1 for t >= 1."""
+    """C^3 smoothstep and its derivative: 0 for t <= 0, 1 for t >= 1.  The
+    derivative polynomial vanishes exactly at both clipped ends."""
     t = np.clip(t, 0.0, 1.0)
-    return t**4 * (35.0 - 84.0 * t + 70.0 * t * t - 20.0 * t**3)
-
-
-def _smoothstep7_d(t):
-    tc = np.clip(t, 0.0, 1.0)
-    return np.where(
-        (t > 0.0) & (t < 1.0),
-        tc**3 * (140.0 - 420.0 * tc + 420.0 * tc * tc - 140.0 * tc**3),
-        0.0,
-    )
+    return (t**4 * (35.0 - 84.0 * t + 70.0 * t * t - 20.0 * t**3),
+            t**3 * (140.0 - 420.0 * t + 420.0 * t * t - 140.0 * t**3))
 
 
 def _cut_off(u0: Field, R: float):
     """The radial cut-off phi, 1 for |x| <= R+2 and 0 for |x| >= R+3, and
     (grad phi) . u0 with grad phi = phi'(r) x/|x|; both as arrays."""
     r = np.sqrt(u0.grid.radius_sq())
-    t = r - (R + 2.0)
-    dp = -_smoothstep7_d(t) / np.where(r > 0, r, 1.0)
+    s, ds = _smoothstep7(r - (R + 2.0))
+    dp = -ds / np.where(r > 0, r, 1.0)
     (x0, x1, x2), u = u0.grid.coords(), u0.data
-    return 1.0 - _smoothstep7(t), dp * x0 * u[0] + dp * x1 * u[1] + dp * x2 * u[2]
+    return 1.0 - s, dp * x0 * u[0] + dp * x1 * u[1] + dp * x2 * u[2]
 
 
 # ---------------------------------------------------------------------------
@@ -325,8 +318,8 @@ def bogovskii_apply(f: Field, spec: AnnulusSpec, mean_rtol: float = 1e-10) -> Fi
 
     width = _TRANSPORT_HI - _TRANSPORT_LO
     tt = (pr - (R + _TRANSPORT_LO)) / width
-    M = _smoothstep7(tt)
-    Md = _smoothstep7_d(tt) / width
+    M, Md = _smoothstep7(tt)
+    Md /= width
 
     # radial part: (int_R^r f rho^2 - M(r) m(omega)) / r^2 along each ray
     F_p = _ray_integral(sample_f, R, pr, rhat)

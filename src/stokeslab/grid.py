@@ -69,7 +69,8 @@ class Grid:
     ----------
     n : spatial dimension, >= 3 (compute path exercised at n = 3)
     N : even number of samples per axis, >= 8
-    L : half-extent of the cube, > 0
+    L : half-extent of the cube, > 0, such that the cell volume h^n,
+        h = 2L/N, is a positive finite float
     """
 
     def __init__(self, n: int = 3, N: int = 64, L: float = 16.0):
@@ -84,7 +85,13 @@ class Grid:
         self.N = N
         self.L = L
         self.h = 2.0 * L / N
-        self.cell_volume = self.h**n
+        try:
+            self.cell_volume = self.h**n
+        except OverflowError:
+            self.cell_volume = np.inf
+        if not 0 < self.cell_volume < np.inf:
+            raise ValueError(f"cell volume h^n = ({self.h:g})^{n} at L = {L:g}, N = {N} "
+                             f"is not a positive finite float")
         self.axis = -L + self.h * np.arange(N)
         self._coords = None
         self._r_sq = None

@@ -186,18 +186,17 @@ _SLOT = ((0, 3, 4), (3, 1, 5), (4, 5, 2))
 def _advection_table(sp):
     """The real A[i, p] on the band with -P div(T)_i = -i sum_p A[i, p] T_p for
     a symmetric tensor T of distinct entries T_p: the contraction
-    sum_j k_j T_lj and the Leray projector P_il = delta_il - k_i k_l / |k|^2
-    (zero at k = 0) folded together, laid out to act on band coefficients
-    viewed as real pairs."""
+    sum_j k_j T_lj and the Leray projector folded together, laid out to act
+    on band coefficients viewed as real pairs.  Column l of the projector is
+    sp.project of the spectrum that holds e_l at every mode."""
     k = sp.band_k
-    ksq = sp.band_ksq
-    inv = np.divide(1.0, ksq, out=np.zeros_like(ksq), where=ksq > 0.0)
-    A = np.zeros((3, len(_PAIRS)) + ksq.shape)
+    P = sp.band(sp.project(np.eye(3)[..., None, None, None] * np.ones(sp.shape))).real
+    A = np.zeros((3, len(_PAIRS)) + P.shape[2:])
     for i in range(3):
         for l, slots in enumerate(_SLOT):
-            p_il = float(i == l) - k[i] * k[l] * inv
             for kj, p in zip(k, slots):
-                A[i, p] += p_il * kj
+                A[i, p] += P[l, i] * kj
+    del P       # before the repeat: the build then holds no more than A and its copy
     # each entry twice, for the real and the imaginary part of a coefficient
     return np.repeat(A, 2, axis=-1)
 

@@ -108,11 +108,14 @@ def _cube_points(n: int, m: int):
 def _cube_product(w: RadialWeight, q: float, offset: float, side: float, u1, u_sq, weights):
     # |c e1 + side u|^2 expanded; offset is the center's coordinate on axis 1
     r_sq = offset**2 + 2.0 * offset * side * u1 + side**2 * u_sq
-    with np.errstate(divide="ignore", over="ignore"):
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         vals = w.values_r2(r_sq)
-        inv = vals ** (-1.0 / (q - 1.0))
-        a1 = float(np.sum(weights * vals))      # pairwise summation, like np.mean
-        a2 = float(np.sum(weights * inv))
+        # both averages relative to the smallest value, whose factors cancel:
+        # (low / vals)^(1/(q-1)) lies in (0, 1] and its average cannot
+        # underflow to zero as q approaches 1
+        low = vals.min()
+        a1 = float(np.sum(weights * (vals / low)))      # pairwise, like np.mean
+        a2 = float(np.sum(weights * (low / vals) ** (1.0 / (q - 1.0))))
     if not (np.isfinite(a1) and np.isfinite(a2)):
         return np.inf
     return a1 * a2 ** (q - 1.0)
@@ -215,8 +218,8 @@ def admissible_range(q: float, n: int):
 def maximal_function(f: Field, radius_ladder=None) -> Field:
     """Centered maximal function approximated over a ladder of ball radii.
 
-    Ball averages are circular convolutions with normalized lattice-ball
-    indicators (min-image metric); the result is a lower bound of the true
+    Ball averages are circular convolutions with lattice-ball indicators
+    (min-image metric) of unit mass; the result is a lower bound of the true
     maximal function that grows as the ladder refines.  The smallest radius
     is always the grid spacing, so the output dominates |f| pointwise.
     """
@@ -228,17 +231,17 @@ def maximal_function(f: Field, radius_ladder=None) -> Field:
         raise ValueError("radius ladder must live in [h, sqrt(n) L]")
 
     off_sq = g.offset_sq()
-    balls = (off_sq < r * r for r in radius_ladder)
-    return _sup_of_averages(f, (ball / np.count_nonzero(ball) for ball in balls))
+    return _sup_of_averages(f, (off_sq < r * r for r in radius_ladder))
 
 
 def _sup_of_averages(f: Field, kernels) -> Field:
-    """Pointwise sup of the circular convolutions of |f| with each kernel."""
+    """Pointwise sup of the circular convolutions of |f| with each kernel,
+    scaled to unit mass."""
     sp = f.grid.spectral()
     Fm = sp.forward(f.magnitude())
     out = np.zeros(f.grid.shape)
     for ker in kernels:
-        np.maximum(out, sp.inverse(Fm * sp.forward(ker)), out=out)
+        np.maximum(out, sp.inverse(Fm * sp.forward(ker / ker.sum())), out=out)
     return Field(f.grid, out)
 
 
@@ -247,8 +250,7 @@ def mollifier_sup(f: Field) -> Field:
     geometric from h/2 to L/6."""
     g = f.grid
     widths = np.geomspace(g.h / 2.0, g.L / 6.0, 12)
-    kernels = (np.exp(-g.offset_sq() / (2.0 * eps**2)) for eps in widths)
-    return _sup_of_averages(f, (ker / ker.sum() for ker in kernels))
+    return _sup_of_averages(f, (np.exp(-g.offset_sq() / (2.0 * eps**2)) for eps in widths))
 
 
 class Interval(NamedTuple):

@@ -160,7 +160,8 @@ def _floats(value):
      ["bogovskii-test", "--N", "32", "--L", "4", "--R", "1"],
      ["extend", "--N", "32", "--L", "5", "--R", "0.5"],
      ["feasibility", "--n", "3", "--scan", "1", "--step", "0.05"],
-     ["solve-periodic", "--force", "single-mode", "--linear", "1", "--N", "16", "--M", "8"]],
+     ["solve-periodic", "--force", "single-mode", "--linear", "1", "--N", "16", "--M", "8"],
+     ["check-weight", "--q", "1.01"]],
     ids=lambda argv: argv[0],
 )
 def test_command_success_paths(argv, tmp_path, capsys):
@@ -199,9 +200,11 @@ def test_deterministic_artifacts(tmp_path, capsys):
     [("decay", {"nonsense": 1}), ("decay", {"N": None}), ("decay", [1, 2]),
      ("decay", {"N": "abc"}), ("check-weight", {"form": "weird"}),
      ("solve-periodic", {"force": "bogus"}), ("decay", {"N": 16.9}),
-     ("feasibility", {"scan": 1.7})],
+     ("feasibility", {"scan": 1.7}), ("solve-periodic", {"eps": True}),
+     ("solve-periodic", {"N": True})],
     ids=["unknown-key", "null-value", "top-level-list", "non-numeric", "form-unknown",
-         "force-unknown", "int-non-integral", "scan-non-integral"],
+         "force-unknown", "int-non-integral", "scan-non-integral", "float-boolean",
+         "int-boolean"],
 )
 def test_invalid_config_file(command, payload, tmp_path, capsys):
     cfgfile = tmp_path / "cfg.json"
@@ -256,6 +259,20 @@ def test_non_finite_result_is_a_precondition_violation(value, tmp_path, capsys, 
     assert out["error"] == "precondition-violation"
     assert "non-finite" in out["detail"]
     assert sorted(os.listdir(tmp_path)) == ["error.json"]
+
+
+def test_memory_error_is_a_precondition_violation(tmp_path, capsys, monkeypatch):
+    """An allocation numpy refuses (as at maximal --N 100000) ends in the JSON contract."""
+    def refuse(cfg, outdir):
+        raise MemoryError("Unable to allocate 74.5 GiB for an array")
+
+    _, description, options = cli._COMMANDS["maximal"]
+    monkeypatch.setitem(cli._COMMANDS, "maximal", (refuse, description, options))
+    status, out = run_cli(capsys, "maximal", "--out", str(tmp_path))
+    assert status == 1
+    assert out["error"] == "precondition-violation"
+    assert "out of memory" in out["detail"]
+    assert loads((tmp_path / "error.json").read_text()) == out
 
 
 def test_non_finite_unused_option_is_a_precondition_violation(tmp_path, capsys):
@@ -477,6 +494,21 @@ def test_run_manifest_artifacts_not_an_object(small_run, tmp_path, capsys):
     assert "no object of artifact digests" in _assert_rejected(capsys, run)
 
 
+@pytest.mark.parametrize("edit", [{"L": 1e300}, {"M": 10}], ids=["L-1e300", "M-10"])
+def test_run_manifest_out_of_range(edit, small_run, tmp_path, capsys, monkeypatch):
+    # M = 10 against the 8 digests of the run: refused before the node names
+    # are built, which a manifest with a huge M would make huge
+    run = _copy_run(small_run, tmp_path / "run")
+    manifest = loads((run / "manifest.json").read_text())
+    manifest["config"].update(edit)
+    (run / "manifest.json").write_text(json.dumps(manifest))
+    if "M" in edit:
+        monkeypatch.setattr(cli, "_node_names", lambda M: pytest.fail("node names built"))
+    for command in ("periodicity-check", "weighted-report"):
+        detail = _assert_rejected(capsys, run, command)
+        assert ("cell volume" if "L" in edit else "10 nodes") in detail
+
+
 def test_run_node_header_mismatch(small_run, tmp_path, capsys):
     run = _copy_run(small_run, tmp_path / "run")
     node = run / "node_002.field"
@@ -575,6 +607,11 @@ def test_run_node_not_solenoidal(small_run, tmp_path, capsys):
          "precondition-violation", 1),
         # side^2 overflows: refused before any cube product
         (["check-weight", "--sides", "0.001,1e300"], "precondition-violation", 1),
+        # the cell volume h^3 overflows or underflows
+        (["maximal", "--N", "8", "--L", "1e300"], "precondition-violation", 1),
+        (["bogovskii-test", "--N", "8", "--L", "1e300", "--R", "1e299"],
+         "precondition-violation", 1),
+        (["maximal", "--N", "8", "--L", "1e-300"], "precondition-violation", 1),
     ],
     ids=["decay-points-0", "decay-points-1", "scan-step-0", "scan-empty", "force-unknown",
          "steps-0", "out-is-file", "out-under-file", "threads-negative", "N-not-int",
@@ -586,7 +623,7 @@ def test_run_node_not_solenoidal(small_run, tmp_path, capsys):
          "bogovskii-empty-annulus", "extend-empty-annulus", "solve-T-inf", "solve-eps-nan",
          "solve-eps-inf", "solve-tol-inf", "check-weight-q-inf", "admissible-range-q-inf",
          "decay-alpha-order-2", "check-weight-n-7", "check-weight-n-12", "scan-step-1e-6",
-         "sides-overflow"],
+         "sides-overflow", "maximal-L-1e300", "bogovskii-L-1e300", "maximal-L-1e-300"],
 )
 def test_out_of_range_inputs(argv, error, status, small_run, tmp_path, capsys):
     (tmp_path / "file").write_text("")

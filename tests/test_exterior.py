@@ -11,6 +11,7 @@ from stokeslab.exterior import (
     _SphereSolver,
     _cut_off,
     _equator_fold,
+    _smoothstep7,
 )
 from stokeslab.corpus import random_smooth_field, refine_field
 
@@ -69,6 +70,19 @@ def test_cutoff_plateaus_and_support():
     shell = (r > R + 2.0) & (r < R + 3.0)
     assert np.all(fb[~shell] == 0.0)
     assert np.any(fb[shell] != 0.0)
+
+
+def test_smoothstep_pair_is_the_masked_value_and_derivative():
+    # one clip gives both; the derivative used to be masked to 0 outside (0, 1)
+    t = np.concatenate([np.linspace(-1.0, 2.0, 3001), [0.0, 1.0, np.nextafter(0.0, 1.0),
+                                                      np.nextafter(1.0, 0.0)]])
+    tc = np.clip(t, 0.0, 1.0)
+    value = tc**4 * (35.0 - 84.0 * tc + 70.0 * tc * tc - 20.0 * tc**3)
+    slope = np.where((t > 0.0) & (t < 1.0),
+                     tc**3 * (140.0 - 420.0 * tc + 420.0 * tc * tc - 140.0 * tc**3), 0.0)
+    s, ds = _smoothstep7(t)
+    assert np.array_equal(s, value) and np.array_equal(ds, slope)
+    assert np.array_equal(np.signbit(ds), np.signbit(slope))
 
 
 def test_sphere_solver_identities():

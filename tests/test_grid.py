@@ -194,6 +194,16 @@ def test_grid_rejects_non_finite_extent():
             Grid(3, 8, L)
 
 
+def test_grid_rejects_a_cell_volume_that_is_not_a_positive_finite_float():
+    # h^3 overflows (it raised OverflowError) or underflows to zero
+    for L in (1e300, 1e-300):
+        with pytest.raises(ValueError, match="cell volume"):
+            Grid(3, 8, L)
+    for L in (1e100, 16.0, 1e-100):
+        g = Grid(3, 8, L)
+        assert g.cell_volume == (2.0 * L / 8) ** 3
+
+
 def test_quadrature_consistency_under_refinement():
     # C^1 bump: midpoint error must shrink by at least ~4x per h-halving
     from scipy.integrate import quad

@@ -16,7 +16,10 @@ from stokeslab.periodic import (
     random_solenoidal_force,
     single_mode_force,
     weighted_report,
+    _PAIRS,
+    _SLOT,
     _advection,
+    _advection_table,
     _force_hat,
     _resolve_periodic,
 )
@@ -69,6 +72,24 @@ def test_nonlinearity_zero():
     sp = g.spectral()
     out = sp.inverse_band(_advection(sp, np.zeros((3,) + g.shape)))
     assert np.all(out == 0.0)
+
+
+@pytest.mark.parametrize("N", [16, 32, 48])
+def test_advection_table_is_the_explicit_projector_formula(N):
+    # the table takes its projector from Spectral.project; against
+    # P_il = delta_il - k_i k_l / |k|^2 (zero at k = 0) written out
+    sp = Grid(3, N, 7.3).spectral()
+    k, ksq = sp.band_k, sp.band_ksq
+    inv = np.divide(1.0, ksq, out=np.zeros_like(ksq), where=ksq > 0.0)
+    want = np.zeros((3, len(_PAIRS)) + ksq.shape)
+    for i in range(3):
+        for l, slots in enumerate(_SLOT):
+            for kj, p in zip(k, slots):
+                want[i, p] += (float(i == l) - k[i] * k[l] * inv) * kj
+    want = np.repeat(want, 2, axis=-1)
+    got = _advection_table(sp)
+    assert got.shape == want.shape
+    assert np.abs(got - want).max() <= 1e-15 * np.abs(want).max()
 
 
 def test_nonlinearity_mode_arithmetic():

@@ -266,6 +266,19 @@ def test_grouped_cube_rule_is_the_full_midpoint_mean(n):
     assert infinite == (9 if n == 5 else 0)
 
 
+@pytest.mark.parametrize("q", [1.01, 1.001])
+def test_cube_products_near_q_one_keep_the_jensen_bound(q):
+    # w^(-1/(q-1)) underflowed to 0 on whole cubes, and the product with it
+    # (below Jensen's bound of 1) was divided by in the refinement jump
+    verdicts = {}
+    for alpha in (2.0, 0.5, -2.0, 0.0):
+        report = aq_check(RadialWeight(alpha), q)
+        assert all(1.0 - 1e-9 <= s.product < np.inf for s in report.samples)
+        verdicts[alpha] = report.verdict
+    # <x>^alpha lies in A_q exactly for -3/q < alpha < 3 (1 - 1/q)
+    assert verdicts == {2.0: "diverging", 0.5: "diverging", -2.0: "finite", 0.0: "finite"}
+
+
 def test_huge_cube_sides_are_refused_before_any_product():
     # side^2 = 1e600 overflows; it used to raise OverflowError mid-ladder
     with pytest.raises(ValueError, match="overflows"):
