@@ -248,6 +248,7 @@ def _bog_test_field(grid, R):
 def _cmd_bogovskii_test(cfg, outdir):
     grid = Grid(3, cfg["N"], cfg["L"])
     spec = AnnulusSpec(cfg["R"])
+    spec.validate_for(grid)
     f = _bog_test_field(grid, cfg["R"])
     B = bogovskii_apply(f, spec)
     defect = divergence_defect(B, f)
@@ -273,6 +274,7 @@ def _extension_data(grid, R):
 def _cmd_extend(cfg, outdir):
     grid = Grid(3, cfg["N"], cfg["L"])
     spec = AnnulusSpec(cfg["R"])
+    AnnulusSpec(spec.R + 2.0).validate_for(grid)     # solenoidal_extension's shell
     u0 = _extension_data(grid, cfg["R"])
     v0, info = solenoidal_extension(u0, spec)
     r = np.sqrt(grid.radius_sq())

@@ -19,9 +19,9 @@ cuts it out of a half spectrum, from_band() zero-fills it back, and
 band_k / band_ksq hold its wavenumbers.  forward_band and inverse_band are
 the transform pair on the band, pruned: along each full axis the complex
 pass runs only over the lines that hold or feed band data (Markel 1971).
-convolve_even is the linear convolution with an even kernel on the doubled
-2N lattice, with no doubled grid: the kernel's spectrum is a DCT-I and the
-padded pair is pruned the same way.
+Every convolution kernel is even, held as its first-octant block on the
+offsets {0..K}^n (Grid.offset_sq); even_spectrum is its real spectrum, a
+mirrored DCT-I.  convolve_even convolves on the doubled 2N lattice (K = N).
 
 This module is the package's one import site of scipy.fft.  refine_block
 (Fourier refinement) lives here, and fft_backend() hands the backend to the
@@ -70,7 +70,7 @@ class Grid:
     n : spatial dimension, >= 3 (compute path exercised at n = 3)
     N : even number of samples per axis, >= 8
     L : half-extent of the cube, > 0, such that the cell volume h^n,
-        h = 2L/N, is a positive finite float
+        h = 2L/N, is a normal (not subnormal) positive finite float
     """
 
     def __init__(self, n: int = 3, N: int = 64, L: float = 16.0):
@@ -89,13 +89,12 @@ class Grid:
             self.cell_volume = self.h**n
         except OverflowError:
             self.cell_volume = np.inf
-        if not 0 < self.cell_volume < np.inf:
+        if not np.finfo(float).tiny <= self.cell_volume < np.inf:
             raise ValueError(f"cell volume h^n = ({self.h:g})^{n} at L = {L:g}, N = {N} "
-                             f"is not a positive finite float")
+                             f"is not a normal positive finite float")
         self.axis = -L + self.h * np.arange(N)
         self._coords = None
         self._r_sq = None
-        self._offset_sq = None
         self._spectral = None
 
     @property
@@ -121,15 +120,10 @@ class Grid:
             self._r_sq = sum(xi**2 for xi in self.coords())
         return self._r_sq
 
-    def offset_sq(self):
-        """Squared min-image length of each lattice offset, in wrapped order."""
-        if self._offset_sq is None:
-            step = np.arange(self.N) * self.h
-            d1 = np.minimum(step, 2 * self.L - step)
-            self._offset_sq = sum(
-                dd**2 for dd in np.meshgrid(*([d1] * self.n), indexing="ij", sparse=True)
-            )
-        return self._offset_sq
+    def offset_sq(self, K: int):
+        """|h d|^2 over the first-octant offsets d in {0..K}^n, no wrap."""
+        off = self.h * np.arange(K + 1)
+        return sum(o**2 for o in np.meshgrid(*([off] * self.n), indexing="ij", sparse=True))
 
     def bracket(self, s: float):
         """Japanese bracket weight <x>^s = (1 + |x|^2)^(s/2)."""
@@ -347,7 +341,14 @@ class Spectral:
             self._band_pass(hat[..., :self._band_pieces[0]], ax, _fft.ifft)
         return _fft.irfft(hat, n=self.grid.N, axis=-1)
 
-    # -- linear convolution on the doubled lattice -------------------------
+    # -- even kernels ------------------------------------------------------
+
+    def even_spectrum(self, block):
+        """Real rfftn-layout spectrum of the even extension of a {0..K}^n block
+        onto the 2K lattice: its DCT-I, mirrored (Martucci 1994)."""
+        K = block.shape[-1] - 1
+        mirror = np.concatenate([np.arange(K + 1), np.arange(K - 1, 0, -1)])
+        return _fft.dctn(block, type=1)[np.ix_(*([mirror] * (self.n - 1)), np.arange(K + 1))]
 
     def convolve_even(self, data, kernel):
         """The linear (non-periodic) convolution out_i = sum_j K(i - j) data_j
@@ -358,18 +359,16 @@ class Spectral:
         zero-padded data and the wrapped kernel: for i, j in [0, N) the index
         (i - j) mod 2N is never N, so K(N) is never read and the circular sum
         is the linear one exactly.  The wrapped kernel is the even extension of
-        the block, whose 2N-point spectrum is real: the DCT-I of the block,
-        mirrored onto the full axes (Martucci 1994).  The transforms run one
-        axis at a time and are pruned (Markel 1971): on the way in over only
-        the lines that hold data, on the way out keeping only the first N
-        outputs of each axis.
+        the block, whose 2N-point spectrum is even_spectrum(kernel).  The
+        transforms run one axis at a time and are pruned (Markel 1971): on the
+        way in over only the lines that hold data, on the way out keeping only
+        the first N outputs of each axis.
         """
         n, N = self.n, self.grid.N
         hat = _fft.rfft(data, n=2 * N, axis=-1)
         for ax in range(-2, -n - 1, -1):
             hat = _fft.fft(hat, n=2 * N, axis=ax)
-        mirror = np.concatenate([np.arange(N + 1), np.arange(N - 1, 0, -1)])
-        hat *= _fft.dctn(kernel, type=1)[np.ix_(*([mirror] * (n - 1)), np.arange(N + 1))]
+        hat *= self.even_spectrum(kernel)
         for ax in range(-n, -1):         # in place, then a view of the first N outputs
             hat = _fft.ifft(hat, axis=ax, overwrite_x=True)[
                 (Ellipsis, slice(0, N)) + (slice(None),) * (-1 - ax)]

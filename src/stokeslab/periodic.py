@@ -91,6 +91,8 @@ class PeriodicForce:
     def __post_init__(self):
         if not 0 < self.T < math.inf:
             raise ValueError(f"period T must be positive and finite, got {self.T}")
+        if not math.isfinite(2.0 * math.pi / self.T):
+            raise ValueError(f"period T = {self.T:g} is so small that 2 pi / T overflows")
         if not math.isfinite(self.amplitude):
             raise ValueError(f"forcing amplitude must be finite, got {self.amplitude}")
 

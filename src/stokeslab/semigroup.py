@@ -66,10 +66,10 @@ def fractional_integral(f: Field, lam: float) -> Field:
     its midpoint value; the singular cell at y = 0 is replaced by the exact
     integral of the kernel over the ball of equal volume.
 
-    K depends only on each |d_j|, so it is built on the (N + 1)^n offsets
-    d in {0..N}^n only, and the grid's spectral layer evaluates the sum
-    exactly as a circular convolution on the 2N lattice of this even kernel,
-    by a DCT-I and pruned padding (Spectral.convolve_even).
+    K depends only on each |d_j|, so it is the first-octant block on the
+    offsets d in {0..N}^n (Grid.offset_sq), and the grid's spectral layer
+    evaluates the sum exactly as a circular convolution on the 2N lattice of
+    this even kernel, by a DCT-I and pruned padding (Spectral.convolve_even).
     """
     g = f.grid
     n, N = g.n, g.N
@@ -78,8 +78,7 @@ def fractional_integral(f: Field, lam: float) -> Field:
     if f.is_vector:
         raise ValueError("fractional integral expects a scalar field")
     h = g.h
-    off = h * np.arange(N + 1)
-    off_sq = sum(o**2 for o in np.meshgrid(*([off] * n), indexing="ij", sparse=True))
+    off_sq = g.offset_sq(N)
     with np.errstate(divide="ignore"):
         ker = np.where(off_sq > 0, off_sq ** (0.5 * (lam - n)), 0.0) * h**n
     # near-singular cells: replace midpoint values by sub-quadrature cell averages
@@ -87,7 +86,7 @@ def fractional_integral(f: Field, lam: float) -> Field:
     sub = (np.arange(7) + 0.5) / 7.0 - 0.5
     sub_pts = np.stack(np.meshgrid(*([sub * h] * n), indexing="ij"), -1).reshape(-1, n)
     for idx in near:
-        y0 = off[idx]
+        y0 = h * idx
         r_sq = np.sum((y0 + sub_pts) ** 2, axis=1)
         if np.all(r_sq > 0):
             ker[tuple(idx)] = np.mean(r_sq ** (0.5 * (lam - n))) * h**n

@@ -218,10 +218,10 @@ def admissible_range(q: float, n: int):
 def maximal_function(f: Field, radius_ladder=None) -> Field:
     """Centered maximal function approximated over a ladder of ball radii.
 
-    Ball averages are circular convolutions with lattice-ball indicators
-    (min-image metric) of unit mass; the result is a lower bound of the true
-    maximal function that grows as the ladder refines.  The smallest radius
-    is always the grid spacing, so the output dominates |f| pointwise.
+    Ball averages are circular convolutions with unit-mass lattice balls,
+    first-octant blocks and so centrally symmetric; the result is a lower
+    bound of the true maximal function that grows as the ladder refines.  The
+    smallest radius h is the centre alone, so the output dominates |f|.
     """
     g = f.grid
     if radius_ladder is None:
@@ -230,19 +230,20 @@ def maximal_function(f: Field, radius_ladder=None) -> Field:
     if radius_ladder[0] < g.h or radius_ladder[-1] > np.sqrt(g.n) * g.L:
         raise ValueError("radius ladder must live in [h, sqrt(n) L]")
 
-    off_sq = g.offset_sq()
-    return _sup_of_averages(f, (off_sq < r * r for r in radius_ladder))
+    return _sup_of_averages(f, lambda off_sq, r: off_sq < r * r, radius_ladder)
 
 
-def _sup_of_averages(f: Field, kernels) -> Field:
-    """Pointwise sup of the circular convolutions of |f| with each kernel,
-    scaled to unit mass."""
-    sp = f.grid.spectral()
+def _sup_of_averages(f: Field, kernel, params) -> Field:
+    """Sup over params of |f| circularly convolved with the even block kernel(offset_sq, p)
+    on {0..N/2}^n at unit mass: its spectrum over the zero mode, the full-lattice mass."""
+    g = f.grid
+    sp, off_sq = g.spectral(), g.offset_sq(g.N // 2)
     Fm = sp.forward(f.magnitude())
-    out = np.zeros(f.grid.shape)
-    for ker in kernels:
-        np.maximum(out, sp.inverse(Fm * sp.forward(ker / ker.sum())), out=out)
-    return Field(f.grid, out)
+    out = np.zeros(g.shape)
+    for p in params:
+        spec = sp.even_spectrum(kernel(off_sq, p))
+        np.maximum(out, sp.inverse(Fm * (spec / spec[(0,) * g.n])), out=out)
+    return Field(g, out)
 
 
 def mollifier_sup(f: Field) -> Field:
@@ -250,7 +251,7 @@ def mollifier_sup(f: Field) -> Field:
     geometric from h/2 to L/6."""
     g = f.grid
     widths = np.geomspace(g.h / 2.0, g.L / 6.0, 12)
-    return _sup_of_averages(f, (np.exp(-g.offset_sq() / (2.0 * eps**2)) for eps in widths))
+    return _sup_of_averages(f, lambda off_sq, eps: np.exp(-off_sq / (2.0 * eps**2)), widths)
 
 
 class Interval(NamedTuple):

@@ -179,6 +179,15 @@ def test_command_success_paths(argv, tmp_path, capsys):
         assert out["far_field_exact"] is True
 
 
+@pytest.mark.parametrize("N, L", [(48, 6.1), (96, 5.0)])
+def test_maximal_dominates_on_non_dyadic_grids(N, L, tmp_path, capsys):
+    # on non-dyadic grids h d is not exact, and the balls must stay centrally symmetric
+    status, out = run_cli(capsys, "maximal", "--N", str(N), "--L", str(L),
+                          "--out", str(tmp_path))
+    assert status == 0
+    assert out["dominates_input"] is True and out["mollifier_dominated"] is True
+
+
 def test_deterministic_artifacts(tmp_path, capsys):
     args = ["decay", "--p", "2", "--q", "2", "--s", "1", "--s0", "0",
             "--tmax", "8", "--points", "4", "--N", "16", "--seed", "7"]
@@ -612,6 +621,16 @@ def test_run_node_not_solenoidal(small_run, tmp_path, capsys):
         (["bogovskii-test", "--N", "8", "--L", "1e300", "--R", "1e299"],
          "precondition-violation", 1),
         (["maximal", "--N", "8", "--L", "1e-300"], "precondition-violation", 1),
+        # h^3 is subnormal
+        (["maximal", "--N", "8", "--L", "1e-103"], "precondition-violation", 1),
+        (["decay", "--N", "8", "--L", "1e-103"], "precondition-violation", 1),
+        # the annulus is checked before the analytic input is built
+        (["bogovskii-test", "--R", "1e300", "--N", "12", "--L", "2"],
+         "precondition-violation", 1),
+        (["extend", "--R", "1e300", "--N", "12", "--L", "2"], "precondition-violation", 1),
+        # 2 pi / T overflows
+        (["solve-periodic", "--T", "1e-320", "--N", "8", "--M", "8"],
+         "precondition-violation", 1),
     ],
     ids=["decay-points-0", "decay-points-1", "scan-step-0", "scan-empty", "force-unknown",
          "steps-0", "out-is-file", "out-under-file", "threads-negative", "N-not-int",
@@ -623,7 +642,9 @@ def test_run_node_not_solenoidal(small_run, tmp_path, capsys):
          "bogovskii-empty-annulus", "extend-empty-annulus", "solve-T-inf", "solve-eps-nan",
          "solve-eps-inf", "solve-tol-inf", "check-weight-q-inf", "admissible-range-q-inf",
          "decay-alpha-order-2", "check-weight-n-7", "check-weight-n-12", "scan-step-1e-6",
-         "sides-overflow", "maximal-L-1e300", "bogovskii-L-1e300", "maximal-L-1e-300"],
+         "sides-overflow", "maximal-L-1e300", "bogovskii-L-1e300", "maximal-L-1e-300",
+         "maximal-L-1e-103", "decay-L-1e-103", "bogovskii-R-1e300", "extend-R-1e300",
+         "solve-T-1e-320"],
 )
 def test_out_of_range_inputs(argv, error, status, small_run, tmp_path, capsys):
     (tmp_path / "file").write_text("")

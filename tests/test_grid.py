@@ -66,9 +66,10 @@ def test_coordinates_are_broadcastable_axes():
     assert sum(a.size for a in x) == 3 * 128
     dense = np.meshgrid(*([g.axis] * 3), indexing="ij")
     assert np.array_equal(g.radius_sq(), sum(d**2 for d in dense))
-    step = np.arange(g.N) * g.h
-    d1 = np.minimum(step, 2 * g.L - step)
-    assert np.array_equal(g.offset_sq(), sum(d**2 for d in np.meshgrid(d1, d1, d1, indexing="ij")))
+    d1 = g.h * np.arange(g.N // 2 + 1)
+    off_sq = g.offset_sq(g.N // 2)
+    assert off_sq.shape == (g.N // 2 + 1,) * 3
+    assert np.array_equal(off_sq, sum(d**2 for d in np.meshgrid(d1, d1, d1, indexing="ij")))
 
 
 def test_single_cosine_mode_two_coefficients():
@@ -195,8 +196,8 @@ def test_grid_rejects_non_finite_extent():
 
 
 def test_grid_rejects_a_cell_volume_that_is_not_a_positive_finite_float():
-    # h^3 overflows (it raised OverflowError) or underflows to zero
-    for L in (1e300, 1e-300):
+    # h^3 overflows (it raised OverflowError), underflows to zero or is subnormal
+    for L in (1e300, 1e-300, 1e-103):
         with pytest.raises(ValueError, match="cell volume"):
             Grid(3, 8, L)
     for L in (1e100, 16.0, 1e-100):
@@ -328,3 +329,24 @@ def test_only_the_spectral_layer_imports_scipy_fft():
             if any(name == "scipy.fft" or name.startswith("scipy.fft.") for name in names):
                 importers.add(path.name)
     assert importers == {"grid.py"}
+
+
+def test_only_even_spectrum_names_dctn():
+    # every even kernel's spectrum comes from one routine: dctn is named
+    # nowhere in src/ outside Spectral.even_spectrum
+    import ast
+    import pathlib
+
+    def sites(node, scope):
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef)):
+            scope += (node.name,)
+        if "dctn" in (getattr(node, "attr", None), getattr(node, "id", None),
+                      getattr(node, "name", None)):
+            yield ".".join(scope)
+        for child in ast.iter_child_nodes(node):
+            yield from sites(child, scope)
+
+    src = pathlib.Path(__file__).resolve().parents[1] / "src" / "stokeslab"
+    found = [(path.name, site) for path in sorted(src.glob("*.py"))
+             for site in sites(ast.parse(path.read_text()), ())]
+    assert found == [("grid.py", "Spectral.even_spectrum")]

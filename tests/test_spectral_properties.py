@@ -1,6 +1,6 @@
 """Property tests over random grids and seeds: the spectral layer's identities,
-its pruned band transforms and even-kernel convolution, the periodic solver's
-advection term and the field binary round trip."""
+its pruned band transforms, even-kernel spectra and convolution, the periodic
+solver's advection term and the field binary round trip."""
 
 import os
 import tempfile
@@ -161,6 +161,21 @@ def test_even_kernel_convolution_matches_the_doubled_grid(N, seed):
     out = g.spectral().convolve_even(data, block)
     assert out.shape == g.shape and out.flags.c_contiguous
     assert np.abs(out - ref).max() <= 1e-13 * np.abs(ref).max()
+
+
+@PROPERTY
+@given(st.integers(min_value=4, max_value=20).map(lambda half: 2 * half),
+       st.floats(min_value=0.5, max_value=20.0), st.integers(min_value=0, max_value=2**32 - 1))
+def test_even_spectrum_is_the_transform_of_the_mirrored_block(N, L, seed):
+    # at K = N/2 the even extension of the block is a kernel on the N grid
+    # itself, and even_spectrum is its half spectrum
+    sp = Grid(3, N, L).spectral()
+    block = np.random.default_rng(seed).standard_normal((N // 2 + 1,) * 3)
+    mirror = np.concatenate([np.arange(N // 2 + 1), np.arange(N // 2 - 1, 0, -1)])
+    ref = sp.forward(block[np.ix_(mirror, mirror, mirror)])
+    spec = sp.even_spectrum(block)
+    assert spec.shape == sp.shape and spec.dtype == float
+    assert np.abs(spec - ref).max() <= 1e-13 * np.abs(ref).max()
 
 
 def _band_limited_solenoidal(g, rng):

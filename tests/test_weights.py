@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from stokeslab.grid import Field, Grid, integrate
 from stokeslab.corpus import corpus_seeds, random_smooth_field
@@ -144,6 +145,19 @@ def test_maximal_mollifier_domination_gaussian():
     mf = maximal_function(f)
     ms = mollifier_sup(f)
     assert np.all(ms.data <= mf.data * (1 + 1e-12) + 1e-13)
+
+
+@settings(max_examples=20, deadline=None, derandomize=True, database=None)
+@given(st.integers(min_value=4, max_value=24).map(lambda half: 2 * half),
+       st.floats(min_value=0.5, max_value=20.0), st.integers(min_value=0, max_value=2**32 - 1))
+def test_maximal_dominates_input_and_mollifier_on_any_grid(N, L, seed):
+    # every lattice ball is centrally symmetric and the radius-h ball is the
+    # centre alone, whether or not the offsets h d are exact floats
+    g = Grid(3, N, L)
+    f = random_smooth_field(g, seed, components=1)
+    mf = maximal_function(f)
+    assert np.all(mf.data >= f.magnitude() - 1e-13)
+    assert np.all(mollifier_sup(f).data <= mf.data * (1 + 1e-12))
 
 
 def test_maximal_weighted_operator_norm():
