@@ -9,20 +9,19 @@ that agrees with the input far out.
 import numpy as np
 
 from stokeslab import (
-    AnnulusSpec, Field, Grid, bogovskii_apply, curl, divergence_defect, solenoidal_extension,
+    AnnulusSpec, Grid, bogovskii_apply, curl, divergence_defect, solenoidal_extension,
 )
+from stokeslab.exterior import annulus_dipole, shell_potential
 
 R = 2.0
 grid = Grid(3, 96, 8.0)
 spec = AnnulusSpec(R)
 
 # divergence data: a dipole-type derivative of a radial bump, mean-zero
-r = np.sqrt(grid.radius_sq())
-t = (r - (R + 0.5)) / 0.35
-ds = np.where(np.abs(t) < 1, -8 * t * (1 - t * t) ** 3 / 0.35, 0.0)
-f = Field(grid, ds * grid.coords()[0] / np.maximum(r, 1e-300))
+f = annulus_dipole(grid, R)
 
 B = bogovskii_apply(f, spec)
+r = np.sqrt(grid.radius_sq())
 outside = (r <= R) | (r >= R + 1.0)
 print(f"div B = f relative error: {divergence_defect(B, f):.4f}")
 print(f"samples outside closure(D_R) identically zero: "
@@ -30,10 +29,7 @@ print(f"samples outside closure(D_R) identically zero: "
 
 # solenoidal extension of a curl field living outside |x| = 1
 R = 1.0
-X, Y, _ = grid.coords()
-t = (r - (R + 2.0)) / 1.0
-prof = np.where(np.abs(t) < 1, (1 - t * t) ** 3, 0.0)
-u0 = curl(Field(grid, np.stack([-Y * prof, X * prof, np.zeros(grid.shape)])))
+u0 = curl(shell_potential(grid, R))
 v0, info = solenoidal_extension(u0, AnnulusSpec(R))
 far = r >= R + 3.0
 print(f"\nextension: global divergence defect {info['div_v0_rel']:.4f}")

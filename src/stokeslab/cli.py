@@ -26,7 +26,10 @@ import scipy
 
 from . import __version__
 from .corpus import PRNG_ID, random_smooth_field
-from .exterior import AnnulusSpec, bogovskii_apply, divergence_defect, solenoidal_extension
+from .exterior import (
+    AnnulusSpec, annulus_dipole, bogovskii_apply, divergence_defect, shell_potential,
+    solenoidal_extension,
+)
 from .grid import (
     Field, Grid, curl, fft_backend, gradient_magnitude, integrate, load_field, save_field,
 )
@@ -238,18 +241,10 @@ def _cmd_frac_integral(cfg, outdir):
     }, 0
 
 
-def _bog_test_field(grid, R):
-    r = np.sqrt(grid.radius_sq())
-    t = (r - (R + 0.5)) / 0.35
-    ds = np.where(np.abs(t) < 1.0, -8.0 * t * (1.0 - t * t) ** 3 / 0.35, 0.0)
-    return Field(grid, ds * grid.coords()[0] / np.maximum(r, 1e-300))
-
-
 def _cmd_bogovskii_test(cfg, outdir):
     grid = Grid(3, cfg["N"], cfg["L"])
     spec = AnnulusSpec(cfg["R"])
-    spec.validate_for(grid)
-    f = _bog_test_field(grid, cfg["R"])
+    f = annulus_dipole(grid, spec.R)
     B = bogovskii_apply(f, spec)
     defect = divergence_defect(B, f)
     r = np.sqrt(grid.radius_sq())
@@ -263,19 +258,10 @@ def _cmd_bogovskii_test(cfg, outdir):
     }, 0
 
 
-def _extension_data(grid, R):
-    r = np.sqrt(grid.radius_sq())
-    X, Y, Z = grid.coords()
-    t = (r - (R + 2.0)) / 1.0
-    prof = np.where(np.abs(t) < 1.0, (1.0 - t * t) ** 3, 0.0)
-    return curl(Field(grid, np.stack([-Y * prof, X * prof, np.zeros_like(prof)])))
-
-
 def _cmd_extend(cfg, outdir):
     grid = Grid(3, cfg["N"], cfg["L"])
     spec = AnnulusSpec(cfg["R"])
-    AnnulusSpec(spec.R + 2.0).validate_for(grid)     # solenoidal_extension's shell
-    u0 = _extension_data(grid, cfg["R"])
+    u0 = curl(shell_potential(grid, spec.R))
     v0, info = solenoidal_extension(u0, spec)
     r = np.sqrt(grid.radius_sq())
     far = r >= cfg["R"] + 3.0

@@ -16,6 +16,9 @@ spherical synthesis at the annulus points runs its Legendre recursion and
 matrix products only above the equator: the point set is symmetric under
 z -> -z (grid index k pairs with N - k on the last axis), and the parity
 of P_l^m gives the values below from the even and odd l + m sums above.
+
+annulus_dipole and shell_potential build the analytic test inputs of the
+two tools; the CLI, the acceptance criteria, the tests and the demo share them.
 """
 
 from __future__ import annotations
@@ -31,6 +34,8 @@ __all__ = [
     "bogovskii_apply",
     "solenoidal_extension",
     "divergence_defect",
+    "annulus_dipole",
+    "shell_potential",
 ]
 
 
@@ -70,6 +75,30 @@ def _cut_off(u0: Field, R: float):
     dp = -ds / np.where(r > 0, r, 1.0)
     (x0, x1, x2), u = u0.grid.coords(), u0.data
     return 1.0 - s, dp * x0 * u[0] + dp * x1 * u[1] + dp * x2 * u[2]
+
+
+def annulus_dipole(grid: Grid, R: float) -> Field:
+    """bogovskii_apply's test input on D_R: the x1-derivative of the radial
+    bump (1 - t^2)^4, t = (|x| - R - 1/2)/0.35, which lies strictly inside
+    D_R.  It is div(bump e1), mean-zero by antisymmetry.  D_R is checked
+    against the grid before anything is built."""
+    AnnulusSpec(R).validate_for(grid)
+    r = np.sqrt(grid.radius_sq())
+    t = np.clip((r - (R + 0.5)) / 0.35, -1.0, 1.0)
+    ds = -8.0 * t * (1.0 - t * t) ** 3 / 0.35
+    return Field(grid, ds * grid.coords()[0] / np.maximum(r, 1e-300))
+
+
+def shell_potential(grid: Grid, R: float) -> Field:
+    """The vector potential (-y, x, 0) (1 - t^2)^3, t = |x| - R - 2, supported
+    in R + 1 <= |x| <= R + 3: its curl is solenoidal_extension's test input
+    for exterior radius R.  The extension's shell D_{R+2} is checked against
+    the grid before anything is built."""
+    AnnulusSpec(R + 2.0).validate_for(grid)
+    t = np.clip(np.sqrt(grid.radius_sq()) - (R + 2.0), -1.0, 1.0)
+    prof = (1.0 - t * t) ** 3
+    X, Y, _ = grid.coords()
+    return Field(grid, np.stack([-Y * prof, X * prof, np.zeros_like(prof)]))
 
 
 # ---------------------------------------------------------------------------

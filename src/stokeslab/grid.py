@@ -125,10 +125,6 @@ class Grid:
         off = self.h * np.arange(K + 1)
         return sum(o**2 for o in np.meshgrid(*([off] * self.n), indexing="ij", sparse=True))
 
-    def bracket(self, s: float):
-        """Japanese bracket weight <x>^s = (1 + |x|^2)^(s/2)."""
-        return (1.0 + self.radius_sq()) ** (0.5 * s)
-
     def __repr__(self):
         return f"Grid(n={self.n}, N={self.N}, L={self.L})"
 
@@ -483,18 +479,24 @@ def integrate(f: Field, q: float, weight=None) -> float:
     """Weighted Lebesgue norm (sum |f|^q w^q h^n)^(1/q), finite q >= 1.
 
     weight is None (w = 1) or a finite exponent s (w = <x>^s, not evaluated
-    at s = 0).
+    at s = 0).  A weighted sum that overflows is a ValueError naming q and
+    the weight exponent.
     """
     q = float(q)
     if not 1.0 <= q < np.inf:
         raise ValueError(f"Lebesgue index q must be finite and >= 1, got {q}")
     if weight is not None and not np.isfinite(weight):
         raise ValueError(f"weight exponent must be finite, got {weight}")
-    terms = np.sum(f.data**2, axis=0) if f.is_vector else np.abs(f.data)
-    terms **= 0.5 * q if f.is_vector else q      # in place: one full-size temporary, not two
-    if weight is not None and float(weight) != 0.0:
-        terms *= f.grid.bracket(float(weight) * q)
-    total = np.sum(terms) * f.grid.cell_volume
+    # an overflow here is reported below, as a non-finite sum
+    with np.errstate(over="ignore", invalid="ignore"):
+        terms = np.sum(f.data**2, axis=0) if f.is_vector else np.abs(f.data)
+        terms **= 0.5 * q if f.is_vector else q      # in place: one full-size temporary, not two
+        if weight is not None and float(weight) != 0.0:
+            terms *= (1.0 + f.grid.radius_sq()) ** (0.5 * (float(weight) * q))
+        total = np.sum(terms) * f.grid.cell_volume
+    if not np.isfinite(total):
+        raise ValueError(f"the L^q norm at q = {q} with weight exponent {weight} "
+                         f"overflows: its weighted sum is not finite")
     return float(total ** (1.0 / q))
 
 

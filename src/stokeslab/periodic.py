@@ -245,7 +245,11 @@ def _resolve_periodic(h_hats: np.ndarray, sp, T: float) -> np.ndarray:
 
 
 def picard_solve(force: PeriodicForce, cfg: PicardConfig, grid: Grid) -> PeriodicSolution:
-    """Iterate u <- H[u] from u = 0 until the node residuals settle."""
+    """Iterate u <- H[u] from u = 0 until the node residuals settle; a T too
+    short for M (the top node frequency (2 pi/T)(M/2) overflows) is refused."""
+    if not math.isfinite(2.0 * math.pi / force.T * (cfg.M // 2)):
+        raise ValueError(f"period T = {force.T} is too short for M = {cfg.M} nodes: "
+                         f"the top temporal frequency (2 pi/T)(M/2) overflows")
     sp = _spectral(grid)
     fh = _force_hat(force, sp)
     factors = force.factor(_node_times(force.T, cfg.M))

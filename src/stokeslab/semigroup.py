@@ -101,6 +101,9 @@ def fractional_integral(f: Field, lam: float) -> Field:
     cell = float(np.sum(rc_sq[rc_sq > 0] ** (0.5 * (lam - n)))) * hs**n
     cell += sphere_area * ball_radius**lam / lam
     ker[(0,) * n] = cell
+    if not np.all(np.isfinite(ker)):
+        raise ValueError(f"the quadrature kernel |y|^(lam - n) h^n at lam = {lam} "
+                         f"is not finite on the grid")
     return Field(g, g.spectral().convolve_even(f.data, ker))
 
 

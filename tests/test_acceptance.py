@@ -13,7 +13,14 @@ import pytest
 
 from stokeslab.grid import Field, Grid, divergence, gradient, integrate
 from stokeslab.corpus import corpus_seeds, random_smooth_field, refine_field
-from stokeslab.exterior import AnnulusSpec, bogovskii_apply, divergence_defect, solenoidal_extension
+from stokeslab.exterior import (
+    AnnulusSpec,
+    annulus_dipole,
+    bogovskii_apply,
+    divergence_defect,
+    shell_potential,
+    solenoidal_extension,
+)
 from stokeslab.semigroup import (
     decay_harness,
     heat_kernel_field,
@@ -113,18 +120,12 @@ def test_criterion_04_muckenhoupt_separation():
 
 def test_criterion_05_bogovskii_contract():
     # f = d/dx1 of a radial bump supported strictly inside the annulus
-    def dipole(grid, R):
-        r = np.sqrt(grid.radius_sq())
-        t = (r - (R + 0.5)) / 0.35
-        ds = np.where(np.abs(t) < 1, -8 * t * (1 - t * t) ** 3 / 0.35, 0.0)
-        return Field(grid, ds * grid.coords()[0] / np.maximum(r, 1e-300))
-
     R = 2.0
     spec = AnnulusSpec(R)
     defects, support_ok = {}, True
     for N in (64, 128):
         g = Grid(3, N, 8.0)
-        f = dipole(g, R)
+        f = annulus_dipole(g, R)
         B = bogovskii_apply(f, spec)
         defects[N] = divergence_defect(B, f)
         r = np.sqrt(g.radius_sq())
@@ -142,11 +143,7 @@ def test_criterion_06_solenoidal_extension():
     for N in (64, 128):
         g = Grid(3, N, 8.0)
         r = np.sqrt(g.radius_sq())
-        X, Y, _ = g.coords()
-        t = (r - (R + 2.0)) / 1.0
-        prof = np.where(np.abs(t) < 1, (1 - t * t) ** 3, 0.0)
-        A = np.stack([-Y * prof, X * prof, np.zeros(g.shape)])
-        u0 = Field(g, fft_reference.curl(g, A))
+        u0 = Field(g, fft_reference.curl(g, shell_potential(g, R).data))
         v0, info = solenoidal_extension(u0, AnnulusSpec(R))
         defects[N] = info["div_v0_rel"]
         far = r >= R + 3.0

@@ -8,11 +8,13 @@ import subprocess
 import sys
 import warnings
 
+import numpy as np
 import pytest
 
 from stokeslab import cli
 from stokeslab.corpus import random_smooth_field
-from stokeslab.grid import Grid, gradient, load_field, save_field
+from stokeslab.exterior import shell_potential
+from stokeslab.grid import Grid, curl, gradient, load_field, save_field
 
 
 def _reject_constant(name):
@@ -186,6 +188,13 @@ def test_maximal_dominates_on_non_dyadic_grids(N, L, tmp_path, capsys):
                           "--out", str(tmp_path))
     assert status == 0
     assert out["dominates_input"] is True and out["mollifier_dominated"] is True
+
+
+def test_extend_input_is_the_curl_of_the_shell_potential(tmp_path, capsys):
+    status, _ = run_cli(capsys, "extend", "--N", "32", "--L", "8", "--out", str(tmp_path))
+    assert status == 0
+    expected = curl(shell_potential(Grid(3, 32, 8.0), 1.0))
+    assert np.array_equal(load_field(tmp_path / "input.field").data, expected.data)
 
 
 def test_deterministic_artifacts(tmp_path, capsys):
@@ -584,6 +593,7 @@ def test_run_node_not_solenoidal(small_run, tmp_path, capsys):
         (["maximal", "--s", "inf", "--N", "16"], "precondition-violation", 1),
         (["frac-integral", "--s0", "nan", "--N", "16"], "precondition-violation", 1),
         (["weighted-report", "--run", "<run>", "--s", "nan"], "precondition-violation", 1),
+        (["weighted-report", "--run", "<run>", "--s", "1e20"], "precondition-violation", 1),
         (["maximal", "--L", "inf", "--N", "16"], "precondition-violation", 1),
         (["decay", "--L", "inf", "--N", "16"], "precondition-violation", 1),
         (["decay", "--tmin", "nan", "--N", "16"], "precondition-violation", 1),
@@ -636,7 +646,7 @@ def test_run_node_not_solenoidal(small_run, tmp_path, capsys):
          "steps-0", "out-is-file", "out-under-file", "threads-negative", "N-not-int",
          "unknown-flag", "unknown-command", "form-unknown", "sides-not-numbers", "sides-nan",
          "scan-2", "linear-5", "maximal-s-nan", "maximal-s-inf", "frac-s0-nan",
-         "report-s-nan", "maximal-L-inf", "decay-L-inf", "decay-tmin-nan", "decay-tmax-inf",
+         "report-s-nan", "report-s-1e20", "maximal-L-inf", "decay-L-inf", "decay-tmin-nan", "decay-tmax-inf",
          "decay-ladder-duplicate", "max-iter-0", "max-iter-negative", "check-weight-n-0",
          "check-weight-n-negative", "admissible-range-n-0", "admissible-range-n-negative",
          "bogovskii-empty-annulus", "extend-empty-annulus", "solve-T-inf", "solve-eps-nan",
@@ -674,9 +684,21 @@ def test_out_of_range_inputs(argv, error, status, small_run, tmp_path, capsys):
         (["solve-periodic", "--eps", "nan", "--N", "8", "--M", "8"],
          "forcing amplitude must be finite"),
         (["check-weight", "--q", "inf"], "q must be finite"),
+        # (2 pi/T)(M/2) overflows although 2 pi/T does not
+        (["solve-periodic", "--T", "4e-308", "--N", "8", "--M", "8"],
+         "period T = 4e-308 is too short for M = 8"),
+        # the weighted sum of an L^q norm overflows
+        (["frac-integral", "--lam", "1e-103", "--N", "12", "--L", "3"],
+         "q = 6.0 with weight exponent 0.5"),
+        (["maximal", "--N", "16", "--L", "2", "--q", "1e300", "--radii", "2"],
+         "q = 1e+300 with weight exponent 1.0"),
+        # the singular cell's ball integral |S^2| rho^lam / lam overflows
+        (["frac-integral", "--lam", "5e-324", "--q", "inf", "--s0", "1e8", "--N", "16"],
+         "lam = 5e-324"),
     ],
     ids=["extend-L-inf", "decay-tmin-nan", "decay-tmax-inf", "solve-T-inf", "solve-eps-nan",
-         "check-weight-q-inf"],
+         "check-weight-q-inf", "solve-T-4e-308", "frac-lam-1e-103", "maximal-q-1e300",
+         "frac-lam-5e-324"],
 )
 def test_non_finite_inputs_are_named_in_the_error(argv, detail, tmp_path, capsys):
     with warnings.catch_warnings(record=True) as caught:

@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
 
-from stokeslab.grid import Field, Grid, divergence, integrate
+from stokeslab.grid import Field, Grid, curl, divergence, gradient_magnitude, integrate
 from stokeslab.exterior import (
     AnnulusSpec,
+    annulus_dipole,
     bogovskii_apply,
     divergence_defect,
+    shell_potential,
     solenoidal_extension,
     _FieldSampler,
     _SphereSolver,
@@ -30,24 +32,6 @@ def radial_test_data(grid, rc0=2.5, wd=0.4):
     return f, exact
 
 
-def dipole_data(grid, rc0=2.5, wd=0.35):
-    """f = d/dx1 of a radial bump; mean-zero on the lattice by antisymmetry."""
-    r = np.sqrt(grid.radius_sq())
-    t = (r - rc0) / wd
-    ds = np.where(np.abs(t) < 1, -8 * t * (1 - t**2) ** 3 / wd, 0.0)
-    return Field(grid, ds * grid.coords()[0] / np.maximum(r, 1e-300))
-
-
-def curl_exterior_data(grid, R):
-    """Exactly solenoidal field from a potential supported in R+1 < |x| < R+3."""
-    r = np.sqrt(grid.radius_sq())
-    X, Y, Z = grid.coords()
-    t = (r - (R + 2.0)) / 1.0
-    prof = np.where(np.abs(t) < 1, (1 - t * t) ** 3, 0.0)
-    A = np.stack([-Y * prof, X * prof, np.zeros_like(prof)])
-    return Field(grid, fft_reference.curl(grid, A))
-
-
 def test_annulus_spec_validation():
     with pytest.raises(ValueError):
         AnnulusSpec(0.0)
@@ -55,6 +39,37 @@ def test_annulus_spec_validation():
     with pytest.raises(ValueError):
         spec.validate_for(Grid(3, 32, 8.0))
     AnnulusSpec(2.0).validate_for(Grid(3, 32, 8.0))
+
+
+def test_annulus_dipole_support_and_mean():
+    g = Grid(3, 64, 8.0)
+    R = 2.0
+    f = annulus_dipole(g, R)
+    t = (np.sqrt(g.radius_sq()) - (R + 0.5)) / 0.35
+    assert np.all(f.data[np.abs(t) >= 1.0] == 0.0)
+    assert np.any(f.data != 0.0)
+    assert abs(np.sum(f.data)) * g.cell_volume <= 1e-12 * integrate(f, 1)
+
+
+def test_shell_potential_curl_is_solenoidal():
+    g = Grid(3, 64, 8.0)
+    R = 1.0
+    u0 = curl(shell_potential(g, R))
+    rel = integrate(divergence(u0), 2) / integrate(gradient_magnitude(u0), 2)
+    assert rel <= 1e-12
+
+
+@pytest.mark.parametrize("build, R", [(annulus_dipole, 6.5), (shell_potential, 4.5)],
+                         ids=["dipole", "potential"])
+def test_annulus_builders_check_their_shell_first(build, R, monkeypatch):
+    # D_R for the dipole (R + 2 > L), the extension's D_{R+2} for the potential
+    # (R + 4 > L); nothing is evaluated before the check
+    def refuse(self):
+        raise AssertionError("radius_sq called before the annulus check")
+
+    monkeypatch.setattr(Grid, "radius_sq", refuse)
+    with pytest.raises(ValueError, match="exceeds L"):
+        build(Grid(3, 16, 8.0), R)
 
 
 def test_cutoff_plateaus_and_support():
@@ -283,7 +298,7 @@ def test_bogovskii_radial_oracle():
 def test_bogovskii_divergence_and_support():
     g = Grid(3, 64, 8.0)
     spec = AnnulusSpec(2.0)
-    f = dipole_data(g)
+    f = annulus_dipole(g, 2.0)
     B = bogovskii_apply(f, spec)
     assert divergence_defect(B, f) < 0.45
     r = np.sqrt(g.radius_sq())
@@ -320,7 +335,7 @@ def test_bogovskii_negative_order_identity():
     r = np.sqrt(g.radius_sq())
     t = (r - 2.5) / 0.35
     bump = np.where(np.abs(t) < 1, (1 - t * t) ** 4, 0.0)
-    f = dipole_data(g)      # equals div(bump e1)
+    f = annulus_dipole(g, 2.0)      # equals div(bump e1)
     B = bogovskii_apply(f, AnnulusSpec(2.0))
     ratio = integrate(B, 2) / np.sqrt(np.sum(bump**2) * g.cell_volume)
     assert ratio < 1.5
@@ -333,7 +348,7 @@ def test_bogovskii_w12_bound_stable():
     for N in (48, 96):
         g = Grid(3, N, 8.0)
         spec = AnnulusSpec(2.0)
-        f = dipole_data(g)
+        f = annulus_dipole(g, 2.0)
         B = bogovskii_apply(f, spec)
         grad_sq = sum(integrate(gradient(Field(g, B.data[j])), 2) ** 2 for j in range(3))
         w12 = np.sqrt(integrate(B, 2) ** 2 + grad_sq)
@@ -364,7 +379,7 @@ def test_extension_divergence_refines():
     defects = []
     for N in (48, 96):
         g = Grid(3, N, 8.0)
-        u0 = curl_exterior_data(g, R)
+        u0 = Field(g, fft_reference.curl(g, shell_potential(g, R).data))
         _, info = solenoidal_extension(u0, AnnulusSpec(R))
         defects.append(info["div_v0_rel"])
     assert defects[1] <= 0.6 * defects[0]
@@ -381,7 +396,7 @@ def test_extension_rejects_nonsolenoidal():
 def test_vanishing_data_has_no_relative_defect():
     # on a coarse wide grid no sample falls in the annulus, so the data are 0
     g = Grid(3, 8, 100.0)
-    f = dipole_data(g)
+    f = annulus_dipole(g, 2.0)
     assert np.all(f.data == 0.0)
     B = bogovskii_apply(f, AnnulusSpec(2.0))
     with pytest.raises(ValueError, match="vanishes"):
@@ -393,7 +408,7 @@ def test_vanishing_data_has_no_relative_defect():
 def test_extension_weighted_inflation():
     g = Grid(3, 64, 8.0)
     R = 1.0
-    u0 = curl_exterior_data(g, R)
+    u0 = Field(g, fft_reference.curl(g, shell_potential(g, R).data))
     v0, _ = solenoidal_extension(u0, AnnulusSpec(R))
     w = (1.0 + g.radius_sq()) ** 0.5
     nv = np.sqrt(np.sum((v0.magnitude() * w) ** 2) * g.cell_volume)
