@@ -210,7 +210,7 @@ def _cmd_maximal(cfg, outdir):
 
 def _cmd_decay(cfg, outdir):
     grid, u0 = _corpus_field(cfg)
-    with np.errstate(invalid="ignore"):   # decay_harness rejects non-finite times
+    with np.errstate(over="ignore", invalid="ignore"):   # decay_harness rejects non-finite times
         ladder = np.geomspace(cfg["tmin"], cfg["tmax"], cfg["points"])
     series, fit, compliance = decay_harness(
         u0, cfg["p"], cfg["q"], cfg["s"], cfg["s0"], cfg["alpha_order"], ladder
@@ -316,8 +316,8 @@ def _load_run(command, run_dir):
     any node is read.  Every node file must parse, carry the manifest's grid
     in its header and hash to the sha256 that the artifacts record for it.  A
     missing --run is a ConfigError; an unreadable or inconsistent run raises
-    OSError, KeyError or ValueError, and a config value of the wrong type a
-    TypeError.
+    OSError or ValueError (naming any key the manifest lacks), and a config
+    value of the wrong type a TypeError.
     """
     if not run_dir:
         raise ConfigError(f"{command} needs --run pointing at a solve-periodic directory")
@@ -328,18 +328,22 @@ def _load_run(command, run_dir):
         manifest = json.load(fh)
     if not isinstance(manifest, dict) or not isinstance(manifest.get("config", {}), dict):
         raise ValueError(f"{path!r} does not hold a JSON object with an object 'config'")
-    if manifest["command"] != "solve-periodic":
+    if manifest.get("command", "solve-periodic") != "solve-periodic":
         raise ValueError(f"{run_dir!r} was written by {manifest['command']!r}, "
                          f"not solve-periodic")
-    cfg = manifest["config"]
-    artifacts = manifest["artifacts"]
+    schema = _COMMANDS["solve-periodic"][2]
+    lacking = [k for k in ("command", "config", "artifacts") if k not in manifest] or [
+        k for k in schema if k not in manifest["config"]]
+    if lacking:
+        raise ValueError(f"the run manifest lacks {', '.join(map(repr, lacking))}")
+    cfg, artifacts = manifest["config"], manifest["artifacts"]
     if not isinstance(artifacts, dict):
         raise ValueError(f"{path!r} holds no object of artifact digests")
     # before any per-node work, which a huge M would make huge
     if len(artifacts) != cfg["M"]:
         raise ValueError(f"the run manifest lists {len(artifacts)} artifact digests "
                          f"for M = {cfg['M']!r} nodes")
-    _check_choices(cfg, _COMMANDS["solve-periodic"][2])
+    _check_choices(cfg, schema)
     grid = Grid(3, cfg["N"], cfg["L"])
     expected = (3, grid.N, grid.L, 3)
     snaps = []
@@ -470,52 +474,19 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
+    outdir = None           # set once the output directory exists: error.json goes there
     try:
         args = _build_parser().parse_args(argv)
-    except ConfigError as exc:
-        return _fail("invalid-config", str(exc))
-    if args.threads > 0:
-        with fft_backend().set_workers(args.threads):
-            return _run(args)
-    return _run(args)
-
-
-def _fail(kind: str, detail: str, outdir=None) -> int:
-    """Print the JSON error line, copy it to outdir/error.json if given; the exit code."""
-    payload = {"error": kind, "detail": detail}
-    print(_json_text(payload))
-    if outdir is not None:
-        _write_json(os.path.join(outdir, "error.json"), payload)
-    return 2 if kind == "invalid-config" else 1
-
-
-def _run(args) -> int:
-    try:
         if args.threads < 0:
             raise ConfigError(f"--threads must be >= 0, got {args.threads}")
         cfg = _resolve_config(args)
         # run-directory inputs are read and checked before anything is written
         inputs = (_load_run(args.command, cfg["run"]),) if "run" in cfg else ()
-    except ConfigError as exc:
-        return _fail("invalid-config", str(exc))
-    except (OSError, KeyError, TypeError, ValueError) as exc:
-        detail = f"run manifest lacks {exc}" if isinstance(exc, KeyError) else str(exc)
-        return _fail("precondition-violation", detail)
-
-    # follow-up checks accumulate inside the run directory they examine
-    default_out = os.path.join("runs", args.command)
-    if cfg.get("run"):
-        default_out = os.path.join(cfg["run"], args.command)
-    outdir = args.out or default_out
-    try:
-        os.makedirs(outdir, exist_ok=True)
-    except OSError as exc:
-        return _fail("invalid-config", f"cannot create the output directory: {exc}")
-
-    t0 = time.perf_counter()
-    try:
-        result, status = _COMMANDS[args.command][0](cfg, outdir, *inputs)
-        wall = time.perf_counter() - t0
+        # follow-up checks accumulate inside the run directory they examine
+        outdir = _make_outdir(args.out or os.path.join(cfg.get("run") or "runs", args.command))
+        t0 = time.perf_counter()
+        with fft_backend().set_workers(args.threads or fft_backend().get_workers()):
+            result, status = _COMMANDS[args.command][0](cfg, outdir, *inputs)
         manifest = {
             "command": args.command,
             "config": cfg,
@@ -527,19 +498,39 @@ def _run(args) -> int:
                 "scipy": scipy.__version__,
                 "stokeslab": __version__,
             },
-            "wall_time_s": wall,
+            "wall_time_s": time.perf_counter() - t0,
         }
         _write_json(os.path.join(outdir, "result.json"), result)
         if args.command == "solve-periodic":     # the one run directory other commands read
             manifest["artifacts"] = {name: _sha256(os.path.join(outdir, name))
                                      for name in _node_names(cfg["M"])}
         _write_json(os.path.join(outdir, "manifest.json"), manifest)
-    except (ValueError, RuntimeError) as exc:
-        return _fail("precondition-violation", str(exc), outdir)
+    except ConfigError as exc:
+        return _fail("invalid-config", str(exc), outdir)
     except MemoryError as exc:          # numpy refuses an array larger than memory
         return _fail("precondition-violation", f"out of memory: {exc}", outdir)
+    except (OSError, TypeError, ValueError, RuntimeError) as exc:
+        return _fail("precondition-violation", str(exc), outdir)
     print(_json_text(result))
     return status
+
+
+def _fail(kind: str, detail: str, outdir) -> int:
+    """Print the JSON error line, copy it to outdir/error.json if given; the exit code."""
+    payload = {"error": kind, "detail": detail}
+    print(_json_text(payload))
+    if outdir is not None:
+        _write_json(os.path.join(outdir, "error.json"), payload)
+    return 2 if kind == "invalid-config" else 1
+
+
+def _make_outdir(path):
+    """Create the output directory and return its path; failing to is invalid-config."""
+    try:
+        os.makedirs(path, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create the output directory: {exc}") from None
+    return path
 
 
 if __name__ == "__main__":

@@ -223,7 +223,11 @@ _SOLENOIDAL_RTOL = 1e-8
 def _force_hat(force: PeriodicForce, sp) -> np.ndarray:
     """Band spectrum of the projected amplitude * profile; the forcing at
     time t is this times force.factor(t)."""
-    return sp.band(sp.project(sp.forward(force.amplitude * force.profile(sp.grid).data)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        fh = sp.band(sp.project(sp.forward(force.amplitude * force.profile(sp.grid).data)))
+    if not np.all(np.isfinite(fh)):
+        raise ValueError(f"forcing amplitude {force.amplitude:g} overflows the forcing spectrum")
+    return fh
 
 
 def _resolve_periodic(h_hats: np.ndarray, sp, T: float) -> np.ndarray:
@@ -246,10 +250,14 @@ def _resolve_periodic(h_hats: np.ndarray, sp, T: float) -> np.ndarray:
 
 def picard_solve(force: PeriodicForce, cfg: PicardConfig, grid: Grid) -> PeriodicSolution:
     """Iterate u <- H[u] from u = 0 until the node residuals settle; a T too
-    short for M (the top node frequency (2 pi/T)(M/2) overflows) is refused."""
+    short for M (the top node frequency (2 pi/T)(M/2) overflows) or too long
+    (T (M-1), the last node time before its division by M, overflows) is refused."""
     if not math.isfinite(2.0 * math.pi / force.T * (cfg.M // 2)):
         raise ValueError(f"period T = {force.T} is too short for M = {cfg.M} nodes: "
                          f"the top temporal frequency (2 pi/T)(M/2) overflows")
+    if not math.isfinite(force.T * (cfg.M - 1)):
+        raise ValueError(f"period T = {force.T} is too long for M = {cfg.M} nodes: "
+                         f"the node time T (M-1) / M overflows before its division by M")
     sp = _spectral(grid)
     fh = _force_hat(force, sp)
     factors = force.factor(_node_times(force.T, cfg.M))
@@ -262,10 +270,10 @@ def picard_solve(force: PeriodicForce, cfg: PicardConfig, grid: Grid) -> Periodi
         if not cfg.linear_only:
             for m, u_hat in enumerate(u_hats):
                 h_hats[m] += _advection(sp, sp.inverse_band(u_hat))
-        new = _resolve_periodic(h_hats, sp, force.T)
-        # a force far outside the contraction regime overflows the norms;
-        # the non-finite residual is caught below
+        # a force far outside the contraction regime overflows the resolve or
+        # the norms; the non-finite residual is caught below
         with np.errstate(over="ignore", invalid="ignore"):
+            new = _resolve_periodic(h_hats, sp, force.T)
             scale = max(max(sp.l2(a) for a in new), 1e-300)
             history.append(max(sp.l2(a - b) for a, b in zip(new, u_hats)) / scale)
         u_hats = new

@@ -196,12 +196,14 @@ def decay_harness(
         power = sp.power(base)
         if alpha_order == 1:
             power *= sp.ksq
-        values = np.array([math.sqrt(np.sum(power * np.exp(-2.0 * t * sp.ksq)))
-                           for t in t_ladder])
+        with np.errstate(over="ignore"):        # e^(-t|k|^2) is 0 where t|k|^2 overflows
+            values = np.array([math.sqrt(np.sum(power * np.exp(-2.0 * (t * sp.ksq))))
+                               for t in t_ladder])
     else:
         values = []
         for t in t_ladder:
-            prop = base * np.exp(-t * sp.ksq)
+            with np.errstate(over="ignore"):
+                prop = base * np.exp(-t * sp.ksq)
             evolved = sp.inverse(prop) if alpha_order == 0 else sp.gradient_magnitude(prop)
             values.append(integrate(Field(g, evolved), q, s0))
         values = np.asarray(values)

@@ -40,6 +40,7 @@ DIVERGING_GROWTH = 1.5     # sup growth over the last ladder step at or above th
 JUMP_DIVERGING = 0.17      # refinement jump marking a divergent cube average
 JUMP_RESOLVED = 0.10       # refinement jump small enough to trust the cube
 MAX_POINTS = 2**24         # largest quadrature or scan grid, checked before it is built
+LOG_FORM_Q = 16.0          # above this q the cube product's second factor is taken in logs
 
 
 @dataclass(frozen=True)
@@ -115,10 +116,16 @@ def _cube_product(w: RadialWeight, q: float, offset: float, side: float, u1, u_s
         # underflow to zero as q approaches 1
         low = vals.min()
         a1 = float(np.sum(weights * (vals / low)))      # pairwise, like np.mean
-        a2 = float(np.sum(weights * (low / vals) ** (1.0 / (q - 1.0))))
-    if not (np.isfinite(a1) and np.isfinite(a2)):
+        if q <= LOG_FORM_Q:
+            a2q = float(np.sum(weights * (low / vals) ** (1.0 / (q - 1.0)))) ** (q - 1.0)
+        else:
+            # each power lies within a few ulps of 1, and the (q-1)-th power of
+            # their average amplifies that rounding: carry the distance from 1
+            e = np.sum(weights * np.expm1(np.log(low / vals) / (q - 1.0)))
+            a2q = float(np.exp((q - 1.0) * np.log1p(e)))
+    if not (np.isfinite(a1) and np.isfinite(a2q)):
         return np.inf
-    return a1 * a2 ** (q - 1.0)
+    return a1 * a2q
 
 
 def _check_dimension(n: int) -> None:
@@ -164,7 +171,7 @@ def aq_check(
         raise ValueError("aq_check needs at least one cube center")
 
     m = max(8, int(np.ceil(32768 ** (1.0 / n))))
-    if n * np.log2(2 * m) > np.log2(MAX_POINTS):      # in logs: a huge n costs nothing
+    if n > np.log2(MAX_POINTS) / np.log2(2 * m):      # in logs: a huge n costs nothing
         raise ValueError(f"the fine cube has (2m)^n = {2 * m}^{n} midpoints at n = {n}, "
                          f"more than {MAX_POINTS}")
     with np.errstate(over="ignore"):
@@ -315,11 +322,12 @@ def feasibility_scan(n: int, step: float = 0.01):
     if not 0 < step < np.inf:
         raise ValueError(f"scan step must be positive and finite, got {step}")
     starts = (1.0 + step, n / 2.0 + step)
-    sizes = [max(0, int(np.ceil((n - a) / step))) for a in starts]   # np.arange's lengths
+    # np.arange's lengths, as floats: a tiny step or a huge n makes them inf
+    sizes = [max(0.0, float(np.ceil((n - a) / step))) for a in starts]
     if not (sizes[0] and sizes[1]):
         raise ValueError(f"scan step {step} leaves no (q1, q2) grid points at n = {n}")
     if sizes[0] * sizes[1] > MAX_POINTS:
-        raise ValueError(f"scan step {step} at n = {n} asks for {sizes[0]} x {sizes[1]} "
+        raise ValueError(f"scan step {step} at n = {n} asks for {sizes[0]:g} x {sizes[1]:g} "
                          f"(q1, q2) grid points, more than {MAX_POINTS}")
     Q1, Q2 = np.meshgrid(*(np.arange(a, float(n), step) for a in starts),
                          indexing="ij", sparse=True)

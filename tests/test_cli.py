@@ -708,3 +708,46 @@ def test_non_finite_inputs_are_named_in_the_error(argv, detail, tmp_path, capsys
     assert status == 1
     assert out["error"] == "precondition-violation"
     assert detail in out["detail"]
+
+
+@pytest.mark.parametrize(
+    "argv, artifact",
+    [
+        (["admissible-range"], "result.json"),
+        (["decay", "--N", "16", "--points", "3"], "decay.csv"),
+        (["check-weight"], "aq_report.json"),
+        (["solve-periodic", "--N", "8", "--M", "8"], "node_000.field"),
+        (["admissible-range"], "manifest.json"),
+    ],
+    ids=["result-json", "decay-csv", "aq-report-json", "node-field", "manifest-json"],
+)
+def test_artifact_write_failure_is_a_precondition_violation(argv, artifact, tmp_path, capsys):
+    # the artifact's path is taken by a directory, so writing it raises an OSError
+    (tmp_path / "out" / artifact).mkdir(parents=True)
+    assert cli.main(argv + ["--out", str(tmp_path / "out")]) == 1
+    lines = capsys.readouterr().out.strip().splitlines()
+    assert len(lines) == 1
+    out = loads(lines[0])
+    assert out["error"] == "precondition-violation" and out["detail"]
+    assert loads((tmp_path / "out" / "error.json").read_text()) == out
+
+
+def test_only_the_handlers_of_main_name_fail():
+    # one failure path: main's except handlers are the only callers of _fail,
+    # and the second runner that once held three more handlers stays gone
+    import ast
+    import pathlib
+
+    def sites(node, scope):
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef)):
+            scope += (node.name,)
+        if isinstance(node, ast.ExceptHandler):
+            scope += ("except",)
+        if "_fail" in (getattr(node, "attr", None), getattr(node, "id", None)):
+            yield ".".join(scope)
+        for child in ast.iter_child_nodes(node):
+            yield from sites(child, scope)
+
+    tree = ast.parse(pathlib.Path(cli.__file__).read_text())
+    assert list(sites(tree, ())) == ["main.except"] * 3
+    assert "_run" not in {getattr(node, "name", None) for node in ast.walk(tree)}

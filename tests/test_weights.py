@@ -332,3 +332,52 @@ def test_embedding_rejects_flat_input():
     g = Grid(3, 16, 4.0)
     with pytest.raises(ValueError):
         sobolev_embedding_ratio(Field(g, np.ones(g.shape)), 2.0, 1.0)
+
+
+def _aq_ladder_cubes():
+    """aq_check's coarse rule at n = 3 and its default ladder of cubes, for
+    the weights <x>^2, <x>^-2 and <x>^-3."""
+    grouped = _cube_points(3, 32)
+    for alpha in (2.0, -2.0, -3.0):
+        for c in (0.0, 1.0, 8.0, 64.0):
+            for side in (2.0**k for k in range(-3, 11)):
+                yield RadialWeight(alpha), c, side, grouped
+
+
+def test_cube_product_tracks_a_longdouble_reference_over_the_q_range():
+    # the product a1 a2^(q-1) evaluated in 80-bit long double; the largest
+    # relative error in float64 is 2.1e-15 at q = 10 and at most 1.3e-15 from
+    # q = 30 on, where the direct a2^(q-1) grows with q to 1.7e-12 at 1e4
+    ld = np.longdouble
+    qs = (1.01, 1.5, 2.0, 3.0, 5.0, 10.0, 30.0, 100.0, 1e4)
+    worst = dict.fromkeys(qs, 0.0)
+    for w, c, side, (u1, u_sq, weights) in _aq_ladder_cubes():
+        r_sq = ld(c) ** 2 + 2 * ld(c) * ld(side) * u1.astype(ld) + ld(side) ** 2 * u_sq.astype(ld)
+        vals = (1 + r_sq) ** (ld(w.s) / 2)
+        low = vals.min()
+        a1 = np.sum(weights.astype(ld) * (vals / low))
+        for q in qs:
+            a2 = np.sum(weights.astype(ld) * (low / vals) ** (1 / (ld(q) - 1)))
+            want = a1 * a2 ** (ld(q) - 1)
+            got = _cube_product(w, q, c, side, u1, u_sq, weights)
+            worst[q] = max(worst[q], float(abs(ld(got) / want - 1)))
+    assert max(worst.values()) <= 3e-15, worst
+
+
+@pytest.mark.parametrize("q, tol", [(1e12, 1e-12), (1e20, 4e-15)])
+def test_cube_product_tends_to_the_a_infinity_constant(q, tol):
+    # as q -> oo the product tends to avg(v) / geomean(v) (Hruscev 1984); the
+    # power mean of order 1/(q-1) exceeds the geometric mean by about
+    # var(log v) / (2(q-1)), at most 7.8e-13 at q = 1e12 on this ladder
+    for w, c, side, (u1, u_sq, weights) in _aq_ladder_cubes():
+        vals = w.values_r2(c**2 + 2.0 * c * side * u1 + side**2 * u_sq)
+        limit = np.sum(weights * vals) / np.exp(np.sum(weights * np.log(vals)))
+        assert abs(_cube_product(w, q, c, side, u1, u_sq, weights) / limit - 1.0) <= tol
+
+
+@pytest.mark.parametrize("q", [1e12, 1e20])
+def test_huge_q_keeps_the_jensen_bound_and_the_verdicts(q):
+    # <x>^2 lies in every A_q with q > 5/3; <x>^-3 in none
+    report = aq_check(RadialWeight(2.0), q)
+    assert report.verdict == "finite" and abs(report.sup_estimate - 1.30409) < 1e-5
+    assert aq_check(RadialWeight(-3.0), q).verdict == "diverging"
