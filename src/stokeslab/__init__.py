@@ -31,7 +31,6 @@ from .semigroup import (
     write_decay_csv,
 )
 from .exterior import (
-    AnnulusSpec,
     bogovskii_apply,
     divergence_defect,
     solenoidal_extension,

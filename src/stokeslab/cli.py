@@ -13,6 +13,7 @@ time lives only in manifest.json.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
 import json
 import math
@@ -27,7 +28,7 @@ import scipy
 from . import __version__
 from .corpus import PRNG_ID, random_smooth_field
 from .exterior import (
-    AnnulusSpec, annulus_dipole, bogovskii_apply, divergence_defect, shell_potential,
+    annulus_dipole, bogovskii_apply, divergence_defect, shell_potential,
     solenoidal_extension,
 )
 from .grid import (
@@ -101,16 +102,23 @@ def _resolve_config(args) -> dict:
         v = getattr(args, k)
         if v is not None:
             cfg[k] = v
-    _check_choices(cfg, schema)
+    _check_values(cfg, schema)
     _cube_sides(cfg)            # a malformed --sides fails before any directory exists
     return cfg
 
 
-def _check_choices(cfg, schema) -> None:
-    """Enumerated options hold one of their allowed values, for flags and files alike."""
+def _check_values(cfg, schema) -> None:
+    """For flags, config files and run manifests alike: an enumerated option
+    holds one of its allowed values, and an int option one that converts to
+    float, as the commands' arithmetic does."""
     for k, spec in schema.items():
         if len(spec) == 4 and k in cfg and cfg[k] not in spec[3]:
             raise ConfigError(f"option {k!r} must be one of {spec[3]}, got {cfg[k]!r}")
+        if spec[0] is int and isinstance(cfg.get(k), int):
+            try:
+                float(cfg[k])
+            except OverflowError:
+                raise ConfigError(f"option {k!r} is an integer beyond the float range") from None
 
 
 def _cube_sides(cfg):
@@ -243,12 +251,11 @@ def _cmd_frac_integral(cfg, outdir):
 
 def _cmd_bogovskii_test(cfg, outdir):
     grid = Grid(3, cfg["N"], cfg["L"])
-    spec = AnnulusSpec(cfg["R"])
-    f = annulus_dipole(grid, spec.R)
-    B = bogovskii_apply(f, spec)
+    f = annulus_dipole(grid, cfg["R"])
+    B = bogovskii_apply(f, cfg["R"])
     defect = divergence_defect(B, f)
     r = np.sqrt(grid.radius_sq())
-    outside = (r <= spec.R) | (r >= spec.R + 1.0)
+    outside = (r <= cfg["R"]) | (r >= cfg["R"] + 1.0)
     w12 = float(np.sqrt(integrate(B, 2) ** 2 + integrate(gradient_magnitude(B), 2) ** 2))
     save_field(B, os.path.join(outdir, "bogovskii.field"))
     return {
@@ -260,9 +267,8 @@ def _cmd_bogovskii_test(cfg, outdir):
 
 def _cmd_extend(cfg, outdir):
     grid = Grid(3, cfg["N"], cfg["L"])
-    spec = AnnulusSpec(cfg["R"])
-    u0 = curl(shell_potential(grid, spec.R))
-    v0, info = solenoidal_extension(u0, spec)
+    u0 = curl(shell_potential(grid, cfg["R"]))
+    v0, info = solenoidal_extension(u0, cfg["R"])
     r = np.sqrt(grid.radius_sq())
     far = r >= cfg["R"] + 3.0
     save_field(u0, os.path.join(outdir, "input.field"))
@@ -315,9 +321,10 @@ def _load_run(command, run_dir):
     The manifest's artifacts must hold one digest per node, checked before
     any node is read.  Every node file must parse, carry the manifest's grid
     in its header and hash to the sha256 that the artifacts record for it.  A
-    missing --run is a ConfigError; an unreadable or inconsistent run raises
-    OSError or ValueError (naming any key the manifest lacks), and a config
-    value of the wrong type a TypeError.
+    missing --run, or a config value that _check_values refuses, is a
+    ConfigError; an unreadable or inconsistent run raises OSError or
+    ValueError (naming any key the manifest lacks), and a config value of
+    the wrong type a TypeError.
     """
     if not run_dir:
         raise ConfigError(f"{command} needs --run pointing at a solve-periodic directory")
@@ -337,13 +344,13 @@ def _load_run(command, run_dir):
     if lacking:
         raise ValueError(f"the run manifest lacks {', '.join(map(repr, lacking))}")
     cfg, artifacts = manifest["config"], manifest["artifacts"]
+    _check_values(cfg, schema)
     if not isinstance(artifacts, dict):
         raise ValueError(f"{path!r} holds no object of artifact digests")
     # before any per-node work, which a huge M would make huge
     if len(artifacts) != cfg["M"]:
         raise ValueError(f"the run manifest lists {len(artifacts)} artifact digests "
                          f"for M = {cfg['M']!r} nodes")
-    _check_choices(cfg, schema)
     grid = Grid(3, cfg["N"], cfg["L"])
     expected = (3, grid.N, grid.L, 3)
     snaps = []
@@ -516,11 +523,13 @@ def main(argv=None) -> int:
 
 
 def _fail(kind: str, detail: str, outdir) -> int:
-    """Print the JSON error line, copy it to outdir/error.json if given; the exit code."""
+    """Print the JSON error line, copy it to outdir/error.json if given and
+    writable; the exit code."""
     payload = {"error": kind, "detail": detail}
     print(_json_text(payload))
     if outdir is not None:
-        _write_json(os.path.join(outdir, "error.json"), payload)
+        with contextlib.suppress(OSError):      # e.g. error.json is taken by a directory
+            _write_json(os.path.join(outdir, "error.json"), payload)
     return 2 if kind == "invalid-config" else 1
 
 

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .grid import Field, Grid, integrate, refine_block
+from .grid import Field, Grid, integrate
 
 PRNG_ID = "numpy.random.default_rng (PCG64)"
 
@@ -48,18 +48,3 @@ def corpus_seeds(base_seed: int, size: int):
     """Child seeds derived from one base seed, reproducibly."""
     return [int(s) for s in np.random.SeedSequence(base_seed).generate_state(size)]
 
-
-def refine_field(f: Field, factor: int = 2) -> Field:
-    """The same band-limited function sampled on a factor-times finer grid.
-
-    Trigonometric interpolation, one grid axis at a time: the real
-    half-spectrum along the axis is scaled by factor, its Nyquist bin is
-    halved (the even-N bin splits into a +/- pair on the finer grid), and
-    the inverse transform to factor * N samples pads it with zeros.  This is
-    the Fourier resampling of refinement studies where coarse and fine runs
-    must see one underlying function.
-    """
-    if factor < 2:
-        raise ValueError(f"refinement factor must be >= 2, got {factor}")
-    g = f.grid
-    return Field(Grid(g.n, factor * g.N, g.L), refine_block(f.data, g.n, factor))

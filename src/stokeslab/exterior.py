@@ -23,14 +23,11 @@ two tools; the CLI, the acceptance criteria, the tests and the demo share them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .grid import Field, Grid, divergence, fft_backend, integrate, refine_block
 
 __all__ = [
-    "AnnulusSpec",
     "bogovskii_apply",
     "solenoidal_extension",
     "divergence_defect",
@@ -39,24 +36,19 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class AnnulusSpec:
-    """Annulus D_R = {x : R < |x| < R + 1}."""
-
-    R: float
-
-    def __post_init__(self):
-        if not self.R > 0:
-            raise ValueError(f"annulus inner radius must be positive, got {self.R}")
-
-    def validate_for(self, grid: Grid) -> None:
-        if grid.n != 3:
-            raise ValueError("annulus tools are implemented for n = 3 only")
-        if not self.R + 2.0 <= grid.L:
-            raise ValueError(
-                f"annulus D_{self.R} needs margin >= 1 inside the cube: "
-                f"R + 2 = {self.R + 2} exceeds L = {grid.L}"
-            )
+def _check_annulus(grid: Grid, R: float) -> None:
+    """Refuse an annulus D_R = {R < |x| < R + 1} that the tools cannot treat
+    on grid: R must be positive, n = 3, and D_R needs margin >= 1 inside the
+    cube."""
+    if not R > 0:
+        raise ValueError(f"annulus inner radius must be positive, got {R}")
+    if grid.n != 3:
+        raise ValueError("annulus tools are implemented for n = 3 only")
+    if not R + 2.0 <= grid.L:
+        raise ValueError(
+            f"annulus D_{R} needs margin >= 1 inside the cube: "
+            f"R + 2 = {R + 2} exceeds L = {grid.L}"
+        )
 
 
 def _smoothstep7(t):
@@ -82,7 +74,7 @@ def annulus_dipole(grid: Grid, R: float) -> Field:
     bump (1 - t^2)^4, t = (|x| - R - 1/2)/0.35, which lies strictly inside
     D_R.  It is div(bump e1), mean-zero by antisymmetry.  D_R is checked
     against the grid before anything is built."""
-    AnnulusSpec(R).validate_for(grid)
+    _check_annulus(grid, R)
     r = np.sqrt(grid.radius_sq())
     t = np.clip((r - (R + 0.5)) / 0.35, -1.0, 1.0)
     ds = -8.0 * t * (1.0 - t * t) ** 3 / 0.35
@@ -93,8 +85,8 @@ def shell_potential(grid: Grid, R: float) -> Field:
     """The vector potential (-y, x, 0) (1 - t^2)^3, t = |x| - R - 2, supported
     in R + 1 <= |x| <= R + 3: its curl is solenoidal_extension's test input
     for exterior radius R.  The extension's shell D_{R+2} is checked against
-    the grid before anything is built."""
-    AnnulusSpec(R + 2.0).validate_for(grid)
+    the grid, and R itself must be positive, before anything is built."""
+    _check_annulus(grid, R + 2.0 if R > 0 else R)
     t = np.clip(np.sqrt(grid.radius_sq()) - (R + 2.0), -1.0, 1.0)
     prof = (1.0 - t * t) ** 3
     X, Y, _ = grid.coords()
@@ -290,17 +282,16 @@ def _ray_integral(sample_f, R, r, u):
     return np.sum(w * rho**2 * sample_f(rho * u[:, None]), axis=0) * half
 
 
-def bogovskii_apply(f: Field, spec: AnnulusSpec, mean_rtol: float = 1e-10) -> Field:
+def bogovskii_apply(f: Field, R: float, mean_rtol: float = 1e-10) -> Field:
     """Solve div B = f on D_R with supp B inside closure(D_R), B = 0 elsewhere.
 
     f must be a scalar field supported in the annulus with grid mean at most
     mean_rtol times its L^1 norm (the mean-zero class); otherwise rejected.
     """
     grid = f.grid
-    spec.validate_for(grid)
+    _check_annulus(grid, R)
     if f.is_vector:
         raise ValueError("divergence data must be a scalar field")
-    R = spec.R
     r = np.sqrt(grid.radius_sq())
     inside = (r > R) & (r < R + 1.0)
     if np.any(f.data[~inside] != 0.0):
@@ -376,21 +367,19 @@ def divergence_defect(B: Field, f: Field) -> float:
     return integrate(divergence(B) - f, 2) / norm
 
 
-def solenoidal_extension(u0: Field, spec: AnnulusSpec):
+def solenoidal_extension(u0: Field, R: float):
     """Extend a field solenoidal outside B_R to a solenoidal field everywhere.
 
     Computes v0 = (1 - phi) u0 + B[(grad phi) . u0] with phi the cut-off equal
     to 1 inside |x| <= R+2 and 0 outside |x| >= R+3; the divergence correction
-    lives on the annulus D_{R+2}.  Requires R + 4 <= L.  Returns (v0, info):
+    lives on the annulus D_{R+2}.  Requires 0 < R and R + 4 <= L.  Returns (v0, info):
     info holds the annulus solve's divergence defect (bog_defect) and the
     global divergence of v0 relative to |u0| (pi/L) (div_v0_rel).
     """
     grid = u0.grid
     if not u0.is_vector:
         raise ValueError("solenoidal_extension expects a vector field")
-    R = spec.R
-    shell = AnnulusSpec(R + 2.0)
-    shell.validate_for(grid)
+    _check_annulus(grid, R + 2.0 if R > 0 else R)     # the shell D_{R+2}; R > 0 too
 
     scale = integrate(u0, 2) * (np.pi / grid.L)
     if scale == 0.0:
@@ -408,7 +397,7 @@ def solenoidal_extension(u0: Field, spec: AnnulusSpec):
     fb = Field(grid, fb_data)
 
     # mean-zero holds analytically; on the grid only to quadrature accuracy
-    B = bogovskii_apply(fb, shell, mean_rtol=max(1e-10, 0.5 * grid.h))
+    B = bogovskii_apply(fb, R + 2.0, mean_rtol=max(1e-10, 0.5 * grid.h))
     v0 = Field(grid, (1.0 - phi) * u0.data + B.data)
     return v0, {
         "bog_defect": divergence_defect(B, fb),

@@ -379,10 +379,10 @@ def fft_backend():
 
 
 def refine_block(data, n: int, factor: int, window=slice(None)):
-    """Trigonometric refinement by factor (corpus.refine_field) of a bare
-    array whose last n axes are grid axes: per axis the real half spectrum
-    is scaled by factor, its Nyquist bin halved, and the inverse transform
-    to factor * N samples pads it with zeros.
+    """Trigonometric refinement by factor of a bare array whose last n axes
+    are grid axes: per axis the real half spectrum is scaled by factor, its
+    Nyquist bin halved, and the inverse transform to factor * N samples
+    pads it with zeros.
 
     window is a slice or an index array of fine indices, the same on every
     axis.  Each axis is cut to it right after it is refined, so the later

@@ -65,3 +65,26 @@ def test_demo_runs(demo, tmp_path):
                           env=env, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     assert "Traceback" not in proc.stdout + proc.stderr
+
+
+
+def _definitions(node, scope=""):
+    """(qualified name, name) of every function, class and method under node."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield scope + child.name, child.name
+            yield from _definitions(child, scope + child.name + ".")
+        else:
+            yield from _definitions(child, scope)
+
+
+def test_no_definition_is_reached_only_from_tests():
+    # every function, class and method under src/ is named by the package's
+    # own code or a demo; dunders are called by Python and _Parser.error by
+    # argparse, so neither needs a name
+    sources = sorted((ROOT / "src" / "stokeslab").glob("*.py"))
+    named = set().union(*map(_identifiers, sources + sorted(ROOT.glob("demos/*.py"))))
+    unnamed = [qual for path in sources for qual, name in _definitions(ast.parse(path.read_text()))
+               if name not in named and qual != "_Parser.error"
+               and not (name.startswith("__") and name.endswith("__"))]
+    assert not unnamed, f"defined in src/ but named by no code there or in the demos: {unnamed}"

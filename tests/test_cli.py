@@ -342,15 +342,16 @@ def test_import_leaves_scipy_signal_unloaded():
     code = (
         "import sys, numpy as np, stokeslab\n"
         "from stokeslab.grid import Field, Grid\n"
-        "from stokeslab.corpus import refine_field\n"
+        "from refinement import refine_field\n"
         "from stokeslab.semigroup import fractional_integral\n"
         "f = Field(Grid(3, 8, 2.0), np.ones((8, 8, 8)))\n"
         "fractional_integral(f, 1.0), refine_field(f)\n"
         "print('scipy.signal' in sys.modules)"
     )
-    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    tests = os.path.dirname(os.path.abspath(__file__))
+    src = os.path.join(os.path.dirname(tests), "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+        p for p in (src, tests, os.environ.get("PYTHONPATH")) if p))
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env=env, check=True).stdout
     assert out.strip() == "False"
@@ -730,6 +731,18 @@ def test_artifact_write_failure_is_a_precondition_violation(argv, artifact, tmp_
     out = loads(lines[0])
     assert out["error"] == "precondition-violation" and out["detail"]
     assert loads((tmp_path / "out" / "error.json").read_text()) == out
+
+
+def test_error_json_taken_by_a_directory(tmp_path, capsys):
+    # the failure still prints one line and exits with its kind's code;
+    # error.json is left unwritten
+    (tmp_path / "out" / "error.json").mkdir(parents=True)
+    assert cli.main(["admissible-range", "--q", "inf", "--out", str(tmp_path / "out")]) == 1
+    lines = capsys.readouterr().out.strip().splitlines()
+    assert len(lines) == 1
+    out = loads(lines[0])
+    assert out["error"] == "precondition-violation" and out["detail"]
+    assert os.listdir(tmp_path / "out" / "error.json") == []
 
 
 def test_only_the_handlers_of_main_name_fail():

@@ -15,8 +15,11 @@ Size options are capped: N <= 16, M <= 10, --steps <= 8, --points <= 4 and
 sets the size of an array or of a loop, so 1e12 samples per axis or ladder
 points would ask for terabytes (numpy's MemoryError path has its own test in
 test_cli.py) and a large count would only spend time.  The caps keep a draw
-near 15 ms, so the example budget adds a few seconds to Tier-1.  The global
---threads is not drawn: it sets how many threads the transforms start.
+near 15 ms, so the example budget adds a few seconds to Tier-1.  BIG, an int
+beyond the float range that no draw holds, is passed uncapped by the
+explicit examples: it must be refused before any array or loop is sized.
+The global --threads is not drawn: it sets how many threads the transforms
+start.
 """
 
 import contextlib
@@ -24,6 +27,7 @@ import io
 import itertools
 import json
 import math
+import shutil
 import sys
 import warnings
 
@@ -37,6 +41,8 @@ PROPERTY = settings(max_examples=200, deadline=None, derandomize=True, database=
 HOSTILE = (0.0, -0.0, 5e-324, 1e-320, 1e-300, 1e-103, 1.0 - 1e-7, 1.0 + 1e-7, 1.01,
            3.0 - 1e-7, 3.0 + 1e-7, 1e12, 1e20, 1e300, sys.float_info.max, -1.0,
            math.inf, -math.inf, math.nan)
+
+BIG = 10**400
 
 CAPS = {"N": 16, "M": 10, "steps": 8, "points": 4, "radii": 4}
 
@@ -62,8 +68,10 @@ def loads(text):
 
 
 def _flag_value(key, typ, value):
-    """The flag text of a hostile value: an integral one as an int (capped) for
-    an int option, any other as Python writes the float."""
+    """The flag text of a hostile value: BIG as it is, an integral one as an
+    int (capped) for an int option, any other as Python writes the float."""
+    if value is BIG:
+        return str(BIG)
     if typ is int and math.isfinite(value) and value == int(value):
         return str(min(int(value), CAPS.get(key, int(value))))
     return repr(value)
@@ -113,6 +121,7 @@ def check_contract(command, base, key, value, run, outdir):
         assert not outdir.exists(), argv
     if outdir.exists():
         assert loads((outdir / "error.json").read_text()) == line, argv
+    return line
 
 
 @pytest.fixture(scope="module")
@@ -132,6 +141,30 @@ def fresh_dirs(tmp_path_factory):
 @example(("decay", BASE["decay"][0], "tmax", sys.float_info.max))
 @example(("solve-periodic", BASE["solve-periodic"][0], "eps", sys.float_info.max))
 @example(("solve-periodic", BASE["solve-periodic"][0], "T", sys.float_info.max))
+# an int option that float() cannot convert: an OverflowError in the command
+@example(("check-weight", {}, "n", BIG))
+@example(("admissible-range", {}, "n", BIG))
+@example(("feasibility", {}, "n", BIG))
+@example(("decay", BASE["decay"][0], "N", BIG))
+@example(("decay", BASE["decay"][0], "points", BIG))
+@example(("maximal", BASE["maximal"][0], "radii", BIG))
+@example(("frac-integral", BASE["frac-integral"][0], "N", BIG))
+@example(("extend", BASE["extend"][0], "N", BIG))
+@example(("solve-periodic", BASE["solve-periodic"][0], "M", BIG))
+@example(("periodicity-check", BASE["periodicity-check"][0], "steps", BIG))
 def test_every_run_ends_in_the_json_contract(small_solve, fresh_dirs, draw):
     command, base, key, value = draw
     check_contract(command, base, key, value, str(small_solve), next(fresh_dirs))
+
+
+@pytest.mark.parametrize("key", ["N", "M"])
+def test_run_manifest_int_beyond_the_float_range(key, small_solve, tmp_path):
+    # a run's config is read from its manifest, past the flag checks, and is
+    # refused as the flag's value would be
+    run = tmp_path / "run"
+    shutil.copytree(small_solve, run)
+    manifest = json.loads((run / "manifest.json").read_text())
+    manifest["config"][key] = BIG
+    (run / "manifest.json").write_text(json.dumps(manifest))
+    line = check_contract("weighted-report", {}, "s", 1.0, str(run), tmp_path / "out")
+    assert line["error"] == "invalid-config" and repr(key) in line["detail"]

@@ -3,7 +3,6 @@ import pytest
 
 from stokeslab.grid import Field, Grid, curl, divergence, gradient_magnitude, integrate
 from stokeslab.exterior import (
-    AnnulusSpec,
     annulus_dipole,
     bogovskii_apply,
     divergence_defect,
@@ -15,9 +14,10 @@ from stokeslab.exterior import (
     _equator_fold,
     _smoothstep7,
 )
-from stokeslab.corpus import random_smooth_field, refine_field
+from stokeslab.corpus import random_smooth_field
 
 import fft_reference
+from refinement import refine_field
 
 
 def radial_test_data(grid, rc0=2.5, wd=0.4):
@@ -33,12 +33,23 @@ def radial_test_data(grid, rc0=2.5, wd=0.4):
 
 
 def test_annulus_spec_validation():
-    with pytest.raises(ValueError):
-        AnnulusSpec(0.0)
-    spec = AnnulusSpec(7.5)
-    with pytest.raises(ValueError):
-        spec.validate_for(Grid(3, 32, 8.0))
-    AnnulusSpec(2.0).validate_for(Grid(3, 32, 8.0))
+    g = Grid(3, 32, 8.0)
+    for R in (0.0, -1.0, float("nan")):
+        with pytest.raises(ValueError, match="inner radius must be positive"):
+            annulus_dipole(g, R)
+    with pytest.raises(ValueError, match="n = 3 only"):
+        annulus_dipole(Grid(4, 8, 8.0), 2.0)
+    with pytest.raises(ValueError, match="margin"):
+        annulus_dipole(g, 7.5)
+    annulus_dipole(g, 2.0)
+    # the extension's exterior radius is refused as an inner radius is, and
+    # its shell D_{R+2} needs the margin
+    u0 = curl(shell_potential(g, 1.0))
+    for check in (lambda R: shell_potential(g, R), lambda R: solenoidal_extension(u0, R)):
+        with pytest.raises(ValueError, match="inner radius must be positive"):
+            check(0.0)
+        with pytest.raises(ValueError, match="margin"):
+            check(4.5)
 
 
 def test_annulus_dipole_support_and_mean():
@@ -282,27 +293,26 @@ def test_equator_fold_matches_direct_synthesis(N, L, R):
 
 def test_bogovskii_zero_input():
     g = Grid(3, 32, 8.0)
-    out = bogovskii_apply(Field(g, np.zeros(g.shape)), AnnulusSpec(2.0))
+    out = bogovskii_apply(Field(g, np.zeros(g.shape)), 2.0)
     assert np.all(out.data == 0.0)
 
 
 def test_bogovskii_radial_oracle():
     g = Grid(3, 64, 8.0)
-    spec = AnnulusSpec(2.0)
     f, exact = radial_test_data(g)
-    B = bogovskii_apply(f, spec, mean_rtol=0.5 * g.h)
+    B = bogovskii_apply(f, 2.0, mean_rtol=0.5 * g.h)
     err = np.sqrt(np.sum((B.data - exact) ** 2) / np.sum(exact**2))
     assert err < 0.2
 
 
 def test_bogovskii_divergence_and_support():
     g = Grid(3, 64, 8.0)
-    spec = AnnulusSpec(2.0)
-    f = annulus_dipole(g, 2.0)
-    B = bogovskii_apply(f, spec)
+    R = 2.0
+    f = annulus_dipole(g, R)
+    B = bogovskii_apply(f, R)
     assert divergence_defect(B, f) < 0.45
     r = np.sqrt(g.radius_sq())
-    outside = (r <= spec.R) | (r >= spec.R + 1.0)
+    outside = (r <= R) | (r >= R + 1.0)
     assert np.all(B.data[:, outside] == 0.0)
 
 
@@ -311,7 +321,7 @@ def test_bogovskii_rejects_nonzero_mean():
     r = np.sqrt(g.radius_sq())
     data = np.where((r > 2.0) & (r < 3.0), 1.0, 0.0)
     with pytest.raises(ValueError, match="mean"):
-        bogovskii_apply(Field(g, data), AnnulusSpec(2.0))
+        bogovskii_apply(Field(g, data), 2.0)
 
 
 def test_bogovskii_rejects_misplaced_support():
@@ -320,13 +330,13 @@ def test_bogovskii_rejects_misplaced_support():
     data = np.where(r < 1.0, 1.0, 0.0)
     data -= data.mean()
     with pytest.raises(ValueError, match="vanish"):
-        bogovskii_apply(Field(g, data), AnnulusSpec(2.0))
+        bogovskii_apply(Field(g, data), 2.0)
 
 
 def test_bogovskii_rejects_vector_input():
     g = Grid(3, 32, 8.0)
     with pytest.raises(ValueError):
-        bogovskii_apply(Field(g, np.zeros((3,) + g.shape)), AnnulusSpec(2.0))
+        bogovskii_apply(Field(g, np.zeros((3,) + g.shape)), 2.0)
 
 
 def test_bogovskii_negative_order_identity():
@@ -336,7 +346,7 @@ def test_bogovskii_negative_order_identity():
     t = (r - 2.5) / 0.35
     bump = np.where(np.abs(t) < 1, (1 - t * t) ** 4, 0.0)
     f = annulus_dipole(g, 2.0)      # equals div(bump e1)
-    B = bogovskii_apply(f, AnnulusSpec(2.0))
+    B = bogovskii_apply(f, 2.0)
     ratio = integrate(B, 2) / np.sqrt(np.sum(bump**2) * g.cell_volume)
     assert ratio < 1.5
 
@@ -347,9 +357,8 @@ def test_bogovskii_w12_bound_stable():
     vals = []
     for N in (48, 96):
         g = Grid(3, N, 8.0)
-        spec = AnnulusSpec(2.0)
         f = annulus_dipole(g, 2.0)
-        B = bogovskii_apply(f, spec)
+        B = bogovskii_apply(f, 2.0)
         grad_sq = sum(integrate(gradient(Field(g, B.data[j])), 2) ** 2 for j in range(3))
         w12 = np.sqrt(integrate(B, 2) ** 2 + grad_sq)
         vals.append(w12 / integrate(f, 2))
@@ -366,7 +375,7 @@ def test_extension_far_field_identity():
     X, Y, _ = g.coords()
     A = np.stack([-Y * prof, X * prof, np.zeros(g.shape)])
     u0 = Field(g, fft_reference.curl(g, A))
-    v0, _ = solenoidal_extension(u0, AnnulusSpec(R))
+    v0, _ = solenoidal_extension(u0, R)
     far = r >= R + 3.0
     assert np.array_equal(v0.data[:, far], u0.data[:, far])
     # inside, only the spectral ringing of the compactly supported data remains
@@ -380,7 +389,7 @@ def test_extension_divergence_refines():
     for N in (48, 96):
         g = Grid(3, N, 8.0)
         u0 = Field(g, fft_reference.curl(g, shell_potential(g, R).data))
-        _, info = solenoidal_extension(u0, AnnulusSpec(R))
+        _, info = solenoidal_extension(u0, R)
         defects.append(info["div_v0_rel"])
     assert defects[1] <= 0.6 * defects[0]
 
@@ -390,7 +399,7 @@ def test_extension_rejects_nonsolenoidal():
     r = np.sqrt(g.radius_sq())
     data = np.stack([np.exp(-((r - 4.0) ** 2)), np.zeros(g.shape), np.zeros(g.shape)])
     with pytest.raises(ValueError, match="solenoidal"):
-        solenoidal_extension(Field(g, data), AnnulusSpec(1.0))
+        solenoidal_extension(Field(g, data), 1.0)
 
 
 def test_vanishing_data_has_no_relative_defect():
@@ -398,18 +407,18 @@ def test_vanishing_data_has_no_relative_defect():
     g = Grid(3, 8, 100.0)
     f = annulus_dipole(g, 2.0)
     assert np.all(f.data == 0.0)
-    B = bogovskii_apply(f, AnnulusSpec(2.0))
+    B = bogovskii_apply(f, 2.0)
     with pytest.raises(ValueError, match="vanishes"):
         divergence_defect(B, f)
     with pytest.raises(ValueError, match="vanishes"):
-        solenoidal_extension(Field(g, np.zeros((3,) + g.shape)), AnnulusSpec(1.0))
+        solenoidal_extension(Field(g, np.zeros((3,) + g.shape)), 1.0)
 
 
 def test_extension_weighted_inflation():
     g = Grid(3, 64, 8.0)
     R = 1.0
     u0 = Field(g, fft_reference.curl(g, shell_potential(g, R).data))
-    v0, _ = solenoidal_extension(u0, AnnulusSpec(R))
+    v0, _ = solenoidal_extension(u0, R)
     w = (1.0 + g.radius_sq()) ** 0.5
     nv = np.sqrt(np.sum((v0.magnitude() * w) ** 2) * g.cell_volume)
     nu = np.sqrt(np.sum((u0.magnitude() * w) ** 2) * g.cell_volume)

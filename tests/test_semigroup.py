@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.signal import fftconvolve, resample
 
 from stokeslab.grid import Field, Grid, gradient, integrate
-from stokeslab.corpus import corpus_seeds, random_smooth_field, refine_field
+from stokeslab.corpus import corpus_seeds, random_smooth_field
 from stokeslab.semigroup import (
     decay_harness,
     fit_power_law,
@@ -17,6 +17,8 @@ from stokeslab.semigroup import (
     predicted_exponent,
     write_decay_csv,
 )
+
+from refinement import refine_field
 
 # The heat semigroup is the spectral multiplier exp(-t |xi|^2):
 # sp.apply(data, np.exp(-t * sp.ksq)); the Stokes semigroup is the same

@@ -317,7 +317,7 @@ def test_feasibility_scan_matches_pointwise_windows():
 
 
 def test_embedding_ratio_bounded_and_stable():
-    from stokeslab.corpus import refine_field
+    from refinement import refine_field
 
     g = Grid(3, 32, 16.0)
     coarse, fine = 0.0, 0.0
