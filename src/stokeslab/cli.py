@@ -78,7 +78,7 @@ def _build_parser():
 
 def _resolve_config(args) -> dict:
     schema = _COMMANDS[args.command][2]
-    cfg = {k: spec[1] for k, spec in schema.items()}
+    file_cfg = {}
     if args.config:
         try:
             with open(args.config) as fh:
@@ -87,38 +87,38 @@ def _resolve_config(args) -> dict:
             raise ConfigError(f"cannot read config file: {exc}")
         if not isinstance(file_cfg, dict):
             raise ConfigError("config file must hold a JSON object of option values")
-        for k, v in file_cfg.items():
-            if k not in schema:
-                raise ConfigError(f"unknown option {k!r} for {args.command}")
-            try:
-                if isinstance(v, bool):         # JSON true/false would read as 1/0
-                    raise TypeError(f"{json.dumps(v)} is a JSON boolean, which no option takes")
-                if schema[k][0] is int and isinstance(v, float) and not v.is_integer():
-                    raise ValueError(f"{v!r} is not an integer")
-                cfg[k] = schema[k][0](v)
-            except (TypeError, ValueError) as exc:
-                raise ConfigError(f"option {k!r} in config file: {exc}")
-    for k in schema:
-        v = getattr(args, k)
-        if v is not None:
-            cfg[k] = v
-    _check_values(cfg, schema)
+    flags = {k: getattr(args, k) for k in schema if getattr(args, k) is not None}
+    cfg = ({k: spec[1] for k, spec in schema.items()}       # flags override the file
+           | _option_values(args.command, file_cfg) | _option_values(args.command, flags))
     _cube_sides(cfg)            # a malformed --sides fails before any directory exists
     return cfg
 
 
-def _check_values(cfg, schema) -> None:
-    """For flags, config files and run manifests alike: an enumerated option
-    holds one of its allowed values, and an int option one that converts to
-    float, as the commands' arithmetic does."""
-    for k, spec in schema.items():
-        if len(spec) == 4 and k in cfg and cfg[k] not in spec[3]:
-            raise ConfigError(f"option {k!r} must be one of {spec[3]}, got {cfg[k]!r}")
-        if spec[0] is int and isinstance(cfg.get(k), int):
-            try:
-                float(cfg[k])
-            except OverflowError:
-                raise ConfigError(f"option {k!r} is an integer beyond the float range") from None
+def _option_values(command, given) -> dict:
+    """The given option values converted to their types; the one check of flags,
+    config files and run manifests.  Each option must be known and hold a
+    string or a number as its type asks (no JSON boolean), an int option an
+    integral one, every number one that float() converts, and an enumerated
+    option one of its allowed values."""
+    schema = _COMMANDS[command][2]
+    values = {}
+    for k, v in given.items():
+        if k not in schema:
+            raise ConfigError(f"unknown option {k!r} for {command}")
+        typ, _, _, *allowed = schema[k]
+        try:
+            if isinstance(v, bool) or not isinstance(v, str if typ is str else (int, float)):
+                raise ValueError(f"needs a {'string' if typ is str else 'number'}, "
+                                 f"got {json.dumps(v)}")
+            number = None if typ is str else float(v)     # OverflowError past the float range
+            if typ is int and not number.is_integer():
+                raise ValueError(f"needs an integer, got {v!r}")
+            values[k] = typ(v)
+            if allowed and values[k] not in allowed[0]:
+                raise ValueError(f"must be one of {allowed[0]}, got {values[k]!r}")
+        except (OverflowError, ValueError) as exc:
+            raise ConfigError(f"option {k!r}: {exc}") from None
+    return values
 
 
 def _cube_sides(cfg):
@@ -321,10 +321,9 @@ def _load_run(command, run_dir):
     The manifest's artifacts must hold one digest per node, checked before
     any node is read.  Every node file must parse, carry the manifest's grid
     in its header and hash to the sha256 that the artifacts record for it.  A
-    missing --run, or a config value that _check_values refuses, is a
+    missing --run, or a config that _option_values refuses, is a
     ConfigError; an unreadable or inconsistent run raises OSError or
-    ValueError (naming any key the manifest lacks), and a config value of
-    the wrong type a TypeError.
+    ValueError (naming any key the manifest lacks).
     """
     if not run_dir:
         raise ConfigError(f"{command} needs --run pointing at a solve-periodic directory")
@@ -343,8 +342,7 @@ def _load_run(command, run_dir):
         k for k in schema if k not in manifest["config"]]
     if lacking:
         raise ValueError(f"the run manifest lacks {', '.join(map(repr, lacking))}")
-    cfg, artifacts = manifest["config"], manifest["artifacts"]
-    _check_values(cfg, schema)
+    cfg, artifacts = _option_values("solve-periodic", manifest["config"]), manifest["artifacts"]
     if not isinstance(artifacts, dict):
         raise ValueError(f"{path!r} holds no object of artifact digests")
     # before any per-node work, which a huge M would make huge

@@ -519,15 +519,17 @@ def load_field(path) -> Field:
         if size < _HEADER.size:
             raise ValueError(f"{path}: {size} bytes is shorter than the field header")
         n, N, L, components = _HEADER.unpack(fh.read(_HEADER.size))
-        grid = Grid(n=n, N=N, L=L)
+        data_bytes = size - _HEADER.size
+        # checked before N**n or a Grid is built: N >= 8, so < log8(data_bytes) axes fit
+        if not 0 < 3 * n <= data_bytes.bit_length():
+            raise ValueError(f"{path}: {data_bytes} data bytes cannot hold n = {n} axes")
         if components not in (1, n):
             raise ValueError(f"{path}: header gives {components} components at n = {n}")
         count = components * N**n
-        if size != _HEADER.size + 8 * count:
-            raise ValueError(
-                f"{path}: {size - _HEADER.size} data bytes, header (n={n}, N={N}, "
-                f"components={components}) needs {8 * count}"
-            )
+        if data_bytes != 8 * count:
+            raise ValueError(f"{path}: {data_bytes} data bytes, header (n={n}, N={N}, "
+                             f"components={components}) needs {8 * count}")
+        grid = Grid(n=n, N=N, L=L)
         data = np.frombuffer(fh.read(8 * count), dtype="<f8", count=count)
     shape = grid.shape if components == 1 else (components,) + grid.shape
     return Field(grid, data.reshape(shape).copy())

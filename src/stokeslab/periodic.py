@@ -51,7 +51,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .corpus import random_smooth_field
 from .grid import Field, Grid, fft_backend, gradient_magnitude, integrate
+from .semigroup import leray_project
 from .weights import HypothesisSet
 
 __all__ = [
@@ -159,9 +161,6 @@ def single_mode_force(T: float, amplitude: float = 1.0) -> PeriodicForce:
 
 def random_solenoidal_force(T: float, seed: int, amplitude: float = 1.0) -> PeriodicForce:
     """Seeded smooth solenoidal profile (corpus band k0 = 1) times cos(2 pi t / T)."""
-    from .corpus import random_smooth_field
-    from .semigroup import leray_project
-
     def profile(grid):
         return leray_project(random_smooth_field(grid, seed, components=grid.n, k0=1.0))
 

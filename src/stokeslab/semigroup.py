@@ -23,6 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid import Field, Grid, integrate
+from .weights import admissible_range
 
 __all__ = [
     "heat_kernel_field",
@@ -173,8 +174,7 @@ def decay_harness(
         raise ValueError("decay harness expects a vector field")
     if not (1.0 < p <= q):
         raise ValueError(f"need 1 < p <= q, got p={p}, q={q}")
-    lo_q = -n / q
-    hi_p = n * (1.0 - 1.0 / p)
+    lo_q, hi_p = admissible_range(q, n)[0], admissible_range(p, n)[1]
     if not (lo_q < s0 <= s < hi_p):
         raise ValueError(
             f"weight exponents outside the admissible window "

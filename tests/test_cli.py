@@ -376,11 +376,11 @@ def _copy_run(src, dst):
     return dst
 
 
-def _assert_rejected(capsys, run, command="periodicity-check"):
+def _assert_rejected(capsys, run, command="periodicity-check", error="precondition-violation"):
     before = sorted(os.listdir(run)) if run.exists() else None
     status, out = run_cli(capsys, command, "--run", str(run))
-    assert status == 1
-    assert out["error"] == "precondition-violation"
+    assert status == {"precondition-violation": 1, "invalid-config": 2}[error]
+    assert out["error"] == error
     assert out["detail"]
     after = sorted(os.listdir(run)) if run.exists() else None
     assert after == before
@@ -449,7 +449,36 @@ def test_run_manifest_config_value_of_wrong_type(small_run, tmp_path, capsys):
     manifest = loads((run / "manifest.json").read_text())
     manifest["config"]["M"] = "8"
     (run / "manifest.json").write_text(json.dumps(manifest))
-    _assert_rejected(capsys, run)
+    assert "'M'" in _assert_rejected(capsys, run, error="invalid-config")
+
+
+@pytest.mark.parametrize("source", ["config-file", "run-manifest"])
+@pytest.mark.parametrize(
+    "key, value",
+    [("N", 16.7), ("T", True), ("M", "8"), ("L", 10**400), ("T", 10**400), ("linear", 2),
+     ("force", 5), ("bogus", 1)],
+    ids=["N-16.7", "T-true", "M-string", "L-big", "T-big", "linear-2", "force-5",
+         "unknown-key"],
+)
+def test_option_value_check_is_one_for_every_source(source, key, value, small_run, tmp_path,
+                                                    capsys):
+    # a config file and a run manifest hold the same solve-periodic options,
+    # and the same value is refused from either as invalid-config naming it
+    if source == "run-manifest":
+        run = _copy_run(small_run, tmp_path / "run")
+        manifest = loads((run / "manifest.json").read_text())
+        manifest["config"][key] = value
+        (run / "manifest.json").write_text(json.dumps(manifest))
+        for command in ("periodicity-check", "weighted-report"):
+            assert repr(key) in _assert_rejected(capsys, run, command, error="invalid-config")
+        return
+    cfgfile = tmp_path / "cfg.json"
+    cfgfile.write_text(json.dumps({key: value}))
+    status, out = run_cli(capsys, "solve-periodic", "--config", str(cfgfile),
+                          "--out", str(tmp_path / "out"))
+    assert status == 2
+    assert out["error"] == "invalid-config" and repr(key) in out["detail"]
+    assert os.listdir(tmp_path) == ["cfg.json"]
 
 
 def test_run_manifest_unreadable(small_run, tmp_path, capsys):

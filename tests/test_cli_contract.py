@@ -8,7 +8,10 @@ failure is `invalid-config` with exit 2 and no output directory, or
 `precondition-violation` with exit 1; whenever the output directory was
 made, `error.json` there equals the failure line, and a success's line
 equals its `result.json`.  `periodicity-check` and `weighted-report` read
-one small solve.
+one small solve.  A second property gives the drawn value through a
+--config file instead, drawn also from values only JSON holds (true, null,
+a string, a list, 16.7 and BIG): flags, config files and run manifests pass
+one check.
 
 Size options are capped: N <= 16, M <= 10, --steps <= 8, --points <= 4 and
 --radii <= 4; a hostile value above its cap runs at the cap.  Each of them
@@ -67,23 +70,28 @@ def loads(text):
     return json.loads(text, parse_constant=_reject_constant)
 
 
+def _capped(key, typ, value):
+    """A drawn value as it is given: an integral float as an int (capped) for
+    an int option, any other value, BIG included, as drawn."""
+    if typ is int and isinstance(value, float) and math.isfinite(value) and value == int(value):
+        return min(int(value), CAPS.get(key, int(value)))
+    return value
+
+
 def _flag_value(key, typ, value):
-    """The flag text of a hostile value: BIG as it is, an integral one as an
-    int (capped) for an int option, any other as Python writes the float."""
-    if value is BIG:
-        return str(BIG)
-    if typ is int and math.isfinite(value) and value == int(value):
-        return str(min(int(value), CAPS.get(key, int(value))))
-    return repr(value)
+    """The flag text of a hostile value: an int as its digits, a float as
+    Python writes it."""
+    value = _capped(key, typ, value)
+    return str(value) if isinstance(value, int) else repr(value)
 
 
 @st.composite
-def hostile_runs(draw):
+def hostile_runs(draw, values=HOSTILE):
     command = draw(st.sampled_from(sorted(cli._COMMANDS)))
     options = cli._COMMANDS[command][2]
     key = draw(st.sampled_from([k for k in options if k != "run"]))
     base = draw(st.sampled_from(BASE.get(command, [{}])))
-    return command, base, key, draw(st.sampled_from(HOSTILE))
+    return command, base, key, draw(st.sampled_from(values))
 
 
 @pytest.fixture(scope="module")
@@ -94,13 +102,17 @@ def small_solve(tmp_path_factory):
     return rundir
 
 
-def check_contract(command, base, key, value, run, outdir):
+def check_contract(command, base, key, value, run, outdir, via_config=False):
     options = cli._COMMANDS[command][2]
     cfg = dict(base, run=run) if "run" in options else dict(base)
     cfg[key] = value
-    argv = [command, "--out", str(outdir)] + [
-        f"{cli._flag_name(k)}={v if k == 'run' else _flag_value(k, options[k][0], v)}"
-        for k, v in cfg.items()]
+    argv = [command, "--out", str(outdir)]
+    if via_config:       # the drawn value as a JSON value of a config file, beside outdir
+        config = outdir.with_name(outdir.name + ".json")
+        config.write_text(json.dumps({key: _capped(key, options[key][0], cfg.pop(key))}))
+        argv += ["--config", str(config)]
+    argv += [f"{cli._flag_name(k)}={v if k == 'run' else _flag_value(k, options[k][0], v)}"
+             for k, v in cfg.items()]
     stdout, stderr = io.StringIO(), io.StringIO()
     with warnings.catch_warnings(record=True) as caught, \
             contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
@@ -155,6 +167,22 @@ def fresh_dirs(tmp_path_factory):
 def test_every_run_ends_in_the_json_contract(small_solve, fresh_dirs, draw):
     command, base, key, value = draw
     check_contract(command, base, key, value, str(small_solve), next(fresh_dirs))
+
+
+# values that only a JSON file can hold, or that the flag parser refuses
+JSON_ONLY = (True, None, "8", [1], 16.7, BIG)
+
+
+@PROPERTY
+@given(hostile_runs(HOSTILE + JSON_ONLY))
+# an OverflowError out of the config file's own coercion, and a number for
+# the string option --sides
+@example(("decay", BASE["decay"][0], "L", BIG))
+@example(("check-weight", {}, "sides", 5))
+def test_every_config_file_value_ends_in_the_json_contract(small_solve, fresh_dirs, draw):
+    command, base, key, value = draw
+    check_contract(command, base, key, value, str(small_solve), next(fresh_dirs),
+                   via_config=True)
 
 
 @pytest.mark.parametrize("key", ["N", "M"])

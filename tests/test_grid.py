@@ -1,4 +1,5 @@
 import struct
+import time
 
 import numpy as np
 import pytest
@@ -287,6 +288,20 @@ def test_load_field_rejects_component_count(tmp_path, components):
     path.write_bytes(struct.pack("<qqdq", 3, 8, 1.0, components) + raw[32:])
     with pytest.raises(ValueError, match=f"header gives {components} components"):
         load_field(path)
+
+
+@pytest.mark.parametrize("header, data_bytes",
+                         [((10**7, 8, 4.0, 1), 64), ((3, 2**40, 1.0, 1), 4096)],
+                         ids=["n-1e7", "N-2**40"])
+def test_load_field_refuses_a_header_the_file_cannot_hold(tmp_path, header, data_bytes):
+    # the file length is checked first: N**n costs time that grows with n (h = 1,
+    # so Grid would accept n = 10**7), and Grid holds an array of N samples
+    path = tmp_path / "field.bin"
+    path.write_bytes(struct.pack("<qqdq", *header) + bytes(data_bytes))
+    t0 = time.perf_counter()
+    with pytest.raises(ValueError, match=f"{data_bytes} data bytes"):
+        load_field(path)
+    assert time.perf_counter() - t0 < 0.05
 
 
 def test_curl_matches_full_spectrum_reference():

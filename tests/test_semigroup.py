@@ -1,5 +1,6 @@
 import csv
 import math
+import re
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from stokeslab.semigroup import (
     predicted_exponent,
     write_decay_csv,
 )
+from stokeslab.weights import admissible_range
 
 from refinement import refine_field
 
@@ -381,6 +383,16 @@ def test_decay_harness_rejections():
         decay_harness(u, 2.0, 2.0, 2.0, 0.0, 0, [1.0, 2.0])     # s too large
     with pytest.raises(ValueError):
         decay_harness(u, 2.0, 2.0, 1.0, -2.0, 0, [1.0, 2.0])    # s0 below -n/q
+
+
+def test_decay_harness_window_is_the_admissible_range():
+    # the window (-n/q, n(1 - 1/p)) is weights.admissible_range's, which names q
+    u = random_smooth_field(Grid(3, 16, 8.0), 2, components=3)
+    lo, hi = admissible_range(3.0, 3)[0], admissible_range(2.0, 3)[1]
+    with pytest.raises(ValueError, match=re.escape(f"window ({lo:.3f}, {hi:.3f})")):
+        decay_harness(u, 2.0, 3.0, hi, 0.0, 0, [1.0, 2.0])
+    with pytest.raises(ValueError, match="q must be finite"):
+        decay_harness(u, 2.0, np.inf, 0.0, 0.0, 0, [1.0, 2.0])
 
 
 def test_decay_harness_rejects_scalar_field():
