@@ -81,9 +81,11 @@ def _resolve_config(args) -> dict:
     file_cfg = {}
     if args.config:
         try:
-            with open(args.config) as fh:
+            with open(args.config, encoding="utf-8") as fh:
                 file_cfg = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
+        # ValueError covers JSONDecodeError and UnicodeDecodeError; RecursionError
+        # is a nesting too deep for the parser
+        except (OSError, ValueError, RecursionError) as exc:
             raise ConfigError(f"cannot read config file: {exc}")
         if not isinstance(file_cfg, dict):
             raise ConfigError("config file must hold a JSON object of option values")
@@ -490,7 +492,9 @@ def main(argv=None) -> int:
         # follow-up checks accumulate inside the run directory they examine
         outdir = _make_outdir(args.out or os.path.join(cfg.get("run") or "runs", args.command))
         t0 = time.perf_counter()
-        with fft_backend().set_workers(args.threads or fft_backend().get_workers()):
+        # scipy.fft's default is one worker, so only --threads K > 0 loads the
+        # backend before a command's first transform
+        with fft_backend().set_workers(args.threads) if args.threads else contextlib.nullcontext():
             result, status = _COMMANDS[args.command][0](cfg, outdir, *inputs)
         manifest = {
             "command": args.command,

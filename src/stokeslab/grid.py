@@ -23,10 +23,12 @@ Every convolution kernel is even, held as its first-octant block on the
 offsets {0..K}^n (Grid.offset_sq); even_spectrum is its real spectrum, a
 mirrored DCT-I.  convolve_even convolves on the doubled 2N lattice (K = N).
 
-This module is the package's one import site of scipy.fft.  refine_block
+This module is the package's one import site of scipy.fft, and it imports
+it on the first transform, inside fft_backend(): a process that never
+transforms (the closed-form weight commands) never loads it.  refine_block
 (Fourier refinement) lives here, and fft_backend() hands the backend to the
-one-axis transforms of the sphere solver and the periodic resolvent and to
-the CLI's --threads workers context.
+spectral layer, to the one-axis transforms of the sphere solver and the
+periodic resolvent and to the CLI's --threads workers context.
 
 Nyquist policy: the frequency index N/2 has no conjugate partner on an
 even grid.  First-derivative multipliers i xi_j vanish on the Nyquist plane
@@ -46,7 +48,6 @@ import os
 import struct
 
 import numpy as np
-from scipy import fft as _fft
 
 __all__ = [
     "Grid",
@@ -154,8 +155,8 @@ class Spectral:
     def _xi(self, zero_nyquist=False, band=False):
         """Angular frequencies per axis as broadcastable arrays, the half axis last;
         on the band's lines only if band."""
-        N, h = self.grid.N, self.grid.h
-        full, half = 2.0 * np.pi * _fft.fftfreq(N, d=h), 2.0 * np.pi * _fft.rfftfreq(N, d=h)
+        N, h, fft = self.grid.N, self.grid.h, fft_backend()
+        full, half = 2.0 * np.pi * fft.fftfreq(N, d=h), 2.0 * np.pi * fft.rfftfreq(N, d=h)
         if zero_nyquist:
             full[N // 2] = half[-1] = 0.0
         if band:
@@ -180,8 +181,8 @@ class Spectral:
     @functools.cached_property
     def index(self):
         """|frequency index| per axis, broadcastable like k."""
-        N = self.grid.N
-        full, half = np.abs(_fft.fftfreq(N) * N), _fft.rfftfreq(N) * N
+        N, fft = self.grid.N, fft_backend()
+        full, half = np.abs(fft.fftfreq(N) * N), fft.rfftfreq(N) * N
         return np.meshgrid(*([full] * (self.n - 1)), half, indexing="ij", sparse=True)
 
     @functools.cached_property
@@ -199,11 +200,11 @@ class Spectral:
 
     def forward(self, data):
         """rfftn over the grid axes, batched over leading axes."""
-        return _fft.rfftn(data, axes=self.axes)
+        return fft_backend().rfftn(data, axes=self.axes)
 
     def inverse(self, hat):
         """irfftn back to real samples on the grid."""
-        return _fft.irfftn(hat, s=self.grid.shape, axes=self.axes)
+        return fft_backend().irfftn(hat, s=self.grid.shape, axes=self.axes)
 
     def apply(self, data, mult):
         """Samples of the multiplier operator mult(xi) applied to data."""
@@ -323,19 +324,20 @@ class Spectral:
     def forward_band(self, data):
         """band(forward(data)), pruned: the rfft, then along each full axis
         from the last the complex pass over the lines the band reads."""
-        hat = _fft.rfft(data, axis=-1)
+        fft = fft_backend()
+        hat = fft.rfft(data, axis=-1)
         for ax in range(-2, -self.n - 1, -1):
-            self._band_pass(hat[..., :self._band_pieces[0]], ax, _fft.fft)
+            self._band_pass(hat[..., :self._band_pieces[0]], ax, fft.fft)
         return self.band(hat)
 
     def inverse_band(self, band):
         """inverse(from_band(band)), pruned: along each full axis from the
         first the complex pass over the lines that hold band data, then the
         irfft."""
-        hat = self.from_band(band)
+        fft, hat = fft_backend(), self.from_band(band)
         for ax in range(-self.n, -1):
-            self._band_pass(hat[..., :self._band_pieces[0]], ax, _fft.ifft)
-        return _fft.irfft(hat, n=self.grid.N, axis=-1)
+            self._band_pass(hat[..., :self._band_pieces[0]], ax, fft.ifft)
+        return fft.irfft(hat, n=self.grid.N, axis=-1)
 
     # -- even kernels ------------------------------------------------------
 
@@ -344,7 +346,8 @@ class Spectral:
         onto the 2K lattice: its DCT-I, mirrored (Martucci 1994)."""
         K = block.shape[-1] - 1
         mirror = np.concatenate([np.arange(K + 1), np.arange(K - 1, 0, -1)])
-        return _fft.dctn(block, type=1)[np.ix_(*([mirror] * (self.n - 1)), np.arange(K + 1))]
+        spectrum = fft_backend().dctn(block, type=1)
+        return spectrum[np.ix_(*([mirror] * (self.n - 1)), np.arange(K + 1))]
 
     def convolve_even(self, data, kernel):
         """The linear (non-periodic) convolution out_i = sum_j K(i - j) data_j
@@ -360,22 +363,24 @@ class Spectral:
         way in over only the lines that hold data, on the way out keeping only
         the first N outputs of each axis.
         """
-        n, N = self.n, self.grid.N
-        hat = _fft.rfft(data, n=2 * N, axis=-1)
+        n, N, fft = self.n, self.grid.N, fft_backend()
+        hat = fft.rfft(data, n=2 * N, axis=-1)
         for ax in range(-2, -n - 1, -1):
-            hat = _fft.fft(hat, n=2 * N, axis=ax)
+            hat = fft.fft(hat, n=2 * N, axis=ax)
         hat *= self.even_spectrum(kernel)
         for ax in range(-n, -1):         # in place, then a view of the first N outputs
-            hat = _fft.ifft(hat, axis=ax, overwrite_x=True)[
+            hat = fft.ifft(hat, axis=ax, overwrite_x=True)[
                 (Ellipsis, slice(0, N)) + (slice(None),) * (-1 - ax)]
-        return np.ascontiguousarray(_fft.irfft(hat, n=2 * N, axis=-1)[..., :N])
+        return np.ascontiguousarray(fft.irfft(hat, n=2 * N, axis=-1)[..., :N])
 
 
 def fft_backend():
-    """The transform backend, scipy.fft.  This module is the package's one
-    import site of it: the one-axis transforms outside the spectral layer
-    and the CLI's workers context go through here."""
-    return _fft
+    """The transform backend, scipy.fft, imported on the first call: a process
+    that never transforms never loads it.  This is the package's one import
+    site of it: the spectral layer, refine_block, the one-axis transforms
+    outside them and the CLI's --threads workers context go through here."""
+    from scipy import fft
+    return fft
 
 
 def refine_block(data, n: int, factor: int, window=slice(None)):
@@ -390,12 +395,13 @@ def refine_block(data, n: int, factor: int, window=slice(None)):
     transformed whole, so the block is bit-identical to the same window of
     the full refinement.
     """
+    fft = fft_backend()
     for ax in range(data.ndim - n, data.ndim):
         N = data.shape[ax]
-        hat = _fft.rfft(data, axis=ax)
+        hat = fft.rfft(data, axis=ax)
         hat *= factor
         hat[(slice(None),) * ax + (N // 2,)] *= 0.5
-        data = _fft.irfft(hat, n=factor * N, axis=ax)[(slice(None),) * ax + (window,)]
+        data = fft.irfft(hat, n=factor * N, axis=ax)[(slice(None),) * ax + (window,)]
     return data
 
 

@@ -235,11 +235,15 @@ def test_invalid_config_file(command, payload, tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize("content", [None, "{not json"], ids=["unreadable", "bad-json"])
+@pytest.mark.parametrize(
+    "content",
+    [None, b"{not json", b'{"N": "\xff"}', b"[" * 200000 + b"]" * 200000],
+    ids=["unreadable", "bad-json", "not-utf8", "nested-too-deep"],
+)
 def test_config_file_that_cannot_be_read(content, tmp_path, capsys):
     cfgfile = tmp_path / "cfg.json"
     if content is not None:
-        cfgfile.write_text(content)
+        cfgfile.write_bytes(content)
     status, out = run_cli(capsys, "decay", "--config", str(cfgfile),
                           "--out", str(tmp_path / "out"))
     assert status == 2
@@ -355,6 +359,30 @@ def test_import_leaves_scipy_signal_unloaded():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env=env, check=True).stdout
     assert out.strip() == "False"
+
+
+def test_transform_free_commands_leave_scipy_fft_unloaded(tmp_path):
+    # scipy.fft is imported on the first transform: the package import and
+    # the closed-form weight commands never load it, and maximal does
+    code = (
+        "import contextlib, io, sys, stokeslab\n"
+        "from stokeslab import cli\n"
+        "loaded = ['scipy.fft' in sys.modules]\n"
+        "for argv in sys.argv[2:]:\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        assert cli.main(argv.split() + ['--out', sys.argv[1]]) == 0, argv\n"
+        "    loaded.append('scipy.fft' in sys.modules)\n"
+        "print(loaded)"
+    )
+    commands = ["check-weight", "admissible-range", "feasibility", "feasibility --scan 1",
+                "maximal --N 16"]
+    tests = os.path.dirname(os.path.abspath(__file__))
+    src = os.path.join(os.path.dirname(tests), "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    out = subprocess.run([sys.executable, "-c", code, str(tmp_path), *commands],
+                         capture_output=True, text=True, env=env, check=True).stdout
+    assert out.strip() == str([False] * 5 + [True])
 
 
 # --- run-directory inputs: every failure is a JSON payload, nothing is created

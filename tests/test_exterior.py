@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from stokeslab.grid import Field, Grid, curl, divergence, gradient_magnitude, integrate
 from stokeslab.exterior import (
@@ -363,6 +364,54 @@ def test_bogovskii_w12_bound_stable():
         w12 = np.sqrt(integrate(B, 2) ** 2 + grad_sq)
         vals.append(w12 / integrate(f, 2))
     assert abs(vals[1] / vals[0] - 1.0) < 0.15
+
+
+# bogovskii_apply's identities over draws of grid and input: a few solves
+# each, derandomized so that a run is reproducible
+SOLVER_PROPERTY = settings(max_examples=3, deadline=None, derandomize=True, database=None)
+annulus_draws = st.tuples(st.sampled_from([32, 48]), st.integers(0, 2**32 - 1))
+
+
+def random_annulus_data(g, rng, R=2.0):
+    """A mean-zero random field times the bump (1 - t^2)^4 of annulus_dipole:
+    supported strictly inside D_R, with no symmetry."""
+    t = np.clip((np.sqrt(g.radius_sq()) - (R + 0.5)) / 0.35, -1.0, 1.0)
+    bump = (1.0 - t * t) ** 4
+    data = rng.standard_normal(g.shape) * bump
+    data -= bump * (np.sum(data) / np.sum(bump))
+    return Field(g, data)
+
+
+@SOLVER_PROPERTY
+@given(annulus_draws)
+def test_bogovskii_is_linear(draw):
+    N, seed = draw
+    g, rng = Grid(3, N, 6.0), np.random.default_rng(seed)
+    f, h = random_annulus_data(g, rng), random_annulus_data(g, rng)
+    a, b = rng.uniform(0.5, 2.0, 2) * rng.choice([-1.0, 1.0], 2)
+    Bf, Bh = bogovskii_apply(f, 2.0).data, bogovskii_apply(h, 2.0).data
+    combined = bogovskii_apply(Field(g, a * f.data + b * h.data), 2.0).data
+    scale = max(abs(a) * np.abs(Bf).max(), abs(b) * np.abs(Bh).max())
+    assert np.abs(combined - (a * Bf + b * Bh)).max() <= 1e-13 * scale
+
+
+@SOLVER_PROPERTY
+@given(annulus_draws)
+def test_bogovskii_is_equivariant_under_z_reflection(draw):
+    # z -> -z takes grid index k to N - k (mod N) and the sphere grid to
+    # itself; B of the reflected input is the reflected B, its z-component
+    # negated
+    N, seed = draw
+    g = Grid(3, N, 6.0)
+    f = random_annulus_data(g, np.random.default_rng(seed))
+
+    def reflect(data):
+        return np.roll(data[..., ::-1], 1, axis=-1)
+
+    B = bogovskii_apply(f, 2.0).data
+    expected = reflect(B) * np.array([1.0, 1.0, -1.0])[:, None, None, None]
+    B_reflected = bogovskii_apply(Field(g, reflect(f.data)), 2.0).data
+    assert np.abs(B_reflected - expected).max() <= 1e-13 * np.abs(B).max()
 
 
 def test_extension_far_field_identity():
