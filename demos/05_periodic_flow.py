@@ -13,7 +13,6 @@ import numpy as np
 
 from stokeslab import (
     Grid,
-    PicardConfig,
     periodicity_check,
     picard_solve,
     random_solenoidal_force,
@@ -26,8 +25,7 @@ T = 2.0 * math.pi
 
 # linear oracle
 force = single_mode_force(T)
-cfg = PicardConfig(M=32, tol=1e-10, max_iter=5, linear_only=True)
-sol = picard_solve(force, cfg, grid)
+sol = picard_solve(force, grid, M=32, tol=1e-10, max_iter=5, linear_only=True)
 kappa = (math.pi / grid.L) ** 2
 omega = 2 * math.pi / T
 k1 = 2 * math.pi / (2 * grid.L)
@@ -43,14 +41,13 @@ print(f"linear single-mode run: node error vs closed form {worst:.2e}")
 # nonlinear small-data fixed point
 eps = 0.02
 force = random_solenoidal_force(T, seed=42, amplitude=eps)
-cfg = PicardConfig(M=16, tol=1e-8, max_iter=20)
-sol = picard_solve(force, cfg, grid)
+sol = picard_solve(force, grid, M=16, tol=1e-8, max_iter=20)
 print(f"\nPicard: converged in {sol.iterations} iterations, "
       f"residual history {['%.1e' % r for r in sol.residual_history]}")
 
-defect = periodicity_check(sol, force, cfg, steps=128)
+defect = periodicity_check(sol, steps=128)
 print(f"one-period re-simulation defect: {defect:.2e}")
 
-rep = weighted_report(sol, force, q1=2.0, q2=2.0, s=1.0)
+rep = weighted_report(sol, q1=2.0, q2=2.0, s=1.0)
 print(f"weighted diagnostics: sup_t(|<x> u|_2 + |<x> grad u|_2) = "
       f"{rep['sup_u_norm']:.4f}, response ratio to |f|_s: {rep['ratio']:.4e}")

@@ -39,7 +39,6 @@ from .periodic import (
     ContractionError,
     PeriodicForce,
     PeriodicSolution,
-    PicardConfig,
     periodicity_check,
     picard_solve,
     random_solenoidal_force,

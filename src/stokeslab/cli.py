@@ -35,7 +35,7 @@ from .grid import (
     Field, Grid, curl, fft_backend, gradient_magnitude, integrate, load_field, save_field,
 )
 from .periodic import (
-    PeriodicSolution, PicardConfig, periodicity_check, picard_solve,
+    PeriodicSolution, check_picard_settings, periodicity_check, picard_solve,
     random_solenoidal_force, single_mode_force, weighted_report,
 )
 from .semigroup import decay_harness, fractional_integral, predicted_exponent, write_decay_csv
@@ -288,17 +288,11 @@ def _make_force(cfg):
     return random_solenoidal_force(cfg["T"], cfg["seed"], amplitude=cfg["eps"])
 
 
-def _picard_config(cfg) -> PicardConfig:
-    return PicardConfig(M=cfg["M"], tol=cfg["tol"], max_iter=cfg["max_iter"],
-                        linear_only=bool(cfg["linear"]))
-
-
 def _cmd_solve_periodic(cfg, outdir):
     grid = Grid(3, cfg["N"], cfg["L"])
-    force = _make_force(cfg)
-    pc = _picard_config(cfg)
-    sol = picard_solve(force, pc, grid)
-    for m, name in enumerate(_node_names(pc.M)):
+    sol = picard_solve(_make_force(cfg), grid, M=cfg["M"], tol=cfg["tol"],
+                       max_iter=cfg["max_iter"], linear_only=bool(cfg["linear"]))
+    for m, name in enumerate(_node_names(cfg["M"])):
         save_field(sol.snapshot(m), os.path.join(outdir, name))
     return {
         "converged": sol.converged,
@@ -318,14 +312,15 @@ def _sha256(path) -> str:
 
 
 def _load_run(command, run_dir):
-    """(solution, force, Picard config) of a solve-periodic run directory.
+    """The solution of a solve-periodic run directory, with its config's force and model.
 
     The manifest's artifacts must hold one digest per node, checked before
     any node is read.  Every node file must parse, carry the manifest's grid
     in its header and hash to the sha256 that the artifacts record for it.  A
     missing --run, or a config that _option_values refuses, is a
-    ConfigError; an unreadable or inconsistent run raises OSError or
-    ValueError (naming any key the manifest lacks).
+    ConfigError; an unreadable or inconsistent run, or a config that the
+    solver refuses (check_picard_settings), raises OSError or ValueError
+    (naming any key the manifest lacks).
     """
     if not run_dir:
         raise ConfigError(f"{command} needs --run pointing at a solve-periodic directory")
@@ -365,19 +360,18 @@ def _load_run(command, run_dir):
             raise ValueError(f"{name} is not the file the solve wrote: its sha256 does "
                              f"not match the run manifest's artifacts")
         snaps.append(f.data)
-    sol = PeriodicSolution(grid=grid, T=cfg["T"], snapshots=np.stack(snaps))
-    return sol, _make_force(cfg), _picard_config(cfg)
+    force = _make_force(cfg)
+    check_picard_settings(cfg["M"], cfg["tol"], cfg["max_iter"])
+    return PeriodicSolution(grid=grid, force=force, snapshots=np.stack(snaps),
+                            linear_only=bool(cfg["linear"]))
 
 
-def _cmd_periodicity_check(cfg, outdir, run):
-    sol, force, pc = run
-    defect = periodicity_check(sol, force, pc, steps=cfg["steps"])
-    return {"defect": defect}, 0
+def _cmd_periodicity_check(cfg, outdir, sol):
+    return {"defect": periodicity_check(sol, steps=cfg["steps"])}, 0
 
 
-def _cmd_weighted_report(cfg, outdir, run):
-    sol, force, _ = run
-    rep = weighted_report(sol, force, cfg["q1"], cfg["q2"], cfg["s"])
+def _cmd_weighted_report(cfg, outdir, sol):
+    rep = weighted_report(sol, cfg["q1"], cfg["q2"], cfg["s"])
     return {**rep, "ratio": _null_if_not_finite(rep["ratio"])}, 0   # NaN without forcing
 
 

@@ -18,13 +18,13 @@ The forcing is separable, f(t, x) = amplitude cos(2 pi t / T) profile(x):
 each solve transforms and projects amplitude * profile once and scales that
 spectrum by the scalar time factor at every node or stage time.
 
-Fixed points of the map are T-periodic mild solutions; picard_solve
-iterates from u = 0 and records the largest node residual of each
-iteration.  It stops once that residual is at most the tolerance, and
-raises ContractionError when it is not finite or has risen three times
-running; the forcing's period and amplitude must be finite.
-periodicity_check re-simulates one period with an independent
-ETDRK4 exponential integrator (Cox & Matthews 2002).
+Fixed points of the map are T-periodic mild solutions; picard_solve(force,
+grid, M, tol, max_iter, linear_only) iterates from u = 0, records the largest
+node residual of each iteration, stops once it is at most tol, and raises
+ContractionError when it is not finite or has risen three times running; the
+force's period and amplitude must be finite.  The PeriodicSolution carries its
+force and model: periodicity_check(sol, steps) re-simulates one period by ETDRK4
+(Cox & Matthews 2002), and weighted_report(sol, q1, q2, s) takes weighted norms.
 
 Every spectrum the solver carries lies in the 2/3 band of the grid's
 spectral layer (|frequency index| < N/3 on every axis; 21 x 21 x 11 modes
@@ -58,7 +58,6 @@ from .weights import HypothesisSet
 
 __all__ = [
     "PeriodicForce",
-    "PicardConfig",
     "PeriodicSolution",
     "single_mode_force",
     "random_solenoidal_force",
@@ -103,27 +102,12 @@ class PeriodicForce:
         return np.cos(2.0 * np.pi / self.T * np.mod(t, self.T))
 
 
-@dataclass(frozen=True)
-class PicardConfig:
-    M: int = 16
-    tol: float = 1e-8
-    max_iter: int = 40
-    linear_only: bool = False
-
-    def __post_init__(self):
-        if self.M < 8 or self.M % 2 != 0:
-            raise ValueError("node count M must be even and >= 8")
-        if not 0 < self.tol < math.inf:
-            raise ValueError(f"tolerance must be positive and finite, got {self.tol}")
-        if self.max_iter < 1:
-            raise ValueError(f"iteration cap max_iter must be >= 1, got {self.max_iter}")
-
-
 @dataclass
 class PeriodicSolution:
     grid: Grid
-    T: float
+    force: PeriodicForce           # the force it solves for
     snapshots: np.ndarray          # (M, n) + grid.shape
+    linear_only: bool              # its model: True drops the advection term
     converged: bool = False
     residual_history: list = field(default_factory=list)   # max node residual per iteration
 
@@ -133,7 +117,7 @@ class PeriodicSolution:
 
     @property
     def node_times(self) -> np.ndarray:
-        return _node_times(self.T, len(self.snapshots))
+        return _node_times(self.force.T, len(self.snapshots))
 
     def snapshot(self, m: int) -> Field:
         return Field(self.grid, self.snapshots[m])
@@ -247,26 +231,38 @@ def _resolve_periodic(h_hats: np.ndarray, sp, T: float) -> np.ndarray:
     return fft.ifft(Hf, axis=0)
 
 
-def picard_solve(force: PeriodicForce, cfg: PicardConfig, grid: Grid) -> PeriodicSolution:
-    """Iterate u <- H[u] from u = 0 until the node residuals settle; a T too
-    short for M (the top node frequency (2 pi/T)(M/2) overflows) or too long
-    (T (M-1), the last node time before its division by M, overflows) is refused."""
-    if not math.isfinite(2.0 * math.pi / force.T * (cfg.M // 2)):
-        raise ValueError(f"period T = {force.T} is too short for M = {cfg.M} nodes: "
+def check_picard_settings(M: int, tol: float, max_iter: int) -> None:
+    """Refuse an odd M or one below 8, a tol not in (0, inf), a max_iter below 1."""
+    if M < 8 or M % 2 != 0:
+        raise ValueError("node count M must be even and >= 8")
+    if not 0 < tol < math.inf:
+        raise ValueError(f"tolerance must be positive and finite, got {tol}")
+    if max_iter < 1:
+        raise ValueError(f"iteration cap max_iter must be >= 1, got {max_iter}")
+
+
+def picard_solve(force: PeriodicForce, grid: Grid, M: int = 16, tol: float = 1e-8,
+                 max_iter: int = 40, linear_only: bool = False) -> PeriodicSolution:
+    """Iterate u <- H[u] from u = 0 on M nodes until the node residuals settle;
+    after check_picard_settings, a T too short for M (the top node frequency
+    (2 pi/T)(M/2) overflows) or too long (T (M-1) overflows) is refused."""
+    check_picard_settings(M, tol, max_iter)
+    if not math.isfinite(2.0 * math.pi / force.T * (M // 2)):
+        raise ValueError(f"period T = {force.T} is too short for M = {M} nodes: "
                          f"the top temporal frequency (2 pi/T)(M/2) overflows")
-    if not math.isfinite(force.T * (cfg.M - 1)):
-        raise ValueError(f"period T = {force.T} is too long for M = {cfg.M} nodes: "
+    if not math.isfinite(force.T * (M - 1)):
+        raise ValueError(f"period T = {force.T} is too long for M = {M} nodes: "
                          f"the node time T (M-1) / M overflows before its division by M")
     sp = _spectral(grid)
     fh = _force_hat(force, sp)
-    factors = force.factor(_node_times(force.T, cfg.M))
-    u_hats = np.zeros((cfg.M,) + fh.shape, dtype=complex)
+    factors = force.factor(_node_times(force.T, M))
+    u_hats = np.zeros((M,) + fh.shape, dtype=complex)
 
     history = []
-    for _ in range(cfg.max_iter):
+    for _ in range(max_iter):
         # H[u] at the nodes as band spectra
         h_hats = np.multiply.outer(factors, fh)
-        if not cfg.linear_only:
+        if not linear_only:
             for m, u_hat in enumerate(u_hats):
                 h_hats[m] += _advection(sp, sp.inverse_band(u_hat))
         # a force far outside the contraction regime overflows the resolve or
@@ -276,19 +272,19 @@ def picard_solve(force: PeriodicForce, cfg: PicardConfig, grid: Grid) -> Periodi
             scale = max(max(sp.l2(a) for a in new), 1e-300)
             history.append(max(sp.l2(a - b) for a, b in zip(new, u_hats)) / scale)
         u_hats = new
-        if history[-1] <= cfg.tol:
+        if history[-1] <= tol:
             break
         if not math.isfinite(history[-1]) or (
                 len(history) >= 4 and history[-4] <= history[-3] <= history[-2] <= history[-1]):
             raise ContractionError(history)
 
-    return PeriodicSolution(grid=grid, T=force.T, snapshots=sp.inverse_band(u_hats),
-                            converged=history[-1] <= cfg.tol, residual_history=history)
+    return PeriodicSolution(grid=grid, force=force, snapshots=sp.inverse_band(u_hats),
+                            linear_only=linear_only, converged=history[-1] <= tol,
+                            residual_history=history)
 
 
-def periodicity_check(sol: PeriodicSolution, force: PeriodicForce,
-                      cfg: PicardConfig, steps: int = 256) -> float:
-    """March u(0) over one period with ETDRK4 and compare against u(0).
+def periodicity_check(sol: PeriodicSolution, steps: int = 256) -> float:
+    """March u(0) over one period with ETDRK4 under sol's force and model; compare to u(0).
 
     u(0) must be solenoidal (relative divergence at most 1e-8), since the
     advection term is evaluated in divergence form.  Returns the relative
@@ -308,7 +304,7 @@ def periodicity_check(sol: PeriodicSolution, force: PeriodicForce,
     u0_norm = sp.l2(full)
     start = sp.band(full)
     outside = sp.l2(full - sp.from_band(start))
-    dt = force.T / steps
+    dt = sol.force.T / steps
     L = -sp.band_ksq
 
     # phi-function coefficients by contour averaging around L*dt
@@ -322,11 +318,11 @@ def periodicity_check(sol: PeriodicSolution, force: PeriodicForce,
     beta = dt * ((2.0 + zc + np.exp(zc) * (-2.0 + zc)) / zc**3).mean(axis=-1)
     gamm = dt * ((-4.0 - 3.0 * zc - zc**2 + np.exp(zc) * (4.0 - zc)) / zc**3).mean(axis=-1)
 
-    fh = _force_hat(force, sp)
+    fh = _force_hat(sol.force, sp)
 
     def rhs(uh, t):
-        f = force.factor(t) * fh
-        return f if cfg.linear_only else f + _advection(sp, sp.inverse_band(uh))
+        f = sol.force.factor(t) * fh
+        return f if sol.linear_only else f + _advection(sp, sp.inverse_band(uh))
 
     uh = start
     t = 0.0
@@ -346,8 +342,7 @@ def periodicity_check(sol: PeriodicSolution, force: PeriodicForce,
     return math.hypot(sp.l2(uh - start), outside) / u0_norm
 
 
-def weighted_report(sol: PeriodicSolution, force: PeriodicForce,
-                    q1: float, q2: float, s: float) -> dict:
+def weighted_report(sol: PeriodicSolution, q1: float, q2: float, s: float) -> dict:
     """Weighted solution norms against the forcing norm of the smallness theory.
 
     Reports sup over nodes of |<x>^s u|_{q1} + |<x>^s grad u|_{q2}, the
@@ -361,7 +356,7 @@ def weighted_report(sol: PeriodicSolution, force: PeriodicForce,
     sup_u = max(integrate(u, q1, s) + integrate(gradient_magnitude(u), q2, s)
                 for u in map(sol.snapshot, range(len(sol.snapshots))))
 
-    f = Field(g, abs(force.amplitude) * force.profile(g).data)
+    f = Field(g, abs(sol.force.amplitude) * sol.force.profile(g).data)
     # the derived index q12 reaches down to L^1 for diagnostic pairs
     force_norm = max(integrate(f, hs.q12, 2.0 * s), integrate(f, hs.q22_star, 2.0 * s))
 

@@ -34,7 +34,6 @@ from stokeslab.weights import (
     sobolev_embedding_ratio,
 )
 from stokeslab.periodic import (
-    PicardConfig,
     periodicity_check,
     picard_solve,
     random_solenoidal_force,
@@ -158,8 +157,7 @@ def test_criterion_07_linear_poincare_oracle():
     g = Grid(3, 32, 16.0)
     T = 2.0 * math.pi
     force = single_mode_force(T)
-    cfg = PicardConfig(M=32, tol=1e-10, max_iter=5, linear_only=True)
-    sol = picard_solve(force, cfg, g)
+    sol = picard_solve(force, g, M=32, tol=1e-10, max_iter=5, linear_only=True)
     kappa = (math.pi / g.L) ** 2
     omega = 2.0 * math.pi / T
     k1 = 2.0 * math.pi / (2.0 * g.L)
@@ -179,10 +177,9 @@ def test_criterion_08_nonlinear_fixed_point():
     g = Grid(3, 32, 16.0)
     T = 2.0 * math.pi
     base = random_solenoidal_force(T, BASE_SEED)
-    cfg = PicardConfig(M=16, tol=1e-8, max_iter=20)
 
     # calibrate the amplitude so the first iterate has unit-norm 1e-2
-    probe = picard_solve(base, PicardConfig(M=16, tol=1.0, max_iter=1), g)
+    probe = picard_solve(base, g, M=16, tol=1.0, max_iter=1)
     first_norm = max(
         float(np.sqrt(np.sum(probe.snapshots[m] ** 2) * g.cell_volume))
         for m in range(16)
@@ -193,7 +190,7 @@ def test_criterion_08_nonlinear_fixed_point():
     sol = None
     for fac in (1.0, 0.5, 0.25):
         force = dataclasses.replace(base, amplitude=eps * fac)
-        s = picard_solve(force, cfg, g)
+        s = picard_solve(force, g, M=16, tol=1e-8, max_iter=20)
         assert s.converged
         nrm = max(
             float(np.sqrt(np.sum(s.snapshots[m] ** 2) * g.cell_volume))
@@ -204,8 +201,7 @@ def test_criterion_08_nonlinear_fixed_point():
             sol = s
             iters = s.iterations
             res = s.residual_history[-1]
-    defect = periodicity_check(sol, dataclasses.replace(base, amplitude=eps), cfg,
-                               steps=256)
+    defect = periodicity_check(sol, steps=256)
     spread = max(ratios) / min(ratios) - 1.0
     ok = iters <= 20 and res <= 1e-8 and defect <= 1e-5 and spread <= 0.02
     _report(8, "nonlinear fixed point", ok,

@@ -15,6 +15,7 @@ from stokeslab import cli
 from stokeslab.corpus import random_smooth_field
 from stokeslab.exterior import shell_potential
 from stokeslab.grid import Grid, curl, gradient, load_field, save_field
+from stokeslab.periodic import periodicity_check, picard_solve, single_mode_force
 
 
 def _reject_constant(name):
@@ -142,6 +143,29 @@ def test_run_chain_periodicity_and_report(tmp_path, capsys):
     assert status == 0
     assert rep["applicable"] is True
     assert rep["ratio"] > 0
+
+
+def test_linear_single_mode_run_keeps_its_model_and_force(tmp_path, capsys):
+    # the run directory's solution carries the force and the model of the
+    # solve, so the check re-simulates exactly what the solver solved
+    rundir = tmp_path / "run"
+    status, _ = run_cli(capsys, "solve-periodic", "--force", "single-mode", "--linear", "1",
+                        "--N", "16", "--M", "8", "--out", str(rundir))
+    assert status == 0
+    sol = cli._load_run("periodicity-check", str(rundir))
+    options = cli._COMMANDS["solve-periodic"][2]
+    T, eps = options["T"][1], options["eps"][1]          # the defaults
+    grid = Grid(3, 16, 16.0)
+    assert sol.linear_only is True
+    assert (sol.force.T, sol.force.amplitude) == (T, eps)
+    assert np.array_equal(sol.force.profile(grid).data,
+                          single_mode_force(T).profile(grid).data)
+    status, out = run_cli(capsys, "periodicity-check", "--run", str(rundir), "--steps", "64",
+                          "--out", str(tmp_path / "chk"))
+    assert status == 0
+    expected = periodicity_check(picard_solve(single_mode_force(T, eps), grid, M=8,
+                                              linear_only=True), steps=64)
+    assert out == {"defect": expected}
 
 
 def _floats(value):
@@ -583,6 +607,20 @@ def test_run_manifest_out_of_range(edit, small_run, tmp_path, capsys, monkeypatc
     for command in ("periodicity-check", "weighted-report"):
         detail = _assert_rejected(capsys, run, command)
         assert ("cell volume" if "L" in edit else "10 nodes") in detail
+
+
+@pytest.mark.parametrize("edit, detail", [
+    ({"tol": 0.0}, "tolerance must be positive and finite, got 0.0"),
+    ({"max_iter": 0}, "iteration cap max_iter must be >= 1, got 0"),
+], ids=["tol-0", "max-iter-0"])
+def test_run_manifest_settings_the_solver_refuses(edit, detail, small_run, tmp_path, capsys):
+    # a run no solve could have written: refused with the solver's message
+    run = _copy_run(small_run, tmp_path / "run")
+    manifest = loads((run / "manifest.json").read_text())
+    manifest["config"].update(edit)
+    (run / "manifest.json").write_text(json.dumps(manifest))
+    for command in ("periodicity-check", "weighted-report"):
+        assert _assert_rejected(capsys, run, command) == detail
 
 
 def test_run_node_header_mismatch(small_run, tmp_path, capsys):

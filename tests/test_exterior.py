@@ -414,6 +414,25 @@ def test_bogovskii_is_equivariant_under_z_reflection(draw):
     assert np.abs(B_reflected - expected).max() <= 1e-13 * np.abs(B).max()
 
 
+@SOLVER_PROPERTY
+@given(annulus_draws)
+def test_bogovskii_is_equivariant_under_quarter_turn_about_z(draw):
+    # (x, y) -> (-y, x) takes the sample at index (j, N - j', k) to (j', j, k)
+    # (indices mod N) and the sphere grid to itself; B of the rotated input
+    # is B rotated as a vector
+    N, seed = draw
+    g = Grid(3, N, 6.0)
+    f = random_annulus_data(g, np.random.default_rng(seed))
+
+    def rotate(data):
+        return np.swapaxes(np.roll(data[..., :, ::-1, :], 1, axis=-2), -3, -2)
+
+    B = bogovskii_apply(f, 2.0).data
+    expected = np.stack([-rotate(B[1]), rotate(B[0]), rotate(B[2])])
+    B_rotated = bogovskii_apply(Field(g, rotate(f.data)), 2.0).data
+    assert np.abs(B_rotated - expected).max() <= 1e-13 * np.abs(B).max()
+
+
 def test_extension_far_field_identity():
     # data supported beyond |x| = R+3 passes through bitwise
     g = Grid(3, 48, 12.0)

@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from stokeslab.grid import Field, Grid, gradient, integrate
 from stokeslab.corpus import random_smooth_field
@@ -10,7 +11,6 @@ from stokeslab.semigroup import leray_project
 from stokeslab.periodic import (
     ContractionError,
     PeriodicForce,
-    PicardConfig,
     periodicity_check,
     picard_solve,
     random_solenoidal_force,
@@ -51,14 +51,21 @@ def test_force_amplitude_scales_norms():
 
 
 def test_picard_config_validation():
-    with pytest.raises(ValueError):
-        PicardConfig(M=6)
-    with pytest.raises(ValueError):
-        PicardConfig(M=9)
-    with pytest.raises(ValueError):
-        PicardConfig(tol=0.0)
-    with pytest.raises(ValueError):
-        PicardConfig(max_iter=0)
+    # the settings are refused before the force's profile is ever evaluated
+    force = PeriodicForce(T=T, profile=None)
+    with pytest.raises(ValueError, match="node count M must be even and >= 8"):
+        picard_solve(force, small_grid(), M=6)
+    with pytest.raises(ValueError, match="node count M must be even and >= 8"):
+        picard_solve(force, small_grid(), M=9)
+    with pytest.raises(ValueError, match="tolerance must be positive and finite, got 0.0"):
+        picard_solve(force, small_grid(), tol=0.0)
+    with pytest.raises(ValueError, match="iteration cap max_iter must be >= 1, got 0"):
+        picard_solve(force, small_grid(), max_iter=0)
+    # ahead of the period checks: T (M - 1) overflows here too
+    with pytest.raises(ValueError, match="tolerance"):
+        picard_solve(PeriodicForce(T=1e10, profile=None), small_grid(), M=10**300, tol=0.0)
+    with pytest.raises(ValueError, match="too long"):
+        picard_solve(PeriodicForce(T=1e10, profile=None), small_grid(), M=10**300)
     with pytest.raises(ValueError):
         PeriodicForce(T=0.0, profile=None)
 
@@ -157,7 +164,7 @@ def test_nonlinearity_weighted_hoelder_bound():
 def test_zero_force_fixed_point():
     g = small_grid()
     force = single_mode_force(T, amplitude=0.0)
-    sol = picard_solve(force, PicardConfig(M=8), g)
+    sol = picard_solve(force, g, M=8)
     assert sol.converged
     assert sol.iterations == 1
     assert np.all(sol.snapshots == 0.0)
@@ -171,7 +178,7 @@ def test_linear_single_mode_matches_ode_solution(period, rtol):
     # a single harmonic is its own node interpolant, so the resolve gives the
     # closed-form damped-oscillator response at every node, at any period
     g = small_grid()
-    sol = picard_solve(single_mode_force(period), PicardConfig(M=16, linear_only=True), g)
+    sol = picard_solve(single_mode_force(period), g, M=16, linear_only=True)
     kappa = (math.pi / g.L) ** 2
     omega = 2 * math.pi / period
     k1 = 2 * math.pi / (2 * g.L)
@@ -189,12 +196,12 @@ def test_poincare_map_translation_equivariance():
     # the shift turns cos(2 pi t / T) into its negative, i.e. amplitude -1.
     # One Picard iteration from u = 0 applies the map once: H[0]
     g = small_grid()
-    cfg = PicardConfig(M=16, tol=1.0, max_iter=1, linear_only=True)
+    cfg = dict(M=16, tol=1.0, max_iter=1, linear_only=True)
     base = single_mode_force(T)
     shifted = dataclasses.replace(base, amplitude=-1.0)
-    out_base = picard_solve(base, cfg, g).snapshots
-    out_shift = picard_solve(shifted, cfg, g).snapshots
-    rolled = np.roll(out_base, -cfg.M // 2, axis=0)
+    out_base = picard_solve(base, g, **cfg).snapshots
+    out_shift = picard_solve(shifted, g, **cfg).snapshots
+    rolled = np.roll(out_base, -cfg["M"] // 2, axis=0)
     assert np.abs(out_shift - rolled).max() <= 1e-12 * np.abs(out_base).max()
 
 
@@ -257,14 +264,14 @@ def test_outside_contraction_regime_raises():
     g = small_grid()
     force = random_solenoidal_force(T, seed=42, amplitude=2000.0)
     with pytest.raises(ContractionError) as err:
-        picard_solve(force, PicardConfig(M=8, tol=1e-8, max_iter=30), g)
+        picard_solve(force, g, M=8, tol=1e-8, max_iter=30)
     assert err.value.growth_factor > 0
 
 
 def test_non_finite_residual_raises():
     force = random_solenoidal_force(T, seed=42, amplitude=1e200)
     with pytest.raises(ContractionError, match="not finite") as err:
-        picard_solve(force, PicardConfig(M=8, tol=1e-8, max_iter=30), small_grid())
+        picard_solve(force, small_grid(), M=8, tol=1e-8, max_iter=30)
     assert len(err.value.history) <= 2
 
 
@@ -273,7 +280,7 @@ def test_nonlinear_solve_contracts_and_is_solenoidal():
 
     g = small_grid()
     force = random_solenoidal_force(T, seed=42, amplitude=0.02)
-    sol = picard_solve(force, PicardConfig(M=8, tol=1e-8, max_iter=30), g)
+    sol = picard_solve(force, g, M=8, tol=1e-8, max_iter=30)
     assert sol.converged
     assert sol.iterations <= 20
     hist = sol.residual_history
@@ -291,7 +298,7 @@ def test_nonlinear_solve_contracts_and_is_solenoidal():
 def test_nonlinear_contraction_factor_below_half():
     g = small_grid()
     force = random_solenoidal_force(T, seed=42, amplitude=0.02)
-    sol = picard_solve(force, PicardConfig(M=8, tol=1e-10, max_iter=30), g)
+    sol = picard_solve(force, g, M=8, tol=1e-10, max_iter=30)
     hist = sol.residual_history
     assert all(hist[i + 1] <= 0.5 * hist[i] for i in range(len(hist) - 1))
 
@@ -299,16 +306,15 @@ def test_nonlinear_contraction_factor_below_half():
 def test_periodicity_check_zero_solution():
     g = small_grid()
     force = single_mode_force(T, amplitude=0.0)
-    sol = picard_solve(force, PicardConfig(M=8), g)
-    assert periodicity_check(sol, force, PicardConfig(M=8), steps=32) == 0.0
+    sol = picard_solve(force, g, M=8)
+    assert periodicity_check(sol, steps=32) == 0.0
 
 
 def test_periodicity_check_linear_single_mode():
     g = small_grid()
     force = single_mode_force(T)
-    cfg = PicardConfig(M=16, tol=1e-10, max_iter=5, linear_only=True)
-    sol = picard_solve(force, cfg, g)
-    assert periodicity_check(sol, force, cfg, steps=512) <= 1e-6
+    sol = picard_solve(force, g, M=16, tol=1e-10, max_iter=5, linear_only=True)
+    assert periodicity_check(sol, steps=512) <= 1e-6
 
 
 def test_periodicity_defect_counts_u0_outside_the_band():
@@ -316,31 +322,42 @@ def test_periodicity_defect_counts_u0_outside_the_band():
     # the rest of u(0): a start with no band content returns nothing of it
     g = Grid(3, 16, 16.0)
     force = single_mode_force(T, amplitude=0.0)
-    cfg = PicardConfig(M=8)
-    sol = picard_solve(force, cfg, g)
+    sol = picard_solve(force, g, M=8)
     k = 6 * math.pi / g.L               # index 6 >= 16/3, outside the band
     sol.snapshots[0, 0] = 1e-3 * np.cos(k * g.coords()[2])
-    assert periodicity_check(sol, force, cfg, steps=4) == pytest.approx(1.0, rel=1e-12)
+    assert periodicity_check(sol, steps=4) == pytest.approx(1.0, rel=1e-12)
 
 
 def test_periodicity_check_rejects_nonsolenoidal_start():
     g = Grid(3, 16, 16.0)
     force = single_mode_force(T, amplitude=0.0)
-    cfg = PicardConfig(M=8)
-    sol = picard_solve(force, cfg, g)
+    sol = picard_solve(force, g, M=8)
     # a gradient field is as far from solenoidal as a field can be
     phi = random_smooth_field(g, seed=3, components=1)
     sol.snapshots[0] = gradient(phi).data
     with pytest.raises(ValueError, match="not solenoidal"):
-        periodicity_check(sol, force, cfg, steps=4)
+        periodicity_check(sol, steps=4)
 
 
-def _per_stage_march(sol, force, cfg, steps):
+@settings(max_examples=12, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from([12, 16, 20]), st.sampled_from([8, 12, 16]), st.floats(1.0, 10.0),
+       st.floats(4.0, 16.0), st.floats(1e-3, 1.0), st.integers(0, 2**32 - 1))
+def test_picard_fixed_point_returns_under_etdrk4(N, M, period, L, eps, seed):
+    # over random grids, node counts, periods and forces, the fixed point
+    # returns to itself under the independent ETDRK4 march of one period;
+    # 64 steps leave ETDRK4's own fourth-order error near 1e-7
+    force = random_solenoidal_force(period, seed, amplitude=eps)
+    sol = picard_solve(force, Grid(3, N, L), M=M)
+    assert sol.converged
+    assert periodicity_check(sol, steps=64) <= 1e-6
+
+
+def _per_stage_march(sol, steps):
     """Reference ETDRK4 march on the full complex grid: it transforms, masks
     and projects the forcing amplitude cos(2 pi t / T) profile at all four
     stage times of every step, and takes the advection term from the
     advective-form reference; returns the periodicity defect."""
-    g = sol.grid
+    g, force = sol.grid, sol.force
     omega = 2.0 * math.pi / force.T
     profile = force.profile(g).data
     mask = fft_reference.dealias_mask(g)
@@ -389,55 +406,51 @@ def test_periodicity_check_one_profile_evaluation():
     g = Grid(3, 16, 16.0)
     base = random_solenoidal_force(T, seed=42, amplitude=0.5)
     force, calls = _counting(base)
-    cfg = PicardConfig(M=8, tol=1e-10, max_iter=30)
-    sol = picard_solve(base, cfg, g)
+    sol = picard_solve(base, g, M=8, tol=1e-10, max_iter=30)
     steps = 12
-    defect = periodicity_check(sol, force, cfg, steps=steps)
+    defect = periodicity_check(dataclasses.replace(sol, force=force), steps=steps)
     assert len(calls) == 1
-    ref = _per_stage_march(sol, base, cfg, steps)
+    ref = _per_stage_march(sol, steps)
     assert abs(defect - ref) <= 1e-12 * ref
 
 
 def test_each_entry_point_evaluates_the_profile_once():
     g = Grid(3, 16, 16.0)
     force, calls = _counting(random_solenoidal_force(T, seed=42, amplitude=0.5))
-    cfg = PicardConfig(M=8, tol=1e-10, max_iter=30)
-    sol = picard_solve(force, cfg, g)
+    sol = picard_solve(force, g, M=8, tol=1e-10, max_iter=30)
     assert len(calls) == 1
-    periodicity_check(sol, force, cfg, steps=4)
+    periodicity_check(sol, steps=4)
     assert len(calls) == 2
-    weighted_report(sol, force, 2.0, 2.0, 1.0)
+    weighted_report(sol, 2.0, 2.0, 1.0)
     assert len(calls) == 3
 
 
 def test_weighted_ratio_stable_under_amplitude_halving():
     g = small_grid()
-    cfg = PicardConfig(M=8, tol=1e-9, max_iter=20)
     ratios = []
     for eps in (0.02, 0.01):
         force = random_solenoidal_force(T, seed=9, amplitude=eps)
-        sol = picard_solve(force, cfg, g)
-        ratios.append(weighted_report(sol, force, 2.0, 2.0, 1.0)["ratio"])
+        sol = picard_solve(force, g, M=8, tol=1e-9, max_iter=20)
+        ratios.append(weighted_report(sol, 2.0, 2.0, 1.0)["ratio"])
     assert abs(ratios[0] / ratios[1] - 1.0) <= 0.05
 
 
 def test_weighted_report_zero_case_not_applicable():
     g = small_grid()
     force = single_mode_force(T, amplitude=0.0)
-    sol = picard_solve(force, PicardConfig(M=8), g)
-    rep = weighted_report(sol, force, 2.0, 2.0, 1.0)
+    sol = picard_solve(force, g, M=8)
+    rep = weighted_report(sol, 2.0, 2.0, 1.0)
     assert not rep["applicable"]
     assert math.isnan(rep["ratio"])
 
 
 def test_weighted_report_force_norm_homogeneous():
     g = small_grid()
-    cfg = PicardConfig(M=8, tol=1e-8, max_iter=20)
     f1 = random_solenoidal_force(T, seed=9, amplitude=0.01)
     f2 = dataclasses.replace(f1, amplitude=0.02)
-    sol = picard_solve(f1, cfg, g)
-    r1 = weighted_report(sol, f1, 2.0, 2.0, 1.0)
-    r2 = weighted_report(sol, f2, 2.0, 2.0, 1.0)
+    sol = picard_solve(f1, g, M=8, tol=1e-8, max_iter=20)
+    r1 = weighted_report(sol, 2.0, 2.0, 1.0)
+    r2 = weighted_report(dataclasses.replace(sol, force=f2), 2.0, 2.0, 1.0)
     assert r2["force_norm"] == pytest.approx(2.0 * r1["force_norm"], rel=1e-13)
 
 
@@ -447,8 +460,8 @@ def test_weighted_report_force_norm_is_the_sup_over_nodes():
     g = small_grid()
     s = 1.0
     force = random_solenoidal_force(T, seed=9, amplitude=-0.01)
-    sol = picard_solve(force, PicardConfig(M=8, max_iter=5, linear_only=True), g)
-    rep = weighted_report(sol, force, 2.0, 2.0, s)
+    sol = picard_solve(force, g, M=8, max_iter=5, linear_only=True)
+    rep = weighted_report(sol, 2.0, 2.0, s)
     assert rep["q12"] != rep["q22_star"]
     profile = force.profile(g).data
     node_sup = 0.0
