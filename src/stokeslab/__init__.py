@@ -7,7 +7,6 @@ from .grid import (
     curl,
     divergence,
     gradient,
-    gradient_magnitude,
     integrate,
     load_field,
     save_field,

@@ -31,9 +31,7 @@ from .exterior import (
     annulus_dipole, bogovskii_apply, divergence_defect, shell_potential,
     solenoidal_extension,
 )
-from .grid import (
-    Field, Grid, curl, fft_backend, gradient_magnitude, integrate, load_field, save_field,
-)
+from .grid import Field, Grid, curl, fft_backend, integrate, load_field, save_field
 from .periodic import (
     PeriodicSolution, check_picard_settings, periodicity_check, picard_solve,
     random_solenoidal_force, single_mode_force, weighted_report,
@@ -258,7 +256,10 @@ def _cmd_bogovskii_test(cfg, outdir):
     defect = divergence_defect(B, f)
     r = np.sqrt(grid.radius_sq())
     outside = (r <= cfg["R"]) | (r >= cfg["R"] + 1.0)
-    w12 = float(np.sqrt(integrate(B, 2) ** 2 + integrate(gradient_magnitude(B), 2) ** 2))
+    # ||B||_L2^2 + ||grad B||_L2^2 by Parseval, with the derivative wavenumbers
+    sp = grid.spectral()
+    w12 = float(np.sqrt(np.sum(sp.power(sp.forward(B.data))
+                               * (1.0 + sum(k * k for k in sp.k)))))
     save_field(B, os.path.join(outdir, "bogovskii.field"))
     return {
         "div_defect_rel": defect,
@@ -306,6 +307,11 @@ def _node_names(M):
     return [f"node_{m:03d}.field" for m in range(M)]
 
 
+def _config_sha256(cfg) -> str:
+    """The sha256 of a config's strict, key-sorted JSON text."""
+    return hashlib.sha256(_json_text(cfg).encode()).hexdigest()
+
+
 def _sha256(path) -> str:
     with open(path, "rb") as fh:
         return hashlib.sha256(fh.read()).hexdigest()
@@ -319,8 +325,9 @@ def _load_run(command, run_dir):
     in its header and hash to the sha256 that the artifacts record for it.  A
     missing --run, or a config that _option_values refuses, is a
     ConfigError; an unreadable or inconsistent run, or a config that the
-    solver refuses (check_picard_settings), raises OSError or ValueError
-    (naming any key the manifest lacks).
+    solver refuses (check_picard_settings), or a config that does not hash to
+    the manifest's config_sha256, raises OSError or ValueError (naming any
+    key the manifest lacks).
     """
     if not run_dir:
         raise ConfigError(f"{command} needs --run pointing at a solve-periodic directory")
@@ -335,7 +342,8 @@ def _load_run(command, run_dir):
         raise ValueError(f"{run_dir!r} was written by {manifest['command']!r}, "
                          f"not solve-periodic")
     schema = _COMMANDS["solve-periodic"][2]
-    lacking = [k for k in ("command", "config", "artifacts") if k not in manifest] or [
+    lacking = [k for k in ("command", "config", "config_sha256", "artifacts")
+               if k not in manifest] or [
         k for k in schema if k not in manifest["config"]]
     if lacking:
         raise ValueError(f"the run manifest lacks {', '.join(map(repr, lacking))}")
@@ -362,6 +370,11 @@ def _load_run(command, run_dir):
         snaps.append(f.data)
     force = _make_force(cfg)
     check_picard_settings(cfg["M"], cfg["tol"], cfg["max_iter"])
+    # last, so that an edited config fails its own checks first; the nodes
+    # were solved for the config the writer hashed, and for no other
+    if _config_sha256(manifest["config"]) != manifest["config_sha256"]:
+        raise ValueError("the run manifest's config does not hash to its config_sha256: "
+                         "the nodes were not solved for this config")
     return PeriodicSolution(grid=grid, force=force, snapshots=np.stack(snaps),
                             linear_only=bool(cfg["linear"]))
 
@@ -493,7 +506,7 @@ def main(argv=None) -> int:
         manifest = {
             "command": args.command,
             "config": cfg,
-            "config_sha256": hashlib.sha256(_json_text(cfg).encode()).hexdigest(),
+            "config_sha256": _config_sha256(cfg),
             "prng": PRNG_ID,
             "versions": {
                 "python": sys.version.split()[0],

@@ -7,9 +7,12 @@ harmonics) redistributes the per-ray masses tangentially.  The output is
 supported exactly in the closed annulus and the construction is second
 order accurate in the grid spacing.  Everything here is n = 3 only.
 
-The solver pays only for the annulus.  Its field sampler refines and
-prefilters only the cube around the ball |x| <= R + 1 plus a fixed margin;
-on a coarse grid that window is longer than the period and wraps round it.
+The solver pays only for the annulus.  Its field sampler refines only the
+cube around the ball |x| <= R + 1 plus a fixed margin, and applies the
+cubic-spline prefilter to the refinement's spectrum on the way, so the
+window's spline coefficients are exactly those of the whole periodic grid;
+where the ball comes within that margin of the cube's faces, the window is
+longer than the period and wraps round it.
 One Gauss-Legendre ray quadrature gives both the per-ray masses on the
 sphere grid and the partial ray integrals at the annulus points.  The
 spherical synthesis at the annulus points runs its Legendre recursion and
@@ -19,13 +22,15 @@ of P_l^m gives the values below from the even and odd l + m sums above.
 
 annulus_dipole and shell_potential build the analytic test inputs of the
 two tools; the CLI, the acceptance criteria, the tests and the demo share them.
+They, and the extension's cut-off, evaluate their radial profiles on the
+thin shell where these are nonzero only.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .grid import Field, Grid, divergence, fft_backend, integrate, refine_block
+from .grid import Field, Grid, divergence, fft_backend, integrate
 
 __all__ = [
     "bogovskii_apply",
@@ -59,14 +64,30 @@ def _smoothstep7(t):
             t**3 * (140.0 - 420.0 * t + 420.0 * t * t - 140.0 * t**3))
 
 
+def _shell(grid: Grid, lo: float, hi: float):
+    """The grid points of the shell lo <= |x| <= hi, selected on radius_sq()
+    with the bounds widened by 1e-12 relative, so that rounding in |x| drops
+    no point where a profile on the open shell is nonzero: the mask, the
+    points' coordinates per axis and their |x|."""
+    r_sq = grid.radius_sq()
+    mask = (r_sq >= (lo * (1.0 - 1e-12)) ** 2) & (r_sq <= (hi * (1.0 + 1e-12)) ** 2)
+    return mask, grid.axis[np.stack(np.nonzero(mask))], np.sqrt(r_sq[mask])
+
+
 def _cut_off(u0: Field, R: float):
     """The radial cut-off phi, 1 for |x| <= R+2 and 0 for |x| >= R+3, and
-    (grad phi) . u0 with grad phi = phi'(r) x/|x|; both as arrays."""
-    r = np.sqrt(u0.grid.radius_sq())
+    (grad phi) . u0 with grad phi = phi'(r) x/|x|; both as arrays, evaluated
+    on the transition shell only."""
+    grid = u0.grid
+    shell, (x0, x1, x2), r = _shell(grid, R + 2.0, R + 3.0)
     s, ds = _smoothstep7(r - (R + 2.0))
-    dp = -ds / np.where(r > 0, r, 1.0)
-    (x0, x1, x2), u = u0.grid.coords(), u0.data
-    return 1.0 - s, dp * x0 * u[0] + dp * x1 * u[1] + dp * x2 * u[2]
+    dp = -ds / r
+    u = u0.data[:, shell]
+    phi = (grid.radius_sq() < (R + 2.0) ** 2).astype(float)
+    phi[shell] = 1.0 - s
+    fb = np.zeros(grid.shape)
+    fb[shell] = dp * x0 * u[0] + dp * x1 * u[1] + dp * x2 * u[2]
+    return phi, fb
 
 
 def annulus_dipole(grid: Grid, R: float) -> Field:
@@ -75,10 +96,12 @@ def annulus_dipole(grid: Grid, R: float) -> Field:
     D_R.  It is div(bump e1), mean-zero by antisymmetry.  D_R is checked
     against the grid before anything is built."""
     _check_annulus(grid, R)
-    r = np.sqrt(grid.radius_sq())
+    shell, (x0, _, _), r = _shell(grid, R + 0.15, R + 0.85)
     t = np.clip((r - (R + 0.5)) / 0.35, -1.0, 1.0)
     ds = -8.0 * t * (1.0 - t * t) ** 3 / 0.35
-    return Field(grid, ds * grid.coords()[0] / np.maximum(r, 1e-300))
+    out = np.zeros(grid.shape)
+    out[shell] = ds * x0 / r
+    return Field(grid, out)
 
 
 def shell_potential(grid: Grid, R: float) -> Field:
@@ -87,10 +110,12 @@ def shell_potential(grid: Grid, R: float) -> Field:
     for exterior radius R.  The extension's shell D_{R+2} is checked against
     the grid, and R itself must be positive, before anything is built."""
     _check_annulus(grid, R + 2.0 if R > 0 else R)
-    t = np.clip(np.sqrt(grid.radius_sq()) - (R + 2.0), -1.0, 1.0)
+    shell, (X, Y, _), r = _shell(grid, R + 1.0, R + 3.0)
+    t = np.clip(r - (R + 2.0), -1.0, 1.0)
     prof = (1.0 - t * t) ** 3
-    X, Y, _ = grid.coords()
-    return Field(grid, np.stack([-Y * prof, X * prof, np.zeros_like(prof)]))
+    out = np.zeros((3,) + grid.shape)
+    out[0, shell], out[1, shell] = -Y * prof, X * prof
+    return Field(grid, out)
 
 
 # ---------------------------------------------------------------------------
@@ -232,26 +257,48 @@ _TRANSPORT_HI = 0.85
 _N_RAD = 24
 # relative divergence of u0 on the exterior region that still counts as zero
 _DIV_RTOL = 1e-8
-# fine samples between the sampled ball and the edge of the sampler's window
-_WINDOW_MARGIN = 32
+# fine samples between the sampled ball and the edge of the sampler's window:
+# a cubic spline reads two coefficients either side of a point
+_WINDOW_MARGIN = 2
+
+
+def _spline_refinement(data, window):
+    """Cubic B-spline coefficients of the 2x trigonometric refinement of a
+    periodic 3-D array, on the fine indices window of every axis.
+
+    Per axis the real half spectrum k = 0..N/2 is scaled by 2 (the
+    refinement) times 3 / (2 + cos(pi k / N)), the inverse of the cubic
+    B-spline's symbol on the 2N fine samples (Unser, Aldroubi & Eden, IEEE
+    Trans. Signal Process. 41 (1993) 821); the Nyquist bin is halved, and
+    the inverse transform to 2N samples pads it with zeros.  Each axis is
+    cut to window right after it is refined, so the later axes transform
+    only the lines that cross the window.  Every line is transformed whole,
+    so the block is bit-identical to the same window of the whole grid's
+    coefficients.
+    """
+    fft = fft_backend()
+    for ax in range(3):
+        N = data.shape[ax]
+        gain = 6.0 / (2.0 + np.cos(np.pi * np.arange(N // 2 + 1) / N))
+        gain[N // 2] *= 0.5
+        hat = fft.rfft(data, axis=ax)
+        hat *= gain.reshape((-1,) + (1,) * (2 - ax))
+        data = fft.irfft(hat, n=2 * N, axis=ax)[(slice(None),) * ax + (window,)]
+    return data
 
 
 class _FieldSampler:
     """Point evaluation of a periodic grid field inside the ball |x| <= radius.
 
-    The samples are first upsampled 2x by trigonometric interpolation (the
-    fields are band-limited), then read off with a cubic spline; the spline
-    coefficients are prepared once.  Only the cube around the ball plus
-    _WINDOW_MARGIN fine samples per side is refined and prefiltered; on a
-    coarse grid that window is longer than the period and wraps round it.
-    The prefilter mirrors at the window's edges instead of wrapping; its
-    recursion decays like (2 - sqrt 3)^d over d samples, so at the ball that
-    changes the coefficients by about 0.268^32 ~ 5e-19 relative.
+    The samples are upsampled 2x by trigonometric interpolation (the fields
+    are band-limited) and read off with a cubic spline whose coefficients
+    are prepared once, from the same spectrum (_spline_refinement).  Only
+    the cube around the ball plus _WINDOW_MARGIN fine samples per side is
+    refined; where the ball comes within that margin of the cube's faces,
+    the window is longer than the period and wraps round it.
     """
 
     def __init__(self, f: Field, radius: float):
-        from scipy.ndimage import spline_filter
-
         g = f.grid
         self.L = g.L
         self.h = g.h / 2.0
@@ -261,8 +308,7 @@ class _FieldSampler:
         edge = int(np.floor((g.L - radius) / self.h))
         self.lo = edge - _WINDOW_MARGIN
         window = np.arange(self.lo, Nf - edge + _WINDOW_MARGIN + 1) % Nf
-        fine = refine_block(f.data, g.n, 2, window)
-        self.coeffs = spline_filter(fine, order=3, mode="mirror")
+        self.coeffs = _spline_refinement(f.data, window)
 
     def __call__(self, points):
         """Values at points given components first, shape (3, ...)."""

@@ -25,10 +25,10 @@ mirrored DCT-I.  convolve_even convolves on the doubled 2N lattice (K = N).
 
 This module is the package's one import site of scipy.fft, and it imports
 it on the first transform, inside fft_backend(): a process that never
-transforms (the closed-form weight commands) never loads it.  refine_block
-(Fourier refinement) lives here, and fft_backend() hands the backend to the
-spectral layer, to the one-axis transforms of the sphere solver and the
-periodic resolvent and to the CLI's --threads workers context.
+transforms (the closed-form weight commands) never loads it.  fft_backend()
+hands the backend to the spectral layer, to the one-axis transforms of the
+annulus field sampler, the sphere solver and the periodic resolvent, and to
+the CLI's --threads workers context.
 
 Nyquist policy: the frequency index N/2 has no conjugate partner on an
 even grid.  First-derivative multipliers i xi_j vanish on the Nyquist plane
@@ -377,32 +377,10 @@ class Spectral:
 def fft_backend():
     """The transform backend, scipy.fft, imported on the first call: a process
     that never transforms never loads it.  This is the package's one import
-    site of it: the spectral layer, refine_block, the one-axis transforms
-    outside them and the CLI's --threads workers context go through here."""
+    site of it: the spectral layer, the one-axis transforms outside it and
+    the CLI's --threads workers context go through here."""
     from scipy import fft
     return fft
-
-
-def refine_block(data, n: int, factor: int, window=slice(None)):
-    """Trigonometric refinement by factor of a bare array whose last n axes
-    are grid axes: per axis the real half spectrum is scaled by factor, its
-    Nyquist bin halved, and the inverse transform to factor * N samples
-    pads it with zeros.
-
-    window is a slice or an index array of fine indices, the same on every
-    axis.  Each axis is cut to it right after it is refined, so the later
-    axes transform only the lines that cross the window.  Every line is
-    transformed whole, so the block is bit-identical to the same window of
-    the full refinement.
-    """
-    fft = fft_backend()
-    for ax in range(data.ndim - n, data.ndim):
-        N = data.shape[ax]
-        hat = fft.rfft(data, axis=ax)
-        hat *= factor
-        hat[(slice(None),) * ax + (N // 2,)] *= 0.5
-        data = fft.irfft(hat, n=factor * N, axis=ax)[(slice(None),) * ax + (window,)]
-    return data
 
 
 class Field:

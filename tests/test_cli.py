@@ -13,8 +13,10 @@ import pytest
 
 from stokeslab import cli
 from stokeslab.corpus import random_smooth_field
-from stokeslab.exterior import shell_potential
-from stokeslab.grid import Grid, curl, gradient, load_field, save_field
+from stokeslab.exterior import annulus_dipole, shell_potential
+from stokeslab.grid import (
+    Grid, curl, gradient, gradient_magnitude, integrate, load_field, save_field,
+)
 from stokeslab.periodic import periodicity_check, picard_solve, single_mode_force
 
 
@@ -219,6 +221,18 @@ def test_extend_input_is_the_curl_of_the_shell_potential(tmp_path, capsys):
     assert status == 0
     expected = curl(shell_potential(Grid(3, 32, 8.0), 1.0))
     assert np.array_equal(load_field(tmp_path / "input.field").data, expected.data)
+
+
+@pytest.mark.parametrize("N", [64, 128])
+def test_bogovskii_w12_by_parseval_is_the_gradient_magnitude_norm(N, tmp_path, capsys):
+    # w12 comes from one forward transform of B; the real-space norms of B
+    # and of its gradient magnitude give the same number to rounding
+    status, out = run_cli(capsys, "bogovskii-test", "--N", str(N), "--out", str(tmp_path))
+    assert status == 0
+    B = load_field(tmp_path / "bogovskii.field")
+    w12 = np.sqrt(integrate(B, 2) ** 2 + integrate(gradient_magnitude(B), 2) ** 2)
+    ref = w12 / integrate(annulus_dipole(B.grid, 2.0), 2)
+    assert abs(out["w12_ratio"] - ref) <= 1e-13 * ref
 
 
 def test_deterministic_artifacts(tmp_path, capsys):
@@ -621,6 +635,31 @@ def test_run_manifest_settings_the_solver_refuses(edit, detail, small_run, tmp_p
     (run / "manifest.json").write_text(json.dumps(manifest))
     for command in ("periodicity-check", "weighted-report"):
         assert _assert_rejected(capsys, run, command) == detail
+
+
+@pytest.mark.parametrize("edit", [{"force": "single-mode"}, {"eps": 1e308}],
+                         ids=["force-single-mode", "eps-1e308"])
+def test_run_manifest_config_edited_after_the_solve(edit, small_run, tmp_path, capsys):
+    # valid option values and verified nodes, but not the config the nodes
+    # were solved for: refused by config_sha256 before any march, so eps =
+    # 1e308 overflows nothing
+    run = _copy_run(small_run, tmp_path / "run")
+    manifest = loads((run / "manifest.json").read_text())
+    manifest["config"].update(edit)
+    (run / "manifest.json").write_text(json.dumps(manifest))
+    for command in ("periodicity-check", "weighted-report"):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert "config_sha256" in _assert_rejected(capsys, run, command)
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+
+def test_run_manifest_without_config_digest(small_run, tmp_path, capsys):
+    run = _copy_run(small_run, tmp_path / "run")
+    manifest = loads((run / "manifest.json").read_text())
+    del manifest["config_sha256"]
+    (run / "manifest.json").write_text(json.dumps(manifest))
+    assert "'config_sha256'" in _assert_rejected(capsys, run)
 
 
 def test_run_node_header_mismatch(small_run, tmp_path, capsys):

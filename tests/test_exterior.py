@@ -14,6 +14,7 @@ from stokeslab.exterior import (
     _cut_off,
     _equator_fold,
     _smoothstep7,
+    _spline_refinement,
 )
 from stokeslab.corpus import random_smooth_field
 
@@ -221,8 +222,9 @@ def sampler_points(grid, R):
             (rho_p * (P / pr)[:, None]).reshape(3, -1)]
 
 
-def full_grid_samples(f, points):
-    """The sampler without a window: whole-grid refinement and a wrapping prefilter."""
+def spline_filter_samples(f, points):
+    """The sampler's values from the plain refinement and scipy's periodic
+    cubic-spline prefilter over the whole refined grid."""
     from scipy.ndimage import map_coordinates, spline_filter
 
     fine = refine_field(f)
@@ -231,32 +233,71 @@ def full_grid_samples(f, points):
                            mode="grid-wrap", prefilter=False)
 
 
-def test_windowed_sampler_matches_full_grid():
-    g = Grid(3, 64, 16.0)
-    R = 3.0
+def check_sampler(g, R, side):
+    """The sampler of D_R's ball has side fine samples per axis, its
+    coefficients are that window of the whole period's, and its values are
+    those of scipy's prefilter to rounding."""
     f = random_smooth_field(g, 17)
     sampler = _FieldSampler(f, R + 1.0)
-    assert sampler.coeffs.shape == (97, 97, 97)       # of 128 fine samples per axis
+    assert sampler.coeffs.shape == (side,) * 3
+    window = np.arange(sampler.lo, sampler.lo + side) % (2 * g.N)
+    whole = _spline_refinement(f.data, slice(None))
+    assert np.array_equal(sampler.coeffs, whole[np.ix_(window, window, window)])
     for points in sampler_points(g, R):
-        ref = full_grid_samples(f, points)
-        assert np.abs(sampler(points) - ref).max() <= 1e-14 * np.abs(ref).max()
+        ref = spline_filter_samples(f, points)
+        assert np.abs(sampler(points) - ref).max() <= 1e-13 * np.abs(ref).max()
+
+
+def test_windowed_sampler_matches_full_grid():
+    # the ball's index box plus two fine samples per side: 37 of 128 fine
+    # samples per axis at N = 64, L = 16; at L = 8 (extend's inner annulus)
+    # 69 of 128, 37 of 64 and 21 of 32
+    for N, L, side in [(64, 16.0, 37), (64, 8.0, 69), (32, 8.0, 37), (16, 8.0, 21)]:
+        check_sampler(Grid(3, N, L), 3.0, side)
 
 
 def test_sampler_without_room_for_a_window_is_the_full_grid_path():
-    # the window wraps round the period: 129 fine samples of 128 per axis at
-    # N = 64 (extend's inner annulus), 97 of 64 at N = 32, 81 of 32 at N = 16
-    R = 3.0
-    for N, side in [(64, 129), (32, 97), (16, 81)]:
-        g = Grid(3, N, 8.0)
-        f = random_smooth_field(g, 17)
-        sampler = _FieldSampler(f, R + 1.0)
-        assert sampler.coeffs.shape == (side,) * 3
-        for points in sampler_points(g, R):
-            ref = full_grid_samples(f, points)
-            if N == 64:
-                assert np.array_equal(sampler(points), ref)
-            else:
-                assert np.abs(sampler(points) - ref).max() <= 1e-14 * np.abs(ref).max()
+    # the ball reaches within two fine samples of the cube's faces, so the
+    # window wraps round the period: 33 of 32 fine samples per axis at
+    # N = 16 and 19 of 16 at N = 8 (L = 8, R = 6)
+    for N, side in [(16, 33), (8, 19)]:
+        check_sampler(Grid(3, N, 8.0), 6.0, side)
+
+
+def full_grid_builders(g, R, R_ext, u0):
+    """annulus_dipole(g, R), shell_potential(g, R_ext) and _cut_off(u0, R_ext)
+    by their formulas over every grid point."""
+    r = np.sqrt(g.radius_sq())
+    (X, Y, Z), u = g.coords(), u0.data
+    t = np.clip((r - (R + 0.5)) / 0.35, -1.0, 1.0)
+    ds = -8.0 * t * (1.0 - t * t) ** 3 / 0.35
+    dipole = ds * X / np.maximum(r, 1e-300)
+    t = np.clip(r - (R_ext + 2.0), -1.0, 1.0)
+    prof = (1.0 - t * t) ** 3
+    potential = np.stack([-Y * prof, X * prof, np.zeros_like(prof)])
+    s, ds = _smoothstep7(r - (R_ext + 2.0))
+    dp = -ds / np.where(r > 0, r, 1.0)
+    fb = dp * X * u[0] + dp * Y * u[1] + dp * Z * u[2]
+    return dipole, potential, 1.0 - s, fb
+
+
+@pytest.mark.parametrize("N, L, R, R_ext", [
+    (64, 8.0, 2.0, 1.0), (128, 8.0, 2.0, 1.0), (100, 7.3, 2.0, 1.0),
+    (20, 6.4, 3.63, 1.0), (20, 6.0, 2.0, 0.8),
+])
+def test_shell_builders_are_the_full_grid_formulas(N, L, R, R_ext):
+    # the profiles are evaluated on their shells only; every sample, the
+    # grid points on the shells' edges included, is the full-grid one.  On
+    # the last two grids a sample with |t| < 1 has |x|^2 just outside the
+    # shell's radii squared (the dipole's at R = 3.63, the potential's at
+    # R = 0.8), which the mask's widening keeps
+    g = Grid(3, N, L)
+    u0 = random_smooth_field(g, 5, components=3)
+    dipole, potential, phi, fb = full_grid_builders(g, R, R_ext, u0)
+    assert np.array_equal(annulus_dipole(g, R).data, dipole)
+    assert np.array_equal(shell_potential(g, R_ext).data, potential)
+    got_phi, got_fb = _cut_off(u0, R_ext)
+    assert np.array_equal(got_phi, phi) and np.array_equal(got_fb, fb)
 
 
 @pytest.mark.parametrize("N, L, R", [(64, 8.0, 2.0), (100, 7.3, 2.0)])
@@ -431,6 +472,23 @@ def test_bogovskii_is_equivariant_under_quarter_turn_about_z(draw):
     expected = np.stack([-rotate(B[1]), rotate(B[0]), rotate(B[2])])
     B_rotated = bogovskii_apply(Field(g, rotate(f.data)), 2.0).data
     assert np.abs(B_rotated - expected).max() <= 1e-13 * np.abs(B).max()
+
+
+@settings(max_examples=4, deadline=None, derandomize=True, database=None)
+@given(annulus_draws, st.floats(0.5, 2.5), st.floats(0.0, 3.0))
+def test_support_and_far_field_are_exact(draw, R, extra):
+    # B vanishes exactly off the closed annulus, and the extension equals u0
+    # exactly for |x| >= R + 3, over draws of grid, radius and data
+    N, seed = draw
+    g = Grid(3, N, R + 4.0 + extra)
+    r = np.sqrt(g.radius_sq())
+    B = bogovskii_apply(random_annulus_data(g, np.random.default_rng(seed), R), R)
+    assert np.any(B.data != 0.0)
+    assert np.all(B.data[:, (r <= R) | (r >= R + 1.0)] == 0.0)
+    u0 = curl(random_smooth_field(g, seed, components=3))
+    v0, _ = solenoidal_extension(u0, R)
+    far = r >= R + 3.0
+    assert np.array_equal(v0.data[:, far], u0.data[:, far])
 
 
 def test_extension_far_field_identity():

@@ -327,7 +327,7 @@ def test_gradient_magnitude_matches_componentwise_gradients():
 
 def test_only_the_spectral_layer_imports_scipy_fft():
     # transforms have one owner: every other module reaches the backend
-    # through grid (refine_block, convolve_even, fft_backend), and grid
+    # through grid (the spectral layer or fft_backend), and grid
     # imports it in one place, inside fft_backend, so no module loads it
     # at import time
     import ast
