@@ -256,14 +256,15 @@ def _cmd_bogovskii_test(cfg, outdir):
     defect = divergence_defect(B, f)
     r = np.sqrt(grid.radius_sq())
     outside = (r <= cfg["R"]) | (r >= cfg["R"] + 1.0)
-    # ||B||_L2^2 + ||grad B||_L2^2 by Parseval, with the derivative wavenumbers
+    # ||B||_L2^2 + ||grad B||_L2^2 by Parseval, with the derivative wavenumbers;
+    # the checks take one component at a time
     sp = grid.spectral()
-    w12 = float(np.sqrt(np.sum(sp.power(sp.forward(B.data))
+    w12 = float(np.sqrt(np.sum(sp.power(sp.forward(b) for b in B.data)
                                * (1.0 + sum(k * k for k in sp.k)))))
     save_field(B, os.path.join(outdir, "bogovskii.field"))
     return {
         "div_defect_rel": defect,
-        "support_exact": bool(np.all(B.data[:, outside] == 0.0)),
+        "support_exact": not any(np.any((b != 0.0) & outside) for b in B.data),
         "w12_ratio": w12 / integrate(f, 2),
     }, 0
 
@@ -279,7 +280,8 @@ def _cmd_extend(cfg, outdir):
     return {
         "div_v0_rel": info["div_v0_rel"],
         "inner_defect": info["bog_defect"],
-        "far_field_exact": bool(np.array_equal(v0.data[:, far], u0.data[:, far])),
+        "far_field_exact": not any(np.any((v != u) & far)
+                                   for v, u in zip(v0.data, u0.data)),
     }, 0
 
 

@@ -20,6 +20,15 @@ matrix products only above the equator: the point set is symmetric under
 z -> -z (grid index k pairs with N - k on the last axis), and the parity
 of P_l^m gives the values below from the even and odd l + m sums above.
 
+Memory: work over the whole grid streams, one component, one quadrature
+node or one slab at a time, so no step holds a vector of full-grid
+temporaries beside its input and output.  The ray quadrature samples one
+Gauss node's points at a time, the sampler refines one slab at a time into
+its window block, the annulus mask takes |x| on the shell only, and the
+extension builds v0 in B's buffer.  Each streamed sum keeps the order of
+the batched one, so the outputs are bit for bit those of the batched
+formulas, which the tests keep.
+
 annulus_dipole and shell_potential build the analytic test inputs of the
 two tools; the CLI, the acceptance criteria, the tests and the demo share them.
 They, and the extension's cut-off, evaluate their radial profiles on the
@@ -237,13 +246,17 @@ def _equator_fold(inside):
     N = inside.shape[-1]
     k = np.arange(N)
     refl = np.roll(inside[..., ::-1], 1, axis=-1)      # refl[..., k] = inside[..., (N-k) % N]
-    mirrored = inside & refl & ((k >= 1) & (2 * k < N))
-    n_direct = np.count_nonzero(inside) - np.count_nonzero(mirrored)
-    pos = np.zeros(inside.shape, dtype=np.intp)
-    pos[inside & ~mirrored] = np.arange(n_direct)
-    pos[mirrored] = np.arange(n_direct, np.count_nonzero(inside))
-    src = np.roll(pos[..., ::-1], 1, axis=-1)[mirrored]
-    return ~mirrored[inside], src, pos[inside]
+    flat = np.flatnonzero(inside)
+    reflection = (inside & refl & ((k >= 1) & (2 * k < N))).ravel()[flat]
+    direct = ~reflection
+    order = np.empty(flat.size, dtype=np.intp)
+    order[direct] = np.arange(np.count_nonzero(direct))
+    order[reflection] = np.arange(order[direct].size, flat.size)
+    # a reflection's mirror differs in the last index only, k -> N - k, and
+    # is direct; the direct points' flat indices are sorted
+    z = flat[reflection] % N
+    src = np.searchsorted(flat[direct], flat[reflection] + (N - 2 * z))
+    return direct, src, order
 
 
 # ---------------------------------------------------------------------------
@@ -281,9 +294,18 @@ def _spline_refinement(data, window):
         N = data.shape[ax]
         gain = 6.0 / (2.0 + np.cos(np.pi * np.arange(N // 2 + 1) / N))
         gain[N // 2] *= 0.5
-        hat = fft.rfft(data, axis=ax)
-        hat *= gain.reshape((-1,) + (1,) * (2 - ax))
-        data = fft.irfft(hat, n=2 * N, axis=ax)[(slice(None),) * ax + (window,)]
+        keep = np.arange(2 * N)[window]
+        out = np.empty(data.shape[:ax] + keep.shape + data.shape[ax + 1:])
+        # one slab across another axis at a time, written into the window
+        # block; each slab's lines along ax are still transformed whole
+        across = 1 if ax == 0 else 0
+        along = ax - (across < ax)          # ax within a slab
+        for i in range(data.shape[across]):
+            slab = (slice(None),) * across + (i,)
+            hat = fft.rfft(data[slab], axis=along)
+            hat *= gain.reshape((-1,) + (1,) * (1 - along))
+            out[slab] = np.take(fft.irfft(hat, n=2 * N, axis=along), keep, axis=along)
+        data = out
     return data
 
 
@@ -321,11 +343,17 @@ class _FieldSampler:
 def _ray_integral(sample_f, R, r, u):
     """int_R^r f(rho u) rho^2 drho along the unit vectors u, shape (3, ...), to
     the radii r (a scalar or an array of u's point shape), by Gauss-Legendre."""
-    t, w = (a.reshape((-1,) + (1,) * (u.ndim - 1))
-            for a in np.polynomial.legendre.leggauss(_N_RAD))
     half = 0.5 * (r - R)
-    rho = R + half * (t + 1.0)                            # (n_rad, ...)
-    return np.sum(w * rho**2 * sample_f(rho * u[:, None]), axis=0) * half
+    total = None
+    # one node at a time, summed in node order like a sum over a node axis
+    for t, w in zip(*np.polynomial.legendre.leggauss(_N_RAD)):
+        rho = R + half * (t + 1.0)
+        term = w * np.square(rho) * sample_f(rho * u)
+        if total is None:
+            total = term
+        else:
+            total += term
+    return total * half
 
 
 def bogovskii_apply(f: Field, R: float, mean_rtol: float = 1e-10) -> Field:
@@ -338,9 +366,14 @@ def bogovskii_apply(f: Field, R: float, mean_rtol: float = 1e-10) -> Field:
     _check_annulus(grid, R)
     if f.is_vector:
         raise ValueError("divergence data must be a scalar field")
-    r = np.sqrt(grid.radius_sq())
-    inside = (r > R) & (r < R + 1.0)
-    if np.any(f.data[~inside] != 0.0):
+    # the open annulus, with |x| taken on the closed shell's points only
+    inside, P, pr = _shell(grid, R, R + 1.0)
+    open_ = (pr > R) & (pr < R + 1.0)
+    inside[inside] = open_
+    P, pr = P[:, open_], pr[open_]
+    stray = f.data != 0.0
+    stray[inside] = False
+    if np.any(stray):
         raise ValueError("f must vanish identically outside the open annulus")
 
     total = float(np.sum(f.data) * grid.cell_volume)
@@ -363,15 +396,16 @@ def bogovskii_apply(f: Field, R: float, mean_rtol: float = 1e-10) -> Field:
     ))  # (3, n_theta, n_phi)
     m_grid = _ray_integral(sample_f, R, R + 1.0, dirs)
 
+    # radial integrals int_R^r f rho^2 drho at the annulus points
+    rhat = P / pr
+    F_p = _ray_integral(sample_f, R, pr, rhat)
+    del sample_f            # its window's coefficients are not needed past here
+
     # correct the (tiny) residual mean so the l=0 mode is exactly absent
     coef = sph.analyze(m_grid)
     coef[0, 0] = 0.0
     phi_coef = coef / sph.eig      # Laplace-Beltrami Phi = m on the sphere
 
-    # annulus target points and their unit vectors
-    P = grid.axis[np.stack(np.nonzero(inside))]
-    pr = r[inside]
-    rhat = P / pr
     theta_p = np.arccos(np.clip(rhat[2], -1.0, 1.0))
     phi_p = np.mod(np.arctan2(P[1], P[0]), 2.0 * np.pi)
 
@@ -388,7 +422,6 @@ def bogovskii_apply(f: Field, R: float, mean_rtol: float = 1e-10) -> Field:
     Md /= width
 
     # radial part: (int_R^r f rho^2 - M(r) m(omega)) / r^2 along each ray
-    F_p = _ray_integral(sample_f, R, pr, rhat)
     v_r = (F_p - M * m_p) / pr**2
 
     sin_tp = np.sin(theta_p)
@@ -439,13 +472,20 @@ def solenoidal_extension(u0: Field, R: float):
             f"{defect / scale:.3e} exceeds {_DIV_RTOL:.1e}"
         )
 
-    phi, fb_data = _cut_off(u0, R)
-    fb = Field(grid, fb_data)
+    phi, fb = _cut_off(u0, R)
+    fb = Field(grid, fb)
 
     # mean-zero holds analytically; on the grid only to quadrature accuracy
     B = bogovskii_apply(fb, R + 2.0, mean_rtol=max(1e-10, 0.5 * grid.h))
-    v0 = Field(grid, (1.0 - phi) * u0.data + B.data)
+    bog_defect = divergence_defect(B, fb)
+    del fb
+    # v0 = (1 - phi) u0 + B, built in B's buffer one component at a time
+    np.subtract(1.0, phi, out=phi)
+    for b, u in zip(B.data, u0.data):
+        b += phi * u
+    del phi
+    v0 = Field(grid, B.data)
     return v0, {
-        "bog_defect": divergence_defect(B, fb),
+        "bog_defect": bog_defect,
         "div_v0_rel": integrate(divergence(v0), 2) / scale,
     }

@@ -247,12 +247,21 @@ class Spectral:
 
     def power(self, hat):
         """Parseval power per mode of a half spectrum or of its band, summed
-        over leading axes: its total is the squared physical L^2 norm.  The
-        band keeps the first indices of the half axis, so it takes the first
-        Parseval weights."""
-        shape = hat.shape[-self.n:]
-        total = np.square(np.abs(hat)).reshape((-1,) + shape).sum(axis=0)
-        return total * (self._pw[:shape[-1]] * self._scale)
+        over leading axes, one at a time: its total is the squared physical
+        L^2 norm.  hat may also be an iterable of spectra, such as one
+        component's transform at a time.  The band keeps the first indices
+        of the half axis, so it takes the first Parseval weights."""
+        if isinstance(hat, np.ndarray):
+            hat = hat.reshape((-1,) + hat.shape[-self.n:])
+        total = None
+        for part in hat:
+            sq = np.abs(part)
+            np.square(sq, out=sq)
+            if total is None:
+                total = sq
+            else:
+                total += sq
+        return total * (self._pw[:total.shape[-1]] * self._scale)
 
     def gradient_magnitude(self, hat):
         """Pointwise |grad u| (Frobenius norm for vectors), one derivative axis
@@ -401,7 +410,9 @@ class Field:
                 f"data shape {data.shape} does not match grid {grid.shape} "
                 f"as scalar or {grid.n}-vector"
             )
-        if not np.all(np.isfinite(data)):
+        # every sample is finite exactly when the min and the max are (NaN
+        # propagates through both); neither needs a full-size temporary
+        if not (np.isfinite(data.min()) and np.isfinite(data.max())):
             raise ValueError("field samples must be finite")
         self.grid = grid
         self.data = data
@@ -444,7 +455,19 @@ def divergence(v: Field) -> Field:
     if not v.is_vector:
         raise ValueError("divergence expects a vector field")
     sp = v.grid.spectral()
-    return Field(v.grid, sp.inverse(sp.div(sp.forward(v.data))))
+
+    def term(j):
+        hat = sp.forward(v.data[j])
+        hat *= sp.k[j]
+        return hat
+
+    # k_j times one transformed component at a time, summed in place in the
+    # order of Spectral.div, so no vector spectrum is held
+    acc = term(0)
+    for j in range(1, v.grid.n):
+        acc += term(j)
+    acc *= 1j
+    return Field(v.grid, sp.inverse(acc))
 
 
 def curl(v: Field) -> Field:
@@ -453,10 +476,25 @@ def curl(v: Field) -> Field:
     if g.n != 3 or not v.is_vector:
         raise ValueError("curl expects a vector field at n = 3")
     sp = g.spectral()
-    a, k = sp.forward(v.data), sp.k
-    ch = np.stack([k[1] * a[2] - k[2] * a[1], k[2] * a[0] - k[0] * a[2],
-                   k[0] * a[1] - k[1] * a[0]])
-    return Field(g, sp.inverse(1j * ch))
+    k0, k1, k2 = sp.k
+
+    def inverse(ch):
+        ch *= 1j
+        return sp.inverse(ch)
+
+    # one output component at a time; each component's spectrum a_m is made
+    # just before its first use and dropped after its last
+    out = np.empty(v.data.shape)
+    a1, a2 = sp.forward(v.data[1]), sp.forward(v.data[2])
+    out[0] = inverse(k1 * a2 - k2 * a1)
+    a0 = sp.forward(v.data[0])
+    ch = k2 * a0 - k0 * a2
+    del a2
+    out[1] = inverse(ch)
+    ch = k0 * a1 - k1 * a0
+    del a0, a1
+    out[2] = inverse(ch)
+    return Field(g, out)
 
 
 def integrate(f: Field, q: float, weight=None) -> float:
@@ -473,8 +511,15 @@ def integrate(f: Field, q: float, weight=None) -> float:
         raise ValueError(f"weight exponent must be finite, got {weight}")
     # an overflow here is reported below, as a non-finite sum
     with np.errstate(over="ignore", invalid="ignore"):
-        terms = np.sum(f.data**2, axis=0) if f.is_vector else np.abs(f.data)
-        terms **= 0.5 * q if f.is_vector else q      # in place: one full-size temporary, not two
+        if f.is_vector:
+            # |f|^2 summed one component at a time, in the order of a sum over axis 0
+            terms = np.square(f.data[0])
+            for comp in f.data[1:]:
+                terms += np.square(comp)
+            terms **= 0.5 * q
+        else:
+            terms = np.abs(f.data)
+            terms **= q       # in place: one full-size temporary, not two
         if weight is not None and float(weight) != 0.0:
             terms *= (1.0 + f.grid.radius_sq()) ** (0.5 * (float(weight) * q))
         total = np.sum(terms) * f.grid.cell_volume
@@ -493,7 +538,7 @@ def save_field(f: Field, path) -> None:
     g = f.grid
     with open(path, "wb") as fh:
         fh.write(_HEADER.pack(g.n, g.N, g.L, f.components))
-        fh.write(np.ascontiguousarray(f.data, dtype="<f8").tobytes())
+        fh.write(np.ascontiguousarray(f.data, dtype="<f8"))     # the buffer, no bytes copy
 
 
 def load_field(path) -> Field:
@@ -514,6 +559,8 @@ def load_field(path) -> Field:
             raise ValueError(f"{path}: {data_bytes} data bytes, header (n={n}, N={N}, "
                              f"components={components}) needs {8 * count}")
         grid = Grid(n=n, N=N, L=L)
-        data = np.frombuffer(fh.read(8 * count), dtype="<f8", count=count)
-    shape = grid.shape if components == 1 else (components,) + grid.shape
-    return Field(grid, data.reshape(shape).copy())
+        shape = grid.shape if components == 1 else (components,) + grid.shape
+        data = np.empty(shape, dtype="<f8")      # the samples are read straight into it
+        if fh.readinto(data) != 8 * count:
+            raise ValueError(f"{path}: file ended before its {8 * count} data bytes")
+    return Field(grid, data)

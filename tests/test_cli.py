@@ -13,7 +13,9 @@ import pytest
 
 from stokeslab import cli
 from stokeslab.corpus import random_smooth_field
-from stokeslab.exterior import annulus_dipole, shell_potential
+from stokeslab.exterior import (
+    annulus_dipole, bogovskii_apply, shell_potential, solenoidal_extension,
+)
 from stokeslab.grid import (
     Grid, curl, gradient, gradient_magnitude, integrate, load_field, save_field,
 )
@@ -205,6 +207,34 @@ def test_command_success_paths(argv, tmp_path, capsys):
         assert out["support_exact"] is True
     if argv[0] == "extend":
         assert out["far_field_exact"] is True
+
+
+@pytest.mark.parametrize("component", [0, 1, 2])
+def test_support_flag_reads_every_component(component, tmp_path, capsys, monkeypatch):
+    # B is nonzero outside the annulus at one cube corner in one component only
+    def stray(f, R):
+        B = bogovskii_apply(f, R)
+        B.data[component, 0, 0, 0] = 1e-3
+        return B
+
+    monkeypatch.setattr(cli, "bogovskii_apply", stray)
+    status, out = run_cli(capsys, "bogovskii-test", "--N", "32", "--L", "4", "--R", "1",
+                          "--out", str(tmp_path))
+    assert status == 0 and out["support_exact"] is False
+
+
+@pytest.mark.parametrize("component", [0, 1, 2])
+def test_far_field_flag_reads_every_component(component, tmp_path, capsys, monkeypatch):
+    # v0 differs from u0 at one cube corner, in the far field, in one component only
+    def moved(u0, R):
+        v0, info = solenoidal_extension(u0, R)
+        v0.data[component, 0, 0, 0] += 1e-3
+        return v0, info
+
+    monkeypatch.setattr(cli, "solenoidal_extension", moved)
+    status, out = run_cli(capsys, "extend", "--N", "32", "--L", "5", "--R", "0.5",
+                          "--out", str(tmp_path))
+    assert status == 0 and out["far_field_exact"] is False
 
 
 @pytest.mark.parametrize("N, L", [(48, 6.1), (96, 5.0)])
