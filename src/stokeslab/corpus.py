@@ -29,19 +29,31 @@ def random_smooth_field(
     """
     rng = np.random.default_rng(seed)
     sp = grid.spectral()
-    profile = np.exp(-sp.ksq / (2.0 * k0**2))
-    envelope = np.exp(-grid.radius_sq() / (grid.L / 5.5) ** 2)
+    shape = grid.shape if components == 1 else (components,) + grid.shape
+    # each factor is built in place and each array dropped after its last
+    # use; a / (-b) and -a / b are the same float, so the bits are kept
+    profile = sp.ksq / (-2.0 * k0**2)
+    np.exp(profile, out=profile)
+    envelope = grid.radius_sq() / -((grid.L / 5.5) ** 2)
+    np.exp(envelope, out=envelope)
     # steep low-pass applied after enveloping: the envelope product regrows
     # Nyquist-plane content where real-FFT derivative identities degrade
-    idx_sq = sum(i**2 for i in sp.index)
-    lowpass = np.exp(-((np.sqrt(idx_sq) / (0.4 * grid.N)) ** 16))
-
-    shape = grid.shape if components == 1 else (components,) + grid.shape
-    smooth = sp.apply(rng.standard_normal(shape), profile)
-    data = sp.apply(smooth * envelope, lowpass)
+    lowpass = sum(i**2 for i in sp.index)
+    np.sqrt(lowpass, out=lowpass)
+    lowpass /= 0.4 * grid.N
+    lowpass **= 16
+    np.exp(np.negative(lowpass, out=lowpass), out=lowpass)
+    data = sp.apply(rng.standard_normal(shape), profile)
+    del profile
+    data *= envelope
+    del envelope
+    data = sp.apply(data, lowpass)
+    del lowpass
     f = Field(grid, data)
     scale = integrate(f, 2)
-    return Field(grid, data / scale) if scale > 0 else f
+    if scale > 0:
+        data /= scale
+    return f
 
 
 def corpus_seeds(base_seed: int, size: int):

@@ -20,8 +20,16 @@ band_k / band_ksq hold its wavenumbers.  forward_band and inverse_band are
 the transform pair on the band, pruned: along each full axis the complex
 pass runs only over the lines that hold or feed band data (Markel 1971).
 Every convolution kernel is even, held as its first-octant block on the
-offsets {0..K}^n (Grid.offset_sq); even_spectrum is its real spectrum, a
-mirrored DCT-I.  convolve_even convolves on the doubled 2N lattice (K = N).
+offsets {0..K}^n (Grid.offset_sq).  Its real spectrum is even too, and
+even_spectrum gives it the same way, as a block (a DCT-I); times_even
+multiplies by it through mirrored views of that block.  convolve_even
+convolves on the doubled 2N lattice (K = N), and it streams: the rfft and
+the final irfft run one slab of the first axis at a time, and between them
+each plane of the half axis takes its complex passes, its product and its
+inverse passes on its own, so no array holds the 2N-lattice spectrum or the
+mirrored kernel spectrum.  Every line is still transformed whole, in the
+batched axis order, with the one product, so the output is bit for bit that
+of the batched passes.
 
 This module is the package's one import site of scipy.fft, and it imports
 it on the first transform, inside fft_backend(): a process that never
@@ -351,12 +359,25 @@ class Spectral:
     # -- even kernels ------------------------------------------------------
 
     def even_spectrum(self, block):
-        """Real rfftn-layout spectrum of the even extension of a {0..K}^n block
-        onto the 2K lattice: its DCT-I, mirrored (Martucci 1994)."""
-        K = block.shape[-1] - 1
-        mirror = np.concatenate([np.arange(K + 1), np.arange(K - 1, 0, -1)])
-        spectrum = fft_backend().dctn(block, type=1)
-        return spectrum[np.ix_(*([mirror] * (self.n - 1)), np.arange(K + 1))]
+        """The real spectrum of the even extension of a {0..K}^n block onto the
+        2K lattice, as its first-octant block: the block's DCT-I (Martucci
+        1994), the spectrum at the frequency indices {0..K}^n.  The spectrum
+        is even as well; times_even multiplies by the whole of it."""
+        return fft_backend().dctn(block, type=1)
+
+    def times_even(self, hat, spectrum):
+        """hat *= an even spectrum given by its first-octant block, in place.
+
+        On each of the last spectrum.ndim axes, hat holds either the block's
+        indices 0..K or the 2K of a full axis of the 2K lattice, where index m
+        reads the block at min(m, 2K - m).  Each piece multiplies by a view of
+        the block, so the mirrored spectrum is never built."""
+        pieces = [[(slice(None), slice(None))] if size == width else
+                  [(slice(0, width), slice(None)), (slice(width, None), slice(-2, 0, -1))]
+                  for size, width in zip(hat.shape[-spectrum.ndim:], spectrum.shape)]
+        for combo in itertools.product(*pieces):
+            hat[(Ellipsis,) + tuple(h for h, _ in combo)] *= spectrum[tuple(b for _, b in combo)]
+        return hat
 
     def convolve_even(self, data, kernel):
         """The linear (non-periodic) convolution out_i = sum_j K(i - j) data_j
@@ -370,17 +391,31 @@ class Spectral:
         the block, whose 2N-point spectrum is even_spectrum(kernel).  The
         transforms run one axis at a time and are pruned (Markel 1971): on the
         way in over only the lines that hold data, on the way out keeping only
-        the first N outputs of each axis.
+        the first N outputs of each axis, one slab or one plane of the half
+        axis at a time (the module docstring states the rule).
         """
         n, N, fft = self.n, self.grid.N, fft_backend()
-        hat = fft.rfft(data, n=2 * N, axis=-1)
-        for ax in range(-2, -n - 1, -1):
-            hat = fft.fft(hat, n=2 * N, axis=ax)
-        hat *= self.even_spectrum(kernel)
-        for ax in range(-n, -1):         # in place, then a view of the first N outputs
-            hat = fft.ifft(hat, axis=ax, overwrite_x=True)[
-                (Ellipsis, slice(0, N)) + (slice(None),) * (-1 - ax)]
-        return np.ascontiguousarray(fft.irfft(hat, n=2 * N, axis=-1)[..., :N])
+        if kernel.shape != (N + 1,) * n:
+            raise ValueError(f"kernel block shape {kernel.shape} is not the "
+                             f"{(N + 1,) * n} of the offsets {{0..{N}}}^{n}")
+        hat = np.empty(data.shape[:-1] + (N + 1,), dtype=complex)
+        for row, line in zip(hat, data):  # the rfft one slab at a time
+            row[...] = fft.rfft(line, n=2 * N, axis=-1)
+        spectrum = self.even_spectrum(kernel)
+        for m in range(N + 1):            # one plane of the half axis at a time
+            plane = hat[..., m]
+            for ax in range(-1, -n, -1):
+                plane = fft.fft(plane, n=2 * N, axis=ax)
+            self.times_even(plane, spectrum[..., m])
+            for ax in range(1 - n, 0):    # in place, then a view of the first N outputs
+                plane = fft.ifft(plane, axis=ax, overwrite_x=True)[
+                    (Ellipsis, slice(0, N)) + (slice(None),) * (-1 - ax)]
+            hat[..., m] = plane
+        del spectrum
+        out = np.empty(hat.shape[:-1] + (N,))
+        for row, line in zip(out, hat):   # the irfft one slab at a time
+            row[...] = fft.irfft(line, n=2 * N, axis=-1)[..., :N]
+        return out
 
 
 def fft_backend():
@@ -521,7 +556,9 @@ def integrate(f: Field, q: float, weight=None) -> float:
             terms = np.abs(f.data)
             terms **= q       # in place: one full-size temporary, not two
         if weight is not None and float(weight) != 0.0:
-            terms *= (1.0 + f.grid.radius_sq()) ** (0.5 * (float(weight) * q))
+            w = 1.0 + f.grid.radius_sq()       # the weight in one full-size temporary
+            w **= 0.5 * (float(weight) * q)
+            terms *= w
         total = np.sum(terms) * f.grid.cell_volume
     if not np.isfinite(total):
         raise ValueError(f"the L^q norm at q = {q} with weight exponent {weight} "

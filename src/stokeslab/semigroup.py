@@ -81,9 +81,11 @@ def fractional_integral(f: Field, lam: float) -> Field:
     h = g.h
     off_sq = g.offset_sq(N)
     with np.errstate(divide="ignore"):
-        ker = np.where(off_sq > 0, off_sq ** (0.5 * (lam - n)), 0.0) * h**n
+        ker = np.where(off_sq > 0, off_sq ** (0.5 * (lam - n)), 0.0)
+    ker *= h**n
     # near-singular cells: replace midpoint values by sub-quadrature cell averages
     near = np.argwhere(off_sq <= (3.0 * h) ** 2)
+    del off_sq
     sub = (np.arange(7) + 0.5) / 7.0 - 0.5
     sub_pts = np.stack(np.meshgrid(*([sub * h] * n), indexing="ij"), -1).reshape(-1, n)
     for idx in near:
@@ -200,12 +202,14 @@ def decay_harness(
             values = np.array([math.sqrt(np.sum(power * np.exp(-2.0 * (t * sp.ksq))))
                                for t in t_ladder])
     else:
+        # the evolved field is dropped once its norm is taken, so it does not
+        # live on through the next time's transform
+        evolve = sp.inverse if alpha_order == 0 else sp.gradient_magnitude
         values = []
         for t in t_ladder:
             with np.errstate(over="ignore"):
                 prop = base * np.exp(-t * sp.ksq)
-            evolved = sp.inverse(prop) if alpha_order == 0 else sp.gradient_magnitude(prop)
-            values.append(integrate(Field(g, evolved), q, s0))
+            values.append(integrate(Field(g, evolve(prop)), q, s0))
         values = np.asarray(values)
     if not np.all(values > 0):
         raise ValueError("decay series values must be positive")

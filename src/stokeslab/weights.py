@@ -249,7 +249,8 @@ def _sup_of_averages(f: Field, kernel, params) -> Field:
     out = np.zeros(g.shape)
     for p in params:
         spec = sp.even_spectrum(kernel(off_sq, p))
-        np.maximum(out, sp.inverse(Fm * (spec / spec[(0,) * g.n])), out=out)
+        spec /= spec[(0,) * g.n]
+        np.maximum(out, sp.inverse(sp.times_even(Fm.copy(), spec)), out=out)
     return Field(g, out)
 
 

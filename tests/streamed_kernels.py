@@ -13,6 +13,8 @@ import tracemalloc
 import numpy as np
 from scipy import fft
 
+from stokeslab.grid import Field
+
 
 def traced_peak(call, unit):
     """Peak traced memory of call(), in units of unit bytes.  A first call,
@@ -90,3 +92,34 @@ def equator_fold(inside):
     pos[mirrored] = np.arange(n_direct, np.count_nonzero(inside))
     src = np.roll(pos[..., ::-1], 1, axis=-1)[mirrored]
     return ~mirrored[inside], src, pos[inside]
+
+
+def convolve_even(grid, data, kernel):
+    """The 2N-lattice convolution with the whole padded spectrum and the whole
+    mirrored kernel spectrum (the block's DCT-I indexed by min(m, 2N - m))."""
+    n, N = grid.n, grid.N
+    mirror = np.concatenate([np.arange(N + 1), np.arange(N - 1, 0, -1)])
+    spectrum = fft.dctn(kernel, type=1)[np.ix_(*([mirror] * (n - 1)), np.arange(N + 1))]
+    hat = fft.rfft(data, n=2 * N, axis=-1)
+    for ax in range(-2, -n - 1, -1):
+        hat = fft.fft(hat, n=2 * N, axis=ax)
+    hat *= spectrum
+    for ax in range(-n, -1):
+        hat = fft.ifft(hat, axis=ax, overwrite_x=True)[
+            (Ellipsis, slice(0, N)) + (slice(None),) * (-1 - ax)]
+    return np.ascontiguousarray(fft.irfft(hat, n=2 * N, axis=-1)[..., :N])
+
+
+def random_smooth_field(grid, seed, components=1, k0=1.5):
+    """The corpus field with every profile, envelope and low-pass step a new array."""
+    rng = np.random.default_rng(seed)
+    sp = grid.spectral()
+    profile = np.exp(-sp.ksq / (2.0 * k0**2))
+    envelope = np.exp(-grid.radius_sq() / (grid.L / 5.5) ** 2)
+    idx_sq = sum(i**2 for i in sp.index)
+    lowpass = np.exp(-((np.sqrt(idx_sq) / (0.4 * grid.N)) ** 16))
+    shape = grid.shape if components == 1 else (components,) + grid.shape
+    smooth = sp.apply(rng.standard_normal(shape), profile)
+    data = sp.apply(smooth * envelope, lowpass)
+    scale = integrate(Field(grid, data), 2)
+    return data / scale if scale > 0 else data

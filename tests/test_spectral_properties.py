@@ -168,14 +168,20 @@ def test_even_kernel_convolution_matches_the_doubled_grid(N, seed):
        st.floats(min_value=0.5, max_value=20.0), st.integers(min_value=0, max_value=2**32 - 1))
 def test_even_spectrum_is_the_transform_of_the_mirrored_block(N, L, seed):
     # at K = N/2 the even extension of the block is a kernel on the N grid
-    # itself, and even_spectrum is its half spectrum
+    # itself; even_spectrum is the first-octant block of its half spectrum,
+    # which mirrors to the whole of it
     sp = Grid(3, N, L).spectral()
     block = np.random.default_rng(seed).standard_normal((N // 2 + 1,) * 3)
     mirror = np.concatenate([np.arange(N // 2 + 1), np.arange(N // 2 - 1, 0, -1)])
     ref = sp.forward(block[np.ix_(mirror, mirror, mirror)])
     spec = sp.even_spectrum(block)
-    assert spec.shape == sp.shape and spec.dtype == float
+    assert spec.shape == block.shape and spec.dtype == float
+    spec = spec[np.ix_(mirror, mirror, np.arange(N // 2 + 1))]
+    assert spec.shape == sp.shape
     assert np.abs(spec - ref).max() <= 1e-13 * np.abs(ref).max()
+    # times_even multiplies by the mirrored spectrum without building it
+    hat = sp.forward(np.random.default_rng(seed + 1).standard_normal(sp.grid.shape))
+    assert np.array_equal(sp.times_even(hat.copy(), sp.even_spectrum(block)), hat * spec)
 
 
 def _band_limited_solenoidal(g, rng):
