@@ -9,9 +9,9 @@ set per axis is {2*pi*k/(2L) : k = -N/2, ..., N/2 - 1}.
 All spectral work goes through one layer per grid, Grid.spectral(): scipy.fft
 real transforms over the last n axes, batched over leading axes (components,
 time nodes), in the rfftn half-spectrum layout.  It builds broadcastable
-wavenumbers k and |xi|^2 (ksq) on first use.  It provides forward/inverse,
-apply (multiplier), project (Leray), power (Parseval) and its root l2,
-grad/div coefficients and gradient_magnitude.
+wavenumbers k and |xi|^2 (ksq) on first use.  It provides forward/inverse
+(inverse consumes its input), apply (multiplier), project (Leray), power
+(Parseval) and its root l2, grad/div coefficients and gradient_magnitude.
 
 The layer owns the 2/3 rule.  The band is every mode with all |frequency
 index| < N/3, a box of c = ceil(N/3) nonnegative indices per axis; band()
@@ -211,8 +211,14 @@ class Spectral:
         return fft_backend().rfftn(data, axes=self.axes)
 
     def inverse(self, hat):
-        """irfftn back to real samples on the grid."""
-        return fft_backend().irfftn(hat, s=self.grid.shape, axes=self.axes)
+        """irfftn back to real samples on the grid, bit for bit; consumes hat:
+        the complex passes run in its buffer (scipy's multi-axis irfftn
+        copies it first), then the half axis's irfft and one 1/N^n multiply."""
+        fft = fft_backend()
+        hat = fft.ifftn(hat, axes=self.axes[:-1], norm="forward", overwrite_x=True)
+        out = fft.irfft(hat, n=self.grid.N, axis=-1, norm="forward")
+        out *= 1.0 / self.grid.N**self.n
+        return out
 
     def apply(self, data, mult):
         """Samples of the multiplier operator mult(xi) applied to data."""

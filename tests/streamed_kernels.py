@@ -80,20 +80,6 @@ def spline_refinement(data, window):
     return data
 
 
-def equator_fold(inside):
-    """The z -> -z pairing of a grid mask from a grid-sized array of point positions."""
-    N = inside.shape[-1]
-    k = np.arange(N)
-    refl = np.roll(inside[..., ::-1], 1, axis=-1)
-    mirrored = inside & refl & ((k >= 1) & (2 * k < N))
-    n_direct = np.count_nonzero(inside) - np.count_nonzero(mirrored)
-    pos = np.zeros(inside.shape, dtype=np.intp)
-    pos[inside & ~mirrored] = np.arange(n_direct)
-    pos[mirrored] = np.arange(n_direct, np.count_nonzero(inside))
-    src = np.roll(pos[..., ::-1], 1, axis=-1)[mirrored]
-    return ~mirrored[inside], src, pos[inside]
-
-
 def convolve_even(grid, data, kernel):
     """The 2N-lattice convolution with the whole padded spectrum and the whole
     mirrored kernel spectrum (the block's DCT-I indexed by min(m, 2N - m))."""

@@ -9,11 +9,13 @@ from stokeslab.exterior import (
     divergence_defect,
     shell_potential,
     solenoidal_extension,
+    _OVERSAMPLE,
     _FieldSampler,
     _SphereSolver,
     _cut_off,
-    _equator_fold,
+    _periodic_spline,
     _ray_integral,
+    _sphere_at,
     _smoothstep7,
     _spline_refinement,
 )
@@ -23,6 +25,7 @@ import fft_reference
 import streamed_kernels as batched
 from streamed_kernels import traced_peak
 from refinement import refine_field
+from sphere_reference import synth_at
 
 
 def radial_test_data(grid, rc0=2.5, wd=0.4):
@@ -122,22 +125,21 @@ def test_sphere_solver_identities():
     vals = np.sqrt(3 / (4 * np.pi)) * sph.mu[:, None] * np.ones((1, sph.n_phi))
     c = sph.analyze(vals)
     assert c[0, 1] == pytest.approx(1.0, abs=1e-12)
-    # derivative synthesis against finite differences
+    # the derivative rows against finite differences: in theta across rows,
+    # in phi by turning the expansion, c_lm -> c_lm e^(i m eps)
     rng = np.random.default_rng(5)
-    coef = np.zeros((1, 21, 21), dtype=complex)
+    coef = np.zeros((21, 21), dtype=complex)
     for m in range(0, 3):
         for ell in range(max(1, m), 6):
-            coef[0, m, ell] = rng.standard_normal() + 1j * rng.standard_normal()
+            coef[m, ell] = rng.standard_normal() + 1j * rng.standard_normal()
     th = np.array([0.4, 1.1, 2.0, 2.8])
-    ph = np.array([0.3, 2.2, 4.0, 5.5])
-    _, dth, dph = sph.synth_at(coef, th, ph)
+    _, dth, dph = sph.synth_rows(coef, th, 16)
     eps = 1e-6
-    vp = sph.synth_at(coef, th + eps, ph)[0]
-    vm = sph.synth_at(coef, th - eps, ph)[0]
+    vp, vm = (sph.synth_rows(coef, th + s * eps, 16)[0] for s in (1, -1))
     assert np.abs((vp - vm) / (2 * eps) - dth).max() < 1e-7
-    vp = sph.synth_at(coef, th, ph + eps)[0]
-    vm = sph.synth_at(coef, th, ph - eps)[0]
-    assert np.abs((vp - vm) / (2 * eps) / np.sin(th) - dph).max() < 1e-7
+    turn = np.exp(1j * eps * np.arange(21))[:, None]
+    vp, vm = (sph.synth_rows(coef * turn ** s, th, 16)[0] for s in (1, -1))
+    assert np.abs((vp - vm) / (2 * eps) / np.sin(th)[:, None] - dph).max() < 1e-7
 
 
 def random_real_coef(rng, lmax):
@@ -150,49 +152,128 @@ def random_real_coef(rng, lmax):
 
 
 def test_sphere_synthesis_matches_full_harmonic_sum():
+    # the double Fourier grid's rows, theta_j = pi j / n from pole to pole by
+    # 2n longitudes, against the full sum of scipy's harmonics
     from scipy.special import sph_harm_y
 
     lmax = 12
+    n = _OVERSAMPLE * (lmax + 1)
     sph = _SphereSolver(n_theta=16, n_phi=32, lmax=lmax)
     rng = np.random.default_rng(11)
     coef = random_real_coef(rng, lmax)
-    th = rng.uniform(0.05, np.pi - 0.05, 40)
-    ph = rng.uniform(0.0, 2 * np.pi, 40)
+    rows = np.pi * np.arange(n + 1) / n
+    ph = np.pi * np.arange(2 * n) / n
 
     def reference(th, ph):
-        # the full sum over -l <= m <= l with c_{l,-m} = (-1)^m conj(c_{l,m})
-        ref = np.zeros((3, th.size), dtype=complex)
+        # the full sum over -l <= m <= l with c_{l,-m} = (-1)^m conj(c_{l,m}):
+        # value, d/dtheta and d/dphi
+        th, ph = np.meshgrid(th, ph, indexing="ij")
+        ref = np.zeros((3,) + th.shape, dtype=complex)
         for m in range(-lmax, lmax + 1):
             for ell in range(abs(m), lmax + 1):
                 c = coef[m, ell] if m >= 0 else (-1) ** m * np.conj(coef[-m, ell])
-                y, dy = sph_harm_y(ell, m, th, ph, diff_n=1)   # dy[:, 0] d/dtheta, dy[:, 1] d/dphi
-                ref += c * np.stack([y, dy[:, 0], dy[:, 1] / np.sin(th)])
+                y, dy = sph_harm_y(ell, m, th, ph, diff_n=1)   # d/dtheta, d/dphi last
+                ref += c * np.stack([y, dy[..., 0], dy[..., 1]])
         assert np.abs(ref.imag).max() < 1e-12 * np.abs(ref.real).max()
-        return ref.real
+        ref = ref.real
+        ref[2] /= np.sin(th)
+        return ref
 
-    ref = reference(th, ph)
-    got = np.concatenate(sph.synth_at(coef[None], th, ph))
+    got = sph.synth_rows(coef, rows, 2 * n)
+    assert got.shape == (3, n + 1, 2 * n)
+    ref = reference(rows[1:-1], ph)
     for k in range(3):
-        assert np.abs(got[k] - ref[k]).max() <= 1e-12 * np.abs(ref[k]).max()
-    # at the poles the surface gradient is the limit along the meridian phi;
-    # Richardson extrapolation from theta = d, 2d away from each pole
+        assert np.abs(got[k, 1:-1] - ref[k]).max() <= 1e-12 * np.abs(ref[k]).max()
+    # at the poles the value is the sum itself, and the surface gradient is
+    # the limit along each meridian, by Richardson extrapolation from
+    # theta = d, 2d away from the pole
     d = 1e-6
-    pole, inward = np.array([0.0, np.arccos(-1.0)]), np.array([1.0, -1.0])
-    ph = rng.uniform(0.0, 2 * np.pi, 2)
-    near = [reference(pole + j * d * inward, ph) for j in (1, 2)]
-    limit = 2.0 * near[0] - near[1]
-    got = np.concatenate(sph.synth_at(coef[None], pole, ph))
-    for k in range(3):
-        assert np.abs(got[k] - limit[k]).max() <= 1e-8 * np.abs(limit[k]).max()
+    for j, pole, inward in [(0, 0.0, 1.0), (-1, np.pi, -1.0)]:
+        with np.errstate(divide="ignore", invalid="ignore"):
+            value = reference(np.array([pole]), ph)[0, 0]
+        assert np.abs(got[0, j] - value).max() <= 1e-12 * np.abs(value).max()
+        near = [reference(np.array([pole + i * d * inward]), ph)[:, 0] for i in (1, 2)]
+        limit = 2.0 * near[0] - near[1]
+        for k in (1, 2):
+            assert np.abs(got[k, j] - limit[k]).max() <= 1e-8 * np.abs(limit[k]).max()
+
+
+def test_sphere_gradient_is_single_valued_at_the_poles():
+    # read at either pole from every longitude, the Cartesian gradient is one
+    # vector: the (theta, phi) frame turns with phi, the components do not
+    sph = _SphereSolver(n_theta=32, n_phi=64, lmax=20)
+    rng = np.random.default_rng(12)
+    coef = random_real_coef(rng, 20)
+    ph = rng.uniform(0.0, 2 * np.pi, 9)
+    for pole in (0.0, np.pi):
+        value, grad = _sphere_at(sph, coef, np.full(9, pole), ph)
+        assert np.abs(value - value[0]).max() <= 1e-12 * np.abs(value).max()
+        assert np.abs(grad - grad[:, :1]).max() <= 1e-12 * np.abs(grad).max()
+        assert np.abs(grad[2]).max() <= 1e-12 * np.abs(grad).max()
 
 
 def test_sphere_analysis_inverts_synthesis():
     sph = _SphereSolver(n_theta=32, n_phi=64, lmax=20)
     coef = random_real_coef(np.random.default_rng(3), 20)
-    th, ph = np.meshgrid(sph.theta, sph.phi, indexing="ij")
-    vals = sph.synth_at(coef[None], th.ravel(), ph.ravel())[0][0]
-    back = sph.analyze(vals.reshape(th.shape))
+    vals = sph.synth_rows(coef, np.arccos(sph.mu), sph.n_phi)[0]
+    back = sph.analyze(vals)
     assert np.abs(back - coef).max() <= 1e-12 * np.abs(coef).max()
+
+
+def test_periodic_spline_is_the_grid_wrap_prefilter():
+    # the spectral prefilter of the double Fourier grid against scipy's
+    # periodic one, on both axis parities
+    from scipy.ndimage import spline_filter
+
+    for shape in [(20, 36), (21, 15)]:
+        values = np.random.default_rng(13).standard_normal(shape)
+        ref = spline_filter(values, order=3, mode="grid-wrap")
+        assert np.abs(_periodic_spline(values) - ref).max() <= 1e-13 * np.abs(ref).max()
+
+
+@pytest.fixture(scope="module")
+def exact_on_annulus():
+    """A white random mass expansion m at lmax 40, its Poisson potential Phi
+    as the solver forms it, and their exact point-wise values on the 40,670
+    points of D_2 at N = 128, L = 8: m and grad_S Phi, Cartesian."""
+    g = Grid(3, 128, 8.0)
+    _, P = annulus_points(g, 2.0)
+    pr = np.sqrt(np.sum(P**2, axis=0))
+    theta = np.arccos(np.clip(P[2] / pr, -1.0, 1.0))
+    phi = np.mod(np.arctan2(P[1], P[0]), 2.0 * np.pi)
+    sph = _SphereSolver()
+    coef = random_real_coef(np.random.default_rng(40), 40)
+    coef[0, 0] = 0.0
+    val, dth, dph = synth_at(sph, np.stack([coef, coef / sph.eig]), theta, phi)
+    ct, st, cp, sp = np.cos(theta), np.sin(theta), np.cos(phi), np.sin(phi)
+    grad = np.stack([ct * cp * dth[1] - sp * dph[1], ct * sp * dth[1] + cp * dph[1],
+                     -st * dth[1]])
+    return sph, coef, theta, phi, val[0], grad
+
+
+def double_fourier_errors(exact, over):
+    """Largest errors of m and grad_S Phi read off the double Fourier grid, as
+    shares of their maxima."""
+    sph, coef, theta, phi, m_ref, grad_ref = exact
+    m, grad = _sphere_at(sph, coef, theta, phi, over=over)
+    return (np.abs(m - m_ref).max() / np.abs(m_ref).max(),
+            np.abs(grad - grad_ref).max() / np.abs(grad_ref).max())
+
+
+def test_double_fourier_points_within_error_budget(exact_on_annulus):
+    # the module docstring's budget at oversampling 4: 5e-4 of the maximum
+    # (measured 3.1e-4 for m and 1.5e-4 for grad_S Phi)
+    assert _OVERSAMPLE == 4
+    assert max(double_fourier_errors(exact_on_annulus, _OVERSAMPLE)) <= 5e-4
+
+
+def test_double_fourier_error_is_fourth_order(exact_on_annulus):
+    # a cubic spline's error falls 16x when the grid step halves (measured
+    # 16x for m and 18x for grad_S Phi)
+    coarse = double_fourier_errors(exact_on_annulus, 4)
+    fine = double_fourier_errors(exact_on_annulus, 8)
+    for c, f in zip(coarse, fine):
+        assert f <= c / 10.0
 
 
 def annulus_points(grid, R):
@@ -301,50 +382,6 @@ def test_shell_builders_are_the_full_grid_formulas(N, L, R, R_ext):
     assert np.array_equal(shell_potential(g, R_ext).data, potential)
     got_phi, got_fb = _cut_off(u0, R_ext)
     assert np.array_equal(got_phi, phi) and np.array_equal(got_fb, fb)
-
-
-@pytest.mark.parametrize("N, L, R", [(64, 8.0, 2.0), (100, 7.3, 2.0)])
-def test_equator_fold_matches_direct_synthesis(N, L, R):
-    g = Grid(3, N, L)
-    inside, P = annulus_points(g, R)
-    if N == 100:
-        # drop a few z > 0 points so that their mirrors have no partner
-        top = np.argwhere(inside & (g.coords()[2] > 0.0))[::97]
-        inside[tuple(top.T)] = False
-        P = g.axis[np.stack(np.nonzero(inside))]
-    pr = np.sqrt(np.sum(P**2, axis=0))
-    theta = np.arccos(np.clip(P[2] / pr, -1.0, 1.0))
-    phi = np.mod(np.arctan2(P[1], P[0]), 2.0 * np.pi)
-    sph = _SphereSolver()
-    rng = np.random.default_rng(N)
-    coef = np.stack([random_real_coef(rng, sph.lmax) for _ in range(2)])
-
-    direct, src, order = _equator_fold(inside)
-    assert np.all(P[2][direct][src] > 0.0) and np.all(P[2][~direct] < 0.0)
-    # reflections are found by index: their z mirrors the source's to rounding only
-    mirror_gap = np.abs(P[2][~direct] + P[2][direct][src])
-    assert mirror_gap.max() <= 1e-14 * L
-    if N == 100:
-        assert np.any(P[2][direct] < 0.0)            # unpaired points below the equator
-        assert mirror_gap.max() > 0.0
-    else:
-        assert np.any(P[2] == 0.0)                    # the equator
-        axis = (P[0] == 0.0) & (P[1] == 0.0)          # the z-axis, at both poles
-        assert np.any(axis & (P[2] > 0.0)) and np.any(axis & (P[2] < 0.0))
-    folded = sph.synth_at(coef, theta[direct], phi[direct], mirror=src)
-    for got, ref in zip(folded, sph.synth_at(coef, theta, phi)):
-        assert np.abs(got[:, order] - ref).max() <= 1e-13 * np.abs(ref).max()
-
-
-def test_equator_fold_is_the_position_array_formula():
-    # the fold ranks points by their flat indices; the batched formula
-    # wrote every point's column into a grid-sized array.  Two annuli and a
-    # random mask on an odd grid, where few points have their mirror
-    masks = [annulus_points(Grid(3, N, L), 2.0)[0] for N, L in [(64, 8.0), (100, 7.3)]]
-    masks.append(np.random.default_rng(17).random((17, 17, 17)) < 0.6)
-    for inside in masks:
-        for got, ref in zip(_equator_fold(inside), batched.equator_fold(inside)):
-            assert np.array_equal(got, ref)
 
 
 def test_streamed_ray_integral_is_the_stacked_quadrature():
@@ -587,6 +624,15 @@ def test_extension_divergence_refines():
         _, info = solenoidal_extension(u0, R)
         defects.append(info["div_v0_rel"])
     assert defects[1] <= 0.6 * defects[0]
+
+
+def test_extend_meets_the_benchmark_gate():
+    # the benchmark's annulus gate also bounds extend's div_v0_rel at N = 128,
+    # which criterion 6 does not (it checks the 128/64 ratio); the input is
+    # the CLI's, the package's curl of shell_potential.  It reads 0.0899
+    g = Grid(3, 128, 8.0)
+    _, info = solenoidal_extension(curl(shell_potential(g, 1.0)), 1.0)
+    assert info["div_v0_rel"] <= 0.1
 
 
 def test_extension_rejects_nonsolenoidal():
