@@ -43,12 +43,20 @@ def random_smooth_field(
     lowpass /= 0.4 * grid.N
     lowpass **= 16
     np.exp(np.negative(lowpass, out=lowpass), out=lowpass)
-    data = sp.apply(rng.standard_normal(shape), profile)
+    # each transform's input is dropped before its product and its inverse
+    hat = sp.forward(rng.standard_normal(shape))
+    hat *= profile
     del profile
+    data = sp.inverse(hat)
+    del hat
     data *= envelope
     del envelope
-    data = sp.apply(data, lowpass)
+    hat = sp.forward(data)
+    del data
+    hat *= lowpass
     del lowpass
+    data = sp.inverse(hat)
+    del hat
     f = Field(grid, data)
     scale = integrate(f, 2)
     if scale > 0:

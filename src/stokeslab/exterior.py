@@ -19,13 +19,15 @@ masses' expansion m and the surface gradient of its Poisson potential Phi
 reach the points through a double Fourier grid (Merilees, Atmosphere 11
 (1973) 13; Townsend, Wilber & Wright, SIAM J. Sci. Comput. 38 (2016) C403):
 rows theta_j = pi j / n, j = 0..n, by 2n longitudes, n = _OVERSAMPLE
-(lmax + 1) = 4 * 41, continued to theta in [0, 2 pi) by g(2 pi - theta, phi)
-= g(theta, phi + pi) and read with a periodic cubic spline; grad_S Phi as
-Cartesian components, which are smooth at the poles.  Error budget against
-the exact synthesis at lmax 40 on the 40,670 points of D_2 at N = 128,
-L = 8: 3.1e-4 of max|m| and 1.5e-4 of max|grad_S Phi| for white random
-masses (the tests hold 5e-4), 3.3e-5 and 1.7e-6 for bogovskii-test's;
-doubling the oversampling divides it by about 16.
+(lmax + 1) = 4 * 41, synthesized for m and Phi by one Legendre recursion,
+continued to theta in [0, 2 pi) by g(2 pi - theta, phi) = g(theta, phi + pi)
+and read with scipy's periodic cubic spline (map_coordinates, mode
+"grid-wrap", which prefilters); grad_S Phi as Cartesian components, which
+are smooth at the poles.  Error budget against the exact synthesis at
+lmax 40 on the 40,670 points of D_2 at N = 128, L = 8: 3.1e-4 of max|m|
+and 1.5e-4 of max|grad_S Phi| for white random masses (the tests hold
+5e-4), 3.3e-5 and 1.7e-6 for bogovskii-test's; doubling the oversampling
+divides it by about 16.
 
 Memory: work over the whole grid streams, one component, one quadrature
 node or one slab at a time, so no step holds a vector of full-grid
@@ -158,7 +160,10 @@ class _SphereSolver:
         self.mu = mu
         self.wgl = wgl
         self.sin_t = np.sqrt(1.0 - mu**2)
-        self.phi = 2.0 * np.pi * np.arange(n_phi) / n_phi
+        # the grid's unit vectors, shape (3, n_theta, n_phi)
+        phi, st = 2.0 * np.pi * np.arange(n_phi) / n_phi, self.sin_t[:, None]
+        self.dirs = np.stack(np.broadcast_arrays(st * np.cos(phi), st * np.sin(phi),
+                                                 mu[:, None]))
         # eigenvalues -l(l+1) of the sphere Laplacian; l = 0 maps to inf so
         # that dividing by eig drops the constant mode
         ll = np.arange(lmax + 1, dtype=float)
@@ -204,56 +209,49 @@ class _SphereSolver:
         return coef
 
     def synth_rows(self, coef, theta, n_phi):
-        """The real expansion coef, its d/dtheta and its (1/sin)d/dphi on the
-        rows theta by the longitudes 2 pi k / n_phi: shape (3, rows, n_phi).
-        The Legendre recursion runs over the rows, then one inverse rfft per
-        row, where the m > 0 terms count twice for their -m partners."""
+        """A stack coef (K, lmax+1, lmax+1) of real expansions, their d/dtheta
+        and their (1/sin)d/dphi on the rows theta by the longitudes
+        2 pi k / n_phi: shape (3, K, rows, n_phi).  The Legendre recursion
+        runs once per m over the rows for the whole stack, each expansion's
+        product with it a vector-matrix product of its own; then one inverse
+        rfft per row, where the m > 0 terms count twice for their -m partners."""
         mu, sin_t = np.cos(theta), np.sin(theta)
-        spec = np.zeros((3,) + theta.shape + (self.lmax + 1,), dtype=complex)
+        spec = np.zeros((3, len(coef)) + theta.shape + (self.lmax + 1,), dtype=complex)
         for m in range(self.lmax + 1):
             G, dP = self._legendre_block(m, mu, sin_t)
-            v = coef[m, m:] @ G
-            spec[0, :, m] = v * sin_t if m else v
-            spec[1, :, m] = coef[m, m:] @ dP
-            spec[2, :, m] = 1j * m * v
+            for k, c in enumerate(coef[:, m, m:]):
+                v = c @ G
+                spec[0, k, :, m] = v * sin_t if m else v
+                spec[1, k, :, m] = c @ dP
+                spec[2, k, :, m] = 1j * m * v
         return fft_backend().irfft(spec, n=n_phi, norm="forward")
 
 
-def _periodic_spline(values):
-    """Cubic B-spline coefficients of a periodic 2-D array: per axis its
-    spectrum times 3 / (2 + cos(2 pi k / n)), the inverse of the spline's
-    symbol on n samples (Unser, Aldroubi & Eden, as in _spline_refinement)."""
-    fft = fft_backend()
-    hat = fft.rfftn(values)
-    for ax, n in enumerate(values.shape):
-        k = np.arange(hat.shape[ax]).reshape((-1,) + (1,) * (1 - ax))
-        hat *= 3.0 / (2.0 + np.cos(2.0 * np.pi * k / n))
-    return fft.irfftn(hat, s=values.shape)
-
-
-def _sphere_at(sph, coef, theta, phi, over=_OVERSAMPLE):
+def _sphere_at(sph, coef, theta, phi):
     """m, the expansion coef, and the surface gradient of its Poisson
     potential Phi (Laplace-Beltrami Phi = m, l = 0 dropped) as Cartesian
     components, at the points (theta, phi): shapes (points,) and (3, points).
     Read off the double Fourier grid of the module docstring with
-    n = over (lmax + 1), one function's grid at a time."""
+    n = _OVERSAMPLE (lmax + 1), one function's grid at a time."""
     from scipy.ndimage import map_coordinates
 
-    n = over * (sph.lmax + 1)
+    n = _OVERSAMPLE * (sph.lmax + 1)
     theta_j = np.pi * np.arange(n + 1) / n
     coords = np.stack([theta, phi]) * (n / np.pi)
 
     def at_points(rows):
         # the rows strictly between the poles, in reverse and turned half a
-        # circle, continue theta past pi
+        # circle, continue theta past pi; map_coordinates takes the torus's
+        # periodic cubic-spline coefficients itself
         torus = np.concatenate([rows, np.roll(rows[n - 1:0:-1], n, axis=1)])
-        return map_coordinates(_periodic_spline(torus), coords, order=3,
-                               mode="grid-wrap", prefilter=False)
+        return map_coordinates(torus, coords, order=3, mode="grid-wrap")
 
-    value = at_points(sph.synth_rows(coef, theta_j, 2 * n)[0])
+    # m's rows and Phi's derivative rows from one recursion
+    rows = sph.synth_rows(np.stack([coef, coef / sph.eig]), theta_j, 2 * n)
+    value = at_points(rows[0, 0])
+    dth, dph = rows[1:, 1]
     # grad_S = theta_hat d/dtheta + phi_hat (1/sin)d/dphi; its Cartesian
     # components are smooth at the poles, where the frame is not
-    _, dth, dph = sph.synth_rows(coef / sph.eig, theta_j, 2 * n)
     cos_t, sin_t = np.cos(theta_j)[:, None], np.sin(theta_j)[:, None]
     phi_k = np.pi * np.arange(2 * n) / n
     cos_p, sin_p = np.cos(phi_k), np.sin(phi_k)
@@ -394,11 +392,7 @@ def bogovskii_apply(f: Field, R: float, mean_rtol: float = 1e-10) -> Field:
     sample_f = _FieldSampler(f, R + 1.0)
 
     # per-ray masses m(omega) = int_R^{R+1} f(rho omega) rho^2 drho on the sphere grid
-    st = sph.sin_t[:, None]
-    dirs = np.stack(np.broadcast_arrays(
-        st * np.cos(sph.phi), st * np.sin(sph.phi), sph.mu[:, None]
-    ))  # (3, n_theta, n_phi)
-    m_grid = _ray_integral(sample_f, R, R + 1.0, dirs)
+    m_grid = _ray_integral(sample_f, R, R + 1.0, sph.dirs)
 
     # radial integrals int_R^r f rho^2 drho at the annulus points
     rhat = P / pr

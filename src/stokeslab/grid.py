@@ -10,8 +10,8 @@ All spectral work goes through one layer per grid, Grid.spectral(): scipy.fft
 real transforms over the last n axes, batched over leading axes (components,
 time nodes), in the rfftn half-spectrum layout.  It builds broadcastable
 wavenumbers k and |xi|^2 (ksq) on first use.  It provides forward/inverse
-(inverse consumes its input), apply (multiplier), project (Leray), power
-(Parseval) and its root l2, grad/div coefficients and gradient_magnitude.
+(inverse consumes its input), project (Leray), power (Parseval) and its
+root l2, grad/div coefficients and gradient_magnitude.
 
 The layer owns the 2/3 rule.  The band is every mode with all |frequency
 index| < N/3, a box of c = ceil(N/3) nonnegative indices per axis; band()
@@ -219,12 +219,6 @@ class Spectral:
         out = fft.irfft(hat, n=self.grid.N, axis=-1, norm="forward")
         out *= 1.0 / self.grid.N**self.n
         return out
-
-    def apply(self, data, mult):
-        """Samples of the multiplier operator mult(xi) applied to data."""
-        hat = self.forward(data)
-        hat *= mult
-        return self.inverse(hat)
 
     def grad(self, hat):
         """Coefficients of the gradient, derivative axis first."""

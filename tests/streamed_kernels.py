@@ -5,7 +5,9 @@ Each formula here is the batched form the package used before its kernel
 was rewritten to hold fewer full-grid temporaries.  The streamed kernels
 keep every reduction in the same order, so the tests compare against these
 with np.array_equal, not with a tolerance.  traced_peak is the memory
-measure of the guards that keep the streaming from coming undone.
+measure of the guards that keep the streaming from coming undone.  apply
+is the spectral multiplier operator of the tests, input held through the
+inverse transform, which the package's corpus field no longer does.
 """
 
 import tracemalloc
@@ -26,6 +28,11 @@ def traced_peak(call, unit):
         return tracemalloc.get_traced_memory()[1] / unit
     finally:
         tracemalloc.stop()
+
+
+def apply(sp, data, mult):
+    """Samples of the multiplier operator mult(xi) applied to data."""
+    return sp.inverse(sp.forward(data) * mult)
 
 
 def curl(grid, data):
@@ -105,7 +112,7 @@ def random_smooth_field(grid, seed, components=1, k0=1.5):
     idx_sq = sum(i**2 for i in sp.index)
     lowpass = np.exp(-((np.sqrt(idx_sq) / (0.4 * grid.N)) ** 16))
     shape = grid.shape if components == 1 else (components,) + grid.shape
-    smooth = sp.apply(rng.standard_normal(shape), profile)
-    data = sp.apply(smooth * envelope, lowpass)
+    smooth = apply(sp, rng.standard_normal(shape), profile)
+    data = apply(sp, smooth * envelope, lowpass)
     scale = integrate(Field(grid, data), 2)
     return data / scale if scale > 0 else data

@@ -21,7 +21,7 @@ from stokeslab.semigroup import fractional_integral
 
 import fft_reference
 import streamed_kernels as batched
-from streamed_kernels import traced_peak
+from streamed_kernels import apply, traced_peak
 
 
 def test_grid_validation():
@@ -149,7 +149,7 @@ def test_div_grad_is_laplacian_band_limited():
                                  + 0.5 * np.cos(5 * k * x2), g.shape))
     sp = g.spectral()
     lhs = divergence(gradient(f)).data
-    rhs = sp.apply(f.data, -sp.ksq)             # the Laplacian's multiplier
+    rhs = apply(sp, f.data, -sp.ksq)          # the Laplacian's multiplier
     assert np.abs(lhs - rhs).max() <= 1e-10 * np.abs(rhs).max()
 
 
@@ -516,7 +516,8 @@ def test_scalar_kernels_stream_their_full_grid_temporaries(name, bound):
     # peaks in units of one field (a vector field for the vector corpus) at
     # N = 64; the batched kernels measured 13.30 (convolve_even), 15.42
     # (fractional_integral), 6.58 and 4.88 (random_smooth_field, scalar and
-    # vector), the streamed ones 3.32, 4.37, 5.06 and 3.71
+    # vector), the streamed ones 3.32, 4.37, 5.06 and 3.71 (the corpus
+    # field's tighter bounds below)
     g = Grid(3, 64, 5.0)
     f = random_smooth_field(g, 11)
     kernel = np.random.default_rng(11).standard_normal((g.N + 1,) * 3)
@@ -527,3 +528,13 @@ def test_scalar_kernels_stream_their_full_grid_temporaries(name, bound):
         "random_smooth_field_vector": (lambda: random_smooth_field(g, 12, components=3), 3),
     }[name]
     assert traced_peak(call, unit * f.data.nbytes) <= bound
+
+
+@pytest.mark.parametrize("components, bound", [(1, 4.2), (3, 2.9)])
+def test_corpus_field_drops_each_transform_input(components, bound):
+    # in units of one field of the corpus's shape at N = 64: 5.06 (scalar)
+    # and 3.71 (vector) while each multiplier's input was held through its
+    # inverse transform, 4.06 and 2.71 with each input dropped
+    g = Grid(3, 64, 5.0)
+    unit = components * random_smooth_field(g, 11).data.nbytes
+    assert traced_peak(lambda: random_smooth_field(g, 12, components), unit) <= bound
