@@ -14,9 +14,11 @@ and mirror-symmetric; its history integral at the nodes is
 carries no decay on the torus and is projected out of forcing and solution
 throughout.
 
-The forcing is separable, f(t, x) = amplitude cos(2 pi t / T) profile(x):
-each solve transforms and projects amplitude * profile once and scales that
-spectrum by the scalar time factor at every node or stage time.
+The forcing is separable, f(t, x) = amplitude cos(2 pi t / T) profile(x).
+_integrand(force, sp, linear_only) transforms and projects amplitude * profile
+and builds the advection table once per solve; its h(uh, t) scales that
+spectrum by the time factor and, unless linear_only, adds the advection term.
+picard_solve evaluates h at the nodes, periodicity_check at the ETDRK4 stages.
 
 Fixed points of the map are T-periodic mild solutions; picard_solve(force,
 grid, M, tol, max_iter, linear_only) iterates from u = 0, records the largest
@@ -32,20 +34,20 @@ at N = 32 against 32 x 32 x 17 in the half spectrum), so the node spectra,
 the forcing spectrum, the history-integral resolve and the whole ETDRK4
 march are stored on the band and transformed by its pruned pair.
 
-The advection term is one operator, _advection: it takes real velocity
-samples and returns the band spectrum of -P div(u (x) u), which is
--P(u . grad u) for solenoidal u.  It forms the six distinct products
-u_i u_j, transforms them onto the band and contracts them with a real
-table A[i, p] per band mode that folds the contraction -i sum_j k_j T_ij,
-the 2/3 rule and the Leray projection together.  On data band-limited by
-the 2/3 rule this agrees with the advective form to rounding.  Every
-velocity the solver produces is projected, and periodicity_check rejects
-a start whose relative divergence exceeds 1e-8.
+The advection term is one operator, _advection(sp, table, u): it takes
+real velocity samples and returns the band spectrum of -P div(u (x) u),
+which is -P(u . grad u) for solenoidal u.  It forms the six distinct
+products u_i u_j, transforms them onto the band and contracts them with
+the real table A[i, p] = _advection_table(sp) per band mode, which folds
+the contraction -i sum_j k_j T_ij, the 2/3 rule and the Leray projection
+together.  On data band-limited by the 2/3 rule this agrees with the
+advective form to rounding.  Every velocity the solver produces is
+projected, and periodicity_check rejects a start whose relative divergence
+exceeds 1e-8.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 
@@ -167,7 +169,6 @@ _PAIRS = ((0, 0), (1, 1), (2, 2), (0, 1), (0, 2), (1, 2))
 _SLOT = ((0, 3, 4), (3, 1, 5), (4, 5, 2))
 
 
-@functools.lru_cache(maxsize=2)
 def _advection_table(sp):
     """The real A[i, p] on the band with -P div(T)_i = -i sum_p A[i, p] T_p for
     a symmetric tensor T of distinct entries T_p: the contraction
@@ -186,15 +187,15 @@ def _advection_table(sp):
     return np.repeat(A, 2, axis=-1)
 
 
-def _advection(sp, u):
+def _advection(sp, table, u):
     """Band spectrum of -P div(u (x) u), 2/3-rule de-aliased, from real
     velocity samples u of shape (3,) + grid.shape: six products, one pruned
-    forward transform and one contraction with _advection_table."""
+    forward transform and one contraction with table = _advection_table(sp)."""
     uu = np.empty((len(_PAIRS),) + u.shape[1:])
     for p, (i, j) in enumerate(_PAIRS):
         np.multiply(u[i], u[j], out=uu[p])
     th = sp.forward_band(uu).view(float)
-    out = np.einsum("ip...,p...->i...", _advection_table(sp), th).view(complex)
+    out = np.einsum("ip...,p...->i...", table, th).view(complex)
     out *= -1j
     return out
 
@@ -203,14 +204,20 @@ def _advection(sp, u):
 _SOLENOIDAL_RTOL = 1e-8
 
 
-def _force_hat(force: PeriodicForce, sp) -> np.ndarray:
-    """Band spectrum of the projected amplitude * profile; the forcing at
-    time t is this times force.factor(t)."""
+def _integrand(force: PeriodicForce, sp, linear_only: bool):
+    """h(uh, t) = force.factor(t) fh plus, unless linear_only, the advection term
+    of the velocity with band spectrum uh; fh, the band spectrum of the projected
+    amplitude * profile, and the advection table are built once, here."""
     with np.errstate(over="ignore", invalid="ignore"):
         fh = sp.band(sp.project(sp.forward(force.amplitude * force.profile(sp.grid).data)))
     if not np.all(np.isfinite(fh)):
         raise ValueError(f"forcing amplitude {force.amplitude:g} overflows the forcing spectrum")
-    return fh
+    table = None if linear_only else _advection_table(sp)
+
+    def h(uh, t):
+        f = force.factor(t) * fh
+        return f if linear_only else f + _advection(sp, table, sp.inverse_band(uh))
+    return h
 
 
 def _resolve_periodic(h_hats: np.ndarray, sp, T: float) -> np.ndarray:
@@ -254,17 +261,14 @@ def picard_solve(force: PeriodicForce, grid: Grid, M: int = 16, tol: float = 1e-
         raise ValueError(f"period T = {force.T} is too long for M = {M} nodes: "
                          f"the node time T (M-1) / M overflows before its division by M")
     sp = _spectral(grid)
-    fh = _force_hat(force, sp)
-    factors = force.factor(_node_times(force.T, M))
-    u_hats = np.zeros((M,) + fh.shape, dtype=complex)
+    h = _integrand(force, sp, linear_only)
+    times = _node_times(force.T, M)
+    u_hats = np.zeros((M, 3) + sp.band_ksq.shape, dtype=complex)
 
     history = []
     for _ in range(max_iter):
-        # H[u] at the nodes as band spectra
-        h_hats = np.multiply.outer(factors, fh)
-        if not linear_only:
-            for m, u_hat in enumerate(u_hats):
-                h_hats[m] += _advection(sp, sp.inverse_band(u_hat))
+        # the integrand at the nodes as band spectra
+        h_hats = np.array([h(u, t) for u, t in zip(u_hats, times)])
         # a force far outside the contraction regime overflows the resolve or
         # the norms; the non-finite residual is caught below
         with np.errstate(over="ignore", invalid="ignore"):
@@ -318,22 +322,17 @@ def periodicity_check(sol: PeriodicSolution, steps: int = 256) -> float:
     beta = dt * ((2.0 + zc + np.exp(zc) * (-2.0 + zc)) / zc**3).mean(axis=-1)
     gamm = dt * ((-4.0 - 3.0 * zc - zc**2 + np.exp(zc) * (4.0 - zc)) / zc**3).mean(axis=-1)
 
-    fh = _force_hat(sol.force, sp)
-
-    def rhs(uh, t):
-        f = sol.force.factor(t) * fh
-        return f if sol.linear_only else f + _advection(sp, sp.inverse_band(uh))
-
+    h = _integrand(sol.force, sp, sol.linear_only)
     uh = start
     t = 0.0
     for _ in range(steps):
-        N1 = rhs(uh, t)
+        N1 = h(uh, t)
         a = E2 * uh + zeta * N1
-        N2 = rhs(a, t + dt / 2.0)
+        N2 = h(a, t + dt / 2.0)
         b = E2 * uh + zeta * N2
-        N3 = rhs(b, t + dt / 2.0)
+        N3 = h(b, t + dt / 2.0)
         c = E2 * a + zeta * (2.0 * N3 - N1)
-        N4 = rhs(c, t + dt)
+        N4 = h(c, t + dt)
         uh = E * uh + alph * N1 + 2.0 * beta * (N2 + N3) + gamm * N4
         t += dt
 

@@ -161,14 +161,14 @@ def aq_check(
     if cube_sides is None:
         cube_sides = [2.0**k for k in range(-3, 11)]
     cube_sides = sorted(float(s) for s in cube_sides)
-    if cube_sides[0] <= 0:
-        raise ValueError("cube sides must be positive")
+    if not all(0.0 < s < np.inf for s in cube_sides):
+        raise ValueError("cube sides must be positive and finite")
     if cube_sides[-1] / cube_sides[0] < 1e3:
         raise ValueError("cube ladder must span at least three decades of side length")
     if centers is None:
         centers = [0.0, 1.0, 8.0, 64.0]
-    if len(centers) == 0:
-        raise ValueError("aq_check needs at least one cube center")
+    if len(centers) == 0 or not np.all(np.isfinite(np.asarray(centers, float))):
+        raise ValueError("aq_check needs at least one cube center, and finite ones")
 
     m = max(8, int(np.ceil(32768 ** (1.0 / n))))
     if n > np.log2(MAX_POINTS) / np.log2(2 * m):      # in logs: a huge n costs nothing
@@ -234,7 +234,7 @@ def maximal_function(f: Field, radius_ladder=None) -> Field:
     if radius_ladder is None:
         radius_ladder = np.geomspace(g.h, g.L, 24)
     radius_ladder = np.unique(np.concatenate([[g.h], np.asarray(radius_ladder, float)]))
-    if radius_ladder[0] < g.h or radius_ladder[-1] > np.sqrt(g.n) * g.L:
+    if not g.h <= radius_ladder[0] <= radius_ladder[-1] <= np.sqrt(g.n) * g.L:
         raise ValueError("radius ladder must live in [h, sqrt(n) L]")
 
     return _sup_of_averages(f, lambda off_sq, r: off_sq < r * r, radius_ladder)

@@ -1,5 +1,7 @@
 import dataclasses
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -8,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 from stokeslab.grid import Field, Grid, gradient, integrate
 from stokeslab.corpus import random_smooth_field
 from stokeslab.semigroup import leray_project
+from stokeslab import periodic
 from stokeslab.periodic import (
     ContractionError,
     PeriodicForce,
@@ -20,7 +23,7 @@ from stokeslab.periodic import (
     _SLOT,
     _advection,
     _advection_table,
-    _force_hat,
+    _integrand,
     _resolve_periodic,
 )
 
@@ -47,7 +50,9 @@ def test_force_amplitude_scales_norms():
     sp = small_grid().spectral()
     force = single_mode_force(T, amplitude=1.0)
     doubled = dataclasses.replace(force, amplitude=2.0)
-    assert np.array_equal(_force_hat(doubled, sp), 2.0 * _force_hat(force, sp))
+    # the integrand at t = 0 (time factor 1) is the forcing spectrum alone
+    assert np.array_equal(_integrand(doubled, sp, True)(None, 0.0),
+                          2.0 * _integrand(force, sp, True)(None, 0.0))
 
 
 def test_picard_config_validation():
@@ -71,13 +76,13 @@ def test_picard_config_validation():
 
 
 # The advection term -P(u . grad u), 2/3-rule de-aliased, as samples:
-# sp.inverse_band(_advection(sp, u))
+# sp.inverse_band(_advection(sp, _advection_table(sp), u))
 
 
 def test_nonlinearity_zero():
     g = small_grid()
     sp = g.spectral()
-    out = sp.inverse_band(_advection(sp, np.zeros((3,) + g.shape)))
+    out = sp.inverse_band(_advection(sp, _advection_table(sp), np.zeros((3,) + g.shape)))
     assert np.all(out == 0.0)
 
 
@@ -109,7 +114,7 @@ def test_nonlinearity_mode_arithmetic():
     data[0] = np.cos(2 * k0 * Z)
     data[1] = np.cos(3 * k0 * X)
     sp = g.spectral()
-    B = sp.inverse_band(_advection(sp, data))
+    B = sp.inverse_band(_advection(sp, _advection_table(sp), data))
     Bh = np.fft.fftn(B, axes=(1, 2, 3))
     peak0 = np.abs(Bh).max()
     assert abs(Bh[:, 0, 0, 0]).max() <= 1e-16 * peak0
@@ -128,7 +133,7 @@ def test_nonlinearity_output_solenoidal_and_mean_zero():
     g = small_grid()
     sp = g.spectral()
     u = leray_project(random_smooth_field(g, 6, components=3))
-    B = Field(g, sp.inverse_band(_advection(sp, u.data)))
+    B = Field(g, sp.inverse_band(_advection(sp, _advection_table(sp), u.data)))
     assert B.data.mean() == pytest.approx(0.0, abs=1e-16)
     scale = np.sqrt(sum(integrate(gradient(Field(g, B.data[j])), 2) ** 2 for j in range(3)))
     assert integrate(divergence(B), 2) <= 1e-10 * scale
@@ -142,7 +147,7 @@ def test_nonlinearity_weighted_hoelder_bound():
     s = 0.5
     for seed in (1, 2, 3):
         u = leray_project(random_smooth_field(g, seed, components=3))
-        B = Field(g, sp.inverse_band(_advection(sp, u.data)))
+        B = Field(g, sp.inverse_band(_advection(sp, _advection_table(sp), u.data)))
         nu = integrate(u, 2.0, s)
         grmag = np.sqrt(
             sum(gradient(Field(g, u.data[j])).magnitude() ** 2 for j in range(3))
@@ -423,6 +428,34 @@ def test_each_entry_point_evaluates_the_profile_once():
     assert len(calls) == 2
     weighted_report(sol, 2.0, 2.0, 1.0)
     assert len(calls) == 3
+
+
+def test_advection_table_is_built_once_per_solve(monkeypatch):
+    builds = []
+    build = periodic._advection_table
+    monkeypatch.setattr(periodic, "_advection_table", lambda sp: builds.append(sp) or build(sp))
+    g = Grid(3, 16, 16.0)
+    force = random_solenoidal_force(T, seed=42, amplitude=0.5)
+    sol = picard_solve(force, g, M=8, tol=1e-10, max_iter=30)
+    assert sol.iterations > 1
+    assert len(builds) == 1
+    periodicity_check(sol, steps=4)
+    assert len(builds) == 2
+    linear = picard_solve(force, g, M=8, linear_only=True)
+    periodicity_check(linear, steps=4)
+    assert len(builds) == 2
+
+
+def test_no_spectral_layer_outlives_its_solve():
+    # the solver holds the layer and its advection table only while it runs
+    grid = Grid(3, 16, 16.0)
+    layer = weakref.ref(grid.spectral())
+    sol = picard_solve(random_solenoidal_force(T, seed=42, amplitude=0.5), grid, M=8,
+                       tol=1e-10, max_iter=30)
+    periodicity_check(sol, steps=4)
+    del sol, grid
+    gc.collect()
+    assert layer() is None
 
 
 def test_weighted_ratio_stable_under_amplitude_halving():

@@ -104,6 +104,29 @@ def test_aq_rejections():
         aq_check(RadialWeight(1.0), np.inf)
 
 
+@pytest.mark.parametrize("sides, centers, match", [
+    ([0.1, np.nan, 1000.0], None, "cube sides must be positive and finite"),
+    ([0.1, np.inf], None, "cube sides must be positive and finite"),
+    ([-np.inf, 0.1, 1000.0], None, "cube sides must be positive and finite"),
+    ([0.0, 0.1, 1000.0], None, "cube sides must be positive and finite"),
+    (None, [0.0, np.nan], "finite ones"),
+    (None, [np.inf], "finite ones"),
+    (None, [-np.inf, 1.0], "finite ones"),
+])
+def test_aq_check_refuses_non_finite_sides_and_centers(sides, centers, match):
+    # a NaN side used to read "diverging" with sup inf, a NaN center an overflow
+    with pytest.raises(ValueError, match=match):
+        aq_check(RadialWeight(2.0), 2.0, cube_sides=sides, centers=centers)
+
+
+@pytest.mark.parametrize("ladder", [[np.nan], [0.5, np.nan], [np.inf], [-np.inf, 1.0], [0.1]])
+def test_maximal_function_refuses_radii_outside_the_range(ladder):
+    # a NaN radius used to pass the range check and divide 0 by 0
+    g = Grid(3, 8, 4.0)
+    with pytest.raises(ValueError, match=r"radius ladder must live in \[h, sqrt\(n\) L\]"):
+        maximal_function(Field(g, np.ones(g.shape)), ladder)
+
+
 def test_admissible_range_values():
     assert admissible_range(3.0, 3) == pytest.approx((-1.0, 2.0))
     assert admissible_range(2.0, 4) == pytest.approx((-2.0, 2.0))
