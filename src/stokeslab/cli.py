@@ -66,11 +66,12 @@ def _build_parser():
         sp = sub.add_parser(name, help=description, description=description)
         sp.add_argument("--config", type=str, default=None,
                         help="JSON file with option values (flags override)")
-        sp.add_argument("--out", type=str, default=None,
-                        help="output directory (default runs/<command>)")
+        # main's rule: a follow-up check writes inside the run it examines
+        out = os.path.join("<run>" if "run" in options else "runs", name)
+        sp.add_argument("--out", type=str, default=None, help=f"output directory (default {out})")
         for key, (typ, default, hlp, *_) in options.items():
             sp.add_argument(_flag_name(key), type=typ, default=None,
-                            help=f"{hlp} (default {default})")
+                            help=f"{hlp} (default {default})" if default != "" else hlp)
     return ap
 
 

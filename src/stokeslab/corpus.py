@@ -32,9 +32,11 @@ def random_smooth_field(
     shape = grid.shape if components == 1 else (components,) + grid.shape
     # each factor is built in place and each array dropped after its last
     # use; a / (-b) and -a / b are the same float, so the bits are kept
-    profile = sp.ksq / (-2.0 * k0**2)
+    profile = sp.ksq()
+    profile /= -2.0 * k0**2
     np.exp(profile, out=profile)
-    envelope = grid.radius_sq() / -((grid.L / 5.5) ** 2)
+    envelope = grid.radius_sq()
+    envelope /= -((grid.L / 5.5) ** 2)
     np.exp(envelope, out=envelope)
     # steep low-pass applied after enveloping: the envelope product regrows
     # Nyquist-plane content where real-FFT derivative identities degrade

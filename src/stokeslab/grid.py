@@ -6,12 +6,17 @@ midpoints of a shifted cell partition, so a plain sum times h^n realizes
 the midpoint rule and the cube center 0 is a sample point.  The frequency
 set per axis is {2*pi*k/(2L) : k = -N/2, ..., N/2 - 1}.
 
-All spectral work goes through one layer per grid, Grid.spectral(): scipy.fft
-real transforms over the last n axes, batched over leading axes (components,
-time nodes), in the rfftn half-spectrum layout.  It builds broadcastable
-wavenumbers k and |xi|^2 (ksq) on first use.  It provides forward/inverse
-(inverse consumes its input), project (Leray), power (Parseval) and its
-root l2, grad/div coefficients and gradient_magnitude.
+A Grid holds only its parameters and its sample axis: coords() and
+radius_sq() build their arrays on each call, and spectral() returns a new
+layer, so every array lives exactly as long as its caller holds it.
+
+All spectral work goes through that layer, Spectral: scipy.fft real
+transforms over the last n axes, batched over leading axes (components,
+time nodes), in the rfftn half-spectrum layout.  It builds its small
+broadcastable wavenumbers k on first use and |xi|^2 on each ksq() call.  It
+provides forward/inverse (inverse consumes its input), project (Leray),
+power (Parseval) and its root l2, grad/div coefficients and
+gradient_magnitude.
 
 The layer owns the 2/3 rule.  The band is every mode with all |frequency
 index| < N/3, a box of c = ceil(N/3) nonnegative indices per axis; band()
@@ -102,9 +107,6 @@ class Grid:
             raise ValueError(f"cell volume h^n = ({self.h:g})^{n} at L = {L:g}, N = {N} "
                              f"is not a normal positive finite float")
         self.axis = -L + self.h * np.arange(N)
-        self._coords = None
-        self._r_sq = None
-        self._spectral = None
 
     @property
     def shape(self):
@@ -113,21 +115,15 @@ class Grid:
     def coords(self):
         """Coordinates per axis as broadcastable arrays, like Spectral.k: axis j
         has shape N along dimension j and 1 along the others."""
-        if self._coords is None:
-            self._coords = np.meshgrid(*([self.axis] * self.n), indexing="ij", sparse=True)
-        return self._coords
+        return np.meshgrid(*([self.axis] * self.n), indexing="ij", sparse=True)
 
     def spectral(self) -> "Spectral":
-        """The grid's spectral layer, built on first use."""
-        if self._spectral is None:
-            self._spectral = Spectral(self)
-        return self._spectral
+        """A new spectral layer on this grid; its caches die with it."""
+        return Spectral(self)
 
     def radius_sq(self):
-        """|x|^2 measured from the cube center."""
-        if self._r_sq is None:
-            self._r_sq = sum(xi**2 for xi in self.coords())
-        return self._r_sq
+        """|x|^2 measured from the cube center, a new full-grid array."""
+        return sum(xi**2 for xi in self.coords())
 
     def offset_sq(self, K: int):
         """|h d|^2 over the first-octant offsets d in {0..K}^n, no wrap."""
@@ -172,14 +168,9 @@ class Spectral:
             full, half = np.concatenate([full[s] for _, s in pieces]), half[:c]
         return np.meshgrid(*([full] * (self.n - 1)), half, indexing="ij", sparse=True)
 
-    @functools.cached_property
     def ksq(self):
-        """|xi|^2, broadcastable like the coefficient arrays."""
+        """|xi|^2, broadcastable like the coefficient arrays, a new array."""
         return sum(x**2 for x in self._xi())
-
-    @functools.cached_property
-    def _ksq_safe(self):
-        return np.where(self.ksq == 0.0, 1.0, self.ksq)
 
     @functools.cached_property
     def k(self):
@@ -240,8 +231,8 @@ class Spectral:
     def project(self, hat):
         """Leray projection I - xi xi^T/|xi|^2 in place; zero mode and
         Nyquist planes are dropped."""
-        dot = self._dot(hat)
-        dot /= self._ksq_safe
+        dot, ksq = self._dot(hat), self.ksq()
+        np.divide(dot, ksq, out=dot, where=ksq > 0.0)
         for kj, c in zip(self.k, self._comp):
             hat[c] -= kj * dot
         for plane in self._nyquist:
@@ -556,7 +547,8 @@ def integrate(f: Field, q: float, weight=None) -> float:
             terms = np.abs(f.data)
             terms **= q       # in place: one full-size temporary, not two
         if weight is not None and float(weight) != 0.0:
-            w = 1.0 + f.grid.radius_sq()       # the weight in one full-size temporary
+            w = f.grid.radius_sq()             # the weight in one full-size temporary
+            w += 1.0
             w **= 0.5 * (float(weight) * q)
             terms *= w
         total = np.sum(terms) * f.grid.cell_volume

@@ -301,7 +301,7 @@ def periodicity_check(sol: PeriodicSolution, steps: int = 256) -> float:
         raise ValueError(f"periodicity check needs at least one time step, got {steps}")
     sp = _spectral(sol.grid)
     full = sp.forward(sol.snapshots[0])
-    den = sp.l2(np.sqrt(sp.ksq) * full)
+    den = sp.l2(np.sqrt(sp.ksq()) * full)
     defect = sp.l2(sp.div(full)) / den if den > 0 else 0.0
     if defect > _SOLENOIDAL_RTOL:
         raise ValueError(f"u(0) is not solenoidal: relative divergence {defect:.3e}")

@@ -166,9 +166,10 @@ def decay_harness(
     Needs 1 < p <= q, -n/q < s0 <= s < n(1 - 1/p)
     and at least two distinct positive finite ladder times.
 
-    Returns (DecaySeries, ExponentFit over t >= 1, bound_compliance), where
-    the series carries the envelope t^a (1 + t)^b anchored at the first
-    ladder point and the compliance is the max of series/envelope.
+    Returns (DecaySeries, ExponentFit, bound_compliance), where the series
+    carries the envelope t^a (1 + t)^b anchored at the first ladder point
+    and the compliance is the max of series/envelope.  The fit runs over the
+    ladder times t >= 1, or over the whole ladder when fewer than two are.
     """
     g = u0.grid
     n = g.n
@@ -193,13 +194,13 @@ def decay_harness(
         raise ValueError("time ladder must be strictly increasing")
 
     sp = g.spectral()
-    base = sp.project(sp.forward(u0.data))
+    base, ksq = sp.project(sp.forward(u0.data)), sp.ksq()
     if q == 2.0 and s0 == 0.0:
         power = sp.power(base)
         if alpha_order == 1:
-            power *= sp.ksq
+            power *= ksq
         with np.errstate(over="ignore"):        # e^(-t|k|^2) is 0 where t|k|^2 overflows
-            values = np.array([math.sqrt(np.sum(power * np.exp(-2.0 * (t * sp.ksq))))
+            values = np.array([math.sqrt(np.sum(power * np.exp(-2.0 * (t * ksq))))
                                for t in t_ladder])
     else:
         # the evolved field is dropped once its norm is taken, so it does not
@@ -208,7 +209,7 @@ def decay_harness(
         values = []
         for t in t_ladder:
             with np.errstate(over="ignore"):
-                prop = base * np.exp(-t * sp.ksq)
+                prop = base * np.exp(-t * ksq)
             values.append(integrate(Field(g, evolve(prop)), q, s0))
         values = np.asarray(values)
     if not np.all(values > 0):

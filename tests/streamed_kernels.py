@@ -19,8 +19,8 @@ from stokeslab.grid import Field
 
 
 def traced_peak(call, unit):
-    """Peak traced memory of call(), in units of unit bytes.  A first call,
-    untraced, builds the grid's cached arrays (wavenumbers, |x|^2)."""
+    """Peak traced memory of call(), in units of unit bytes, measured on a
+    second call, so that one-time costs (imports, plans) are not counted."""
     call()
     tracemalloc.start()
     try:
@@ -107,7 +107,7 @@ def random_smooth_field(grid, seed, components=1, k0=1.5):
     """The corpus field with every profile, envelope and low-pass step a new array."""
     rng = np.random.default_rng(seed)
     sp = grid.spectral()
-    profile = np.exp(-sp.ksq / (2.0 * k0**2))
+    profile = np.exp(-sp.ksq() / (2.0 * k0**2))
     envelope = np.exp(-grid.radius_sq() / (grid.L / 5.5) ** 2)
     idx_sq = sum(i**2 for i in sp.index)
     lowpass = np.exp(-((np.sqrt(idx_sq) / (0.4 * grid.N)) ** 16))

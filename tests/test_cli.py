@@ -328,6 +328,38 @@ def test_help_prints_usage(argv, capsys):
     assert capsys.readouterr().out.startswith("usage: stokeslab")
 
 
+@pytest.mark.parametrize("command", sorted(cli._COMMANDS))
+def test_help_states_where_main_writes(command, capsys, monkeypatch, tmp_path):
+    # --out's stated default is the directory main makes when --out is not
+    # given (inside the run for the follow-up checks), and an option whose
+    # default is empty shows no default
+    with pytest.raises(SystemExit):
+        cli.main([command, "--help"])
+    entries = []
+    for line in capsys.readouterr().out.split("options:")[1].splitlines():
+        if line.lstrip().startswith("-"):
+            entries.append(line.strip())
+        elif entries:
+            entries[-1] += " " + line.strip()
+    for entry in entries:
+        assert entry.count("default") <= 1 and "(default )" not in entry, entry
+    stated = [e for e in entries if e.startswith("--out OUT")][0].split("(default ")[1][:-1]
+    written = []
+
+    def record(cfg, outdir, *inputs):
+        written.append(outdir)
+        raise ValueError("the output directory is recorded")
+
+    _, description, options = cli._COMMANDS[command]
+    monkeypatch.setitem(cli._COMMANDS, command, (record, description, options))
+    monkeypatch.setattr(cli, "_load_run", lambda command, run: None)
+    monkeypatch.chdir(tmp_path)
+    run = ["--run", os.path.join("some", "run")] if "run" in options else []
+    assert cli.main([command] + run) == 1
+    capsys.readouterr()
+    assert written == [stated.replace("<run>", os.path.join("some", "run"))]
+
+
 def test_precondition_violation_is_machine_readable(tmp_path, capsys):
     status, out = run_cli(
         capsys, "decay", "--p", "4", "--q", "2", "--N", "16", "--out", str(tmp_path)
@@ -431,16 +463,19 @@ def test_import_leaves_scipy_signal_unloaded():
 
 def test_transform_free_commands_leave_scipy_fft_unloaded(tmp_path):
     # scipy.fft is imported on the first transform: the package import and
-    # the closed-form weight commands never load it, and maximal does
+    # the closed-form weight commands never load it, and maximal does; nor
+    # do they load scipy.special or scipy.ndimage, which the exterior tools
+    # and the tests import where they use them
     code = (
-        "import contextlib, io, sys, stokeslab\n"
+        "import contextlib, io, json, sys, stokeslab\n"
         "from stokeslab import cli\n"
-        "loaded = ['scipy.fft' in sys.modules]\n"
+        "names = ('scipy.fft', 'scipy.special', 'scipy.ndimage')\n"
+        "loaded = [[m for m in names if m in sys.modules]]\n"
         "for argv in sys.argv[2:]:\n"
         "    with contextlib.redirect_stdout(io.StringIO()):\n"
         "        assert cli.main(argv.split() + ['--out', sys.argv[1]]) == 0, argv\n"
-        "    loaded.append('scipy.fft' in sys.modules)\n"
-        "print(loaded)"
+        "    loaded.append([m for m in names if m in sys.modules])\n"
+        "print(json.dumps(loaded))"
     )
     commands = ["check-weight", "admissible-range", "feasibility", "feasibility --scan 1",
                 "maximal --N 16"]
@@ -450,7 +485,8 @@ def test_transform_free_commands_leave_scipy_fft_unloaded(tmp_path):
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
     out = subprocess.run([sys.executable, "-c", code, str(tmp_path), *commands],
                          capture_output=True, text=True, env=env, check=True).stdout
-    assert out.strip() == str([False] * 5 + [True])
+    *closed_form, maximal = json.loads(out)
+    assert closed_form == [[]] * 5 and "scipy.fft" in maximal
 
 
 # --- run-directory inputs: every failure is a JSON payload, nothing is created

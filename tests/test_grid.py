@@ -149,7 +149,7 @@ def test_div_grad_is_laplacian_band_limited():
                                  + 0.5 * np.cos(5 * k * x2), g.shape))
     sp = g.spectral()
     lhs = divergence(gradient(f)).data
-    rhs = apply(sp, f.data, -sp.ksq)          # the Laplacian's multiplier
+    rhs = apply(sp, f.data, -sp.ksq())          # the Laplacian's multiplier
     assert np.abs(lhs - rhs).max() <= 1e-10 * np.abs(rhs).max()
 
 

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from stokeslab.grid import Field, Grid, gradient, integrate
 from stokeslab.corpus import random_smooth_field
-from stokeslab.semigroup import leray_project
+from stokeslab.semigroup import decay_harness, leray_project
 from stokeslab import periodic
 from stokeslab.periodic import (
     ContractionError,
@@ -446,16 +446,33 @@ def test_advection_table_is_built_once_per_solve(monkeypatch):
     assert len(builds) == 2
 
 
-def test_no_spectral_layer_outlives_its_solve():
-    # the solver holds the layer and its advection table only while it runs
+def test_no_spectral_layer_outlives_its_solve(monkeypatch):
+    # a grid holds no array but its axis, and every spectral layer a call
+    # builds dies by reference counting once its caller drops what the call
+    # returned: no cache and no reference cycle keeps one for the collector
+    layers, spectral = [], Grid.spectral
+
+    def recording(grid):
+        layer = spectral(grid)
+        layers.append(weakref.ref(layer))
+        return layer
+
+    monkeypatch.setattr(Grid, "spectral", recording)
     grid = Grid(3, 16, 16.0)
-    layer = weakref.ref(grid.spectral())
-    sol = picard_solve(random_solenoidal_force(T, seed=42, amplitude=0.5), grid, M=8,
-                       tol=1e-10, max_iter=30)
-    periodicity_check(sol, steps=4)
-    del sol, grid
-    gc.collect()
-    assert layer() is None
+    gc.disable()
+    try:
+        u0 = random_smooth_field(grid, 3, components=3)
+        assert integrate(u0, 2.0, 1.0) > 0.0
+        decay_harness(leray_project(u0), 2.0, 6.0, 0.5, 0.5, 0, [1.0, 2.0, 4.0])
+        sol = picard_solve(random_solenoidal_force(T, seed=42, amplitude=0.5), grid, M=8,
+                           tol=1e-10, max_iter=30)
+        periodicity_check(sol, steps=4)
+        assert len(layers) > 5
+        assert [k for k, v in vars(grid).items() if isinstance(v, np.ndarray)] == ["axis"]
+        del u0, sol
+        assert [layer() for layer in layers] == [None] * len(layers)
+    finally:
+        gc.enable()
 
 
 def test_weighted_ratio_stable_under_amplitude_halving():

@@ -24,7 +24,7 @@ from refinement import refine_field
 from streamed_kernels import apply
 
 # The heat semigroup is the spectral multiplier exp(-t |xi|^2):
-# apply(sp, data, np.exp(-t * sp.ksq)); the Stokes semigroup is the same
+# apply(sp, data, np.exp(-t * sp.ksq())); the Stokes semigroup is the same
 # multiplier after the Leray projection.
 
 
@@ -52,7 +52,7 @@ def test_heat_apply_gaussian_semigroup():
     g = Grid(3, 64, 16.0)
     sp = g.spectral()
     t0, t = 1.0, 1.5
-    evolved = apply(sp, heat_kernel_field(g, t0).data, np.exp(-t * sp.ksq))
+    evolved = apply(sp, heat_kernel_field(g, t0).data, np.exp(-t * sp.ksq()))
     target = heat_kernel_field(g, t0 + t).data
     rel = np.abs(evolved - target).max() / target.max()
     assert rel < 1e-8
@@ -63,7 +63,7 @@ def test_heat_apply_mode_eigenvalue():
     k = 2 * np.pi * 2 / (2 * g.L)
     f = Field(g, np.broadcast_to(np.cos(k * g.coords()[0]), g.shape))
     sp = g.spectral()
-    out = apply(sp, f.data, np.exp(-0.8 * sp.ksq))
+    out = apply(sp, f.data, np.exp(-0.8 * sp.ksq()))
     assert np.abs(out - np.exp(-0.8 * k * k) * f.data).max() < 1e-12
 
 
@@ -73,8 +73,8 @@ def test_heat_semigroup_law():
     f = random_smooth_field(g, 9).data
     for a in (0.1, 0.5, 1.0):
         for b in (0.1, 0.5, 1.0):
-            lhs = apply(sp, f, np.exp(-(a + b) * sp.ksq))
-            rhs = apply(sp, apply(sp, f, np.exp(-a * sp.ksq)), np.exp(-b * sp.ksq))
+            lhs = apply(sp, f, np.exp(-(a + b) * sp.ksq()))
+            rhs = apply(sp, apply(sp, f, np.exp(-a * sp.ksq())), np.exp(-b * sp.ksq()))
             assert np.abs(lhs - rhs).max() <= 1e-10 * np.abs(lhs).max()
 
 
@@ -85,7 +85,7 @@ def test_heat_l2_contraction():
         f = random_smooth_field(g, seed)
         n0 = integrate(f, 2)
         for t in (0.1, 1.0, 8.0):
-            evolved = Field(g, apply(sp, f.data, np.exp(-t * sp.ksq)))
+            evolved = Field(g, apply(sp, f.data, np.exp(-t * sp.ksq())))
             assert integrate(evolved, 2) <= n0 * (1 + 1e-13)
 
 
@@ -94,7 +94,7 @@ def test_heat_mass_conservation():
     sp = g.spectral()
     f = random_smooth_field(g, 4).data
     for t in (0.5, 2.0):
-        assert apply(sp, f, np.exp(-t * sp.ksq)).mean() == pytest.approx(f.mean(), abs=1e-14)
+        assert apply(sp, f, np.exp(-t * sp.ksq())).mean() == pytest.approx(f.mean(), abs=1e-14)
 
 
 def test_leray_annihilates_gradients():
@@ -142,7 +142,7 @@ def test_stokes_equals_heat_on_solenoidal():
     g = Grid(3, 32, 8.0)
     v = leray_project(random_smooth_field(g, 10, components=3))
     sp = g.spectral()
-    heat = np.exp(-0.7 * sp.ksq)
+    heat = np.exp(-0.7 * sp.ksq())
     a = apply(sp, leray_project(v).data, heat)
     b = apply(sp, v.data, heat)
     assert np.abs(a - b).max() <= 1e-12 * np.abs(b).max()
@@ -153,7 +153,7 @@ def test_stokes_kills_gradients_all_t():
     sp = g.spectral()
     gr = gradient(random_smooth_field(g, 11))
     for t in (0.0, 0.5, 2.0):
-        stokes = Field(g, apply(sp, leray_project(gr).data, np.exp(-t * sp.ksq)))
+        stokes = Field(g, apply(sp, leray_project(gr).data, np.exp(-t * sp.ksq())))
         assert integrate(stokes, 2) <= 1e-10 * integrate(gr, 2)
 
 
@@ -161,7 +161,7 @@ def test_projection_commutes_with_heat():
     g = Grid(3, 32, 8.0)
     sp = g.spectral()
     v = random_smooth_field(g, 12, components=3)
-    heat = np.exp(-0.3 * sp.ksq)
+    heat = np.exp(-0.3 * sp.ksq())
     a = leray_project(Field(g, apply(sp, v.data, heat))).data
     b = apply(sp, leray_project(v).data, heat)
     assert np.abs(a - b).max() <= 1e-12 * np.abs(b).max()
@@ -174,13 +174,13 @@ def test_gradient_apply_antisymmetry_and_mode():
     g = Grid(3, 32, 8.0)
     sp = g.spectral()
     gauss = np.exp(-g.radius_sq())
-    out = apply(sp, gauss, 1j * sp.k[0] * np.exp(-0.5 * sp.ksq))
+    out = apply(sp, gauss, 1j * sp.k[0] * np.exp(-0.5 * sp.ksq()))
     flipped = out[::-1]                 # x -> -x on axis 0 up to the grid shift
     assert np.abs(np.roll(flipped, 1, axis=0) + out).max() < 1e-10
     k = 2 * np.pi * 3 / (2 * g.L)
     mode = np.broadcast_to(np.cos(k * g.coords()[1]), g.shape)
     t = 0.4
-    dy = apply(sp, mode, 1j * sp.k[1] * np.exp(-t * sp.ksq))
+    dy = apply(sp, mode, 1j * sp.k[1] * np.exp(-t * sp.ksq()))
     assert np.abs(dy - (-k * np.exp(-t * k * k) * np.sin(k * g.coords()[1]))).max() < 1e-11
 
 
@@ -194,7 +194,7 @@ def test_gradient_apply_smoothing_bound():
         n0 = integrate(u, 2)
         for t in (0.25, 1.0, 4.0):
             grad_sq = sum(
-                integrate(Field(g, apply(sp, u.data, 1j * sp.k[j] * np.exp(-t * sp.ksq))), 2) ** 2
+                integrate(Field(g, apply(sp, u.data, 1j * sp.k[j] * np.exp(-t * sp.ksq()))), 2) ** 2
                 for j in range(3)
             )
             assert np.sqrt(t * grad_sq) / n0 <= cap * (1 + 1e-10)
@@ -278,7 +278,7 @@ def test_fractional_integral_rejects_bad_order():
 def test_fractional_integral_builds_no_doubled_grid_and_holds_no_wavenumbers(monkeypatch):
     # the padded convolution is a method of the field's own spectral layer:
     # no Grid(n, 2N, 2L) is built, and the layer only transforms, so it holds
-    # no |xi|^2, wavenumber, index, Parseval or de-aliasing arrays
+    # no wavenumber, index, Parseval or de-aliasing arrays
     g = Grid(3, 16, 4.0)
     f = Field(g, np.exp(-g.radius_sq()))
     built, grids = [], []
@@ -297,7 +297,7 @@ def test_fractional_integral_builds_no_doubled_grid_and_holds_no_wavenumbers(mon
     fractional_integral(f, 1.0)
     assert grids == []
     assert [sp.grid for sp in built] == [g]
-    lazy = {"ksq", "_ksq_safe", "k", "index", "_pw", "_band_pieces", "band_k", "band_ksq"}
+    lazy = {"k", "index", "_pw", "_scale", "_band_pieces", "band_k", "band_ksq"}
     assert lazy.isdisjoint(vars(built[0]))
 
 
@@ -353,7 +353,7 @@ def test_riesz_ratio_unweighted_is_one():
     g = Grid(3, 32, 8.0)
     sp = g.spectral()
     f = random_smooth_field(g, 19)
-    half = Field(g, apply(sp, f.data, np.sqrt(sp.ksq)))
+    half = Field(g, apply(sp, f.data, np.sqrt(sp.ksq())))
     assert integrate(gradient(f), 2.0) / integrate(half, 2.0) == pytest.approx(1.0, abs=1e-10)
 
 
@@ -363,7 +363,7 @@ def test_riesz_ratio_weighted_corpus():
     ratios = []
     for seed in corpus_seeds(5, 5):
         f = random_smooth_field(g, seed)
-        half = Field(g, apply(sp, f.data, np.sqrt(sp.ksq)))
+        half = Field(g, apply(sp, f.data, np.sqrt(sp.ksq())))
         ratios.append(integrate(gradient(f), 2.0, 1.0) / integrate(half, 2.0, 1.0))
     assert max(ratios) < 1.2
 
@@ -445,6 +445,18 @@ def test_decay_harness_weighted_case():
     assert compliance <= 1.05
     assert fit.slope <= predicted_exponent(3, 2.0, 2.0, 1.0, 0.0, 0) + 0.1
     assert np.all(np.diff(series.t) > 0)
+
+
+@pytest.mark.parametrize("ladder, fitted", [
+    (np.geomspace(0.25, 16.0, 7), slice(2, None)),    # t >= 1: the last five times
+    (np.geomspace(0.01, 0.5, 5), slice(None)),        # none >= 1: the whole ladder
+    (np.array([0.1, 0.3, 0.6, 2.0]), slice(None)),    # one >= 1: the whole ladder
+])
+def test_decay_fit_is_over_t_at_least_one_else_the_whole_ladder(ladder, fitted):
+    g = Grid(3, 16, 16.0)
+    u = random_smooth_field(g, 79, components=3)
+    series, fit, _ = decay_harness(u, 2.0, 6.0, 0.0, 0.0, 0, ladder)
+    assert fit == fit_power_law(series.t[fitted], series.values[fitted])
 
 
 def test_decay_csv_roundtrip(tmp_path):
