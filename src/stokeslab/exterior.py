@@ -2,10 +2,10 @@
 
 The divergence solver realizes a right inverse of div on mean-zero data
 over the annulus D_R = {R < |x| < R+1}: radial transport moves each ray's
-mass across the shell, and a Poisson solve on the unit sphere (spherical
-harmonics) redistributes the per-ray masses tangentially.  The output is
-supported exactly in the closed annulus and the construction is second
-order accurate in the grid spacing.  Everything here is n = 3 only.
+mass across the shell, and a Poisson solve on the unit sphere redistributes
+the per-ray masses tangentially.  The output is supported exactly in the
+closed annulus and the construction is second order accurate in the grid
+spacing.  Everything here is n = 3 only.
 
 The solver pays only for the annulus.  Its field sampler refines only the
 cube around the ball |x| <= R + 1 plus a fixed margin, and applies the
@@ -14,30 +14,44 @@ window's spline coefficients are exactly those of the whole periodic grid;
 where the ball comes within that margin of the cube's faces, the window is
 longer than the period and wraps round it.
 One Gauss-Legendre ray quadrature gives both the per-ray masses on the
-sphere grid and the partial ray integrals at the annulus points.  The
-masses' expansion m and the surface gradient of its Poisson potential Phi
-reach the points through a double Fourier grid (Merilees, Atmosphere 11
-(1973) 13; Townsend, Wilber & Wright, SIAM J. Sci. Comput. 38 (2016) C403):
-rows theta_j = pi j / n, j = 0..n, by 2n longitudes, n = _OVERSAMPLE
-(lmax + 1) = 4 * 41, synthesized for m and Phi by one Legendre recursion,
-continued to theta in [0, 2 pi) by g(2 pi - theta, phi) = g(theta, phi + pi)
-and read with scipy's periodic cubic spline (map_coordinates, mode
-"grid-wrap", which prefilters); grad_S Phi as Cartesian components, which
-are smooth at the poles.  Error budget against the exact synthesis at
-lmax 40 on the 40,670 points of D_2 at N = 128, L = 8: 3.1e-4 of max|m|
-and 1.5e-4 of max|grad_S Phi| for white random masses (the tests hold
-5e-4), 3.3e-5 and 1.7e-6 for bogovskii-test's; doubling the oversampling
-divides it by about 16.
+sphere grid and the partial ray integrals at the annulus points.
+
+The sphere stage works on one double Fourier grid (Merilees, Atmosphere 11
+(1973) 13; Townsend, Wilber & Wright, SIAM J. Sci. Comput. 38 (2016) C403).
+The masses are sampled at theta_j = pi (j + 1/2) / n by phi_k = pi k / n,
+n = _N_SPHERE = 64: 8,192 directions, no pole row.  Continued to theta in
+[0, 2 pi) by g(2 pi - theta, phi) = g(theta, phi + pi), they have one 2-D
+FFT, coefficients in e^(i a theta) e^(i b phi) with |a|, |b| < n.  Times
+sin^2 theta, Laplace-Beltrami Phi = m - mean(m) couples a to a +- 2 only:
+one tridiagonal system per b and parity of a (Yee, Mon. Wea. Rev. 109
+(1981) 501), all solved by one Thomas sweep.  m and grad_S Phi, the latter
+as Cartesian components, which are smooth at the poles where the (theta,
+phi) frame is not, are read off the zero-padded torus theta_j = pi j / nf,
+both pole rows included, nf = _OVERSAMPLE n = 3n, with scipy's periodic
+cubic spline (map_coordinates, mode "grid-wrap").  On the pole rows
+(1/sin) d/dphi is its limit +-d^2/dtheta dphi, and each pole row is its
+mean over phi, so a point on the axis reads one value.
+Error budget: masses band-limited to l < n/2 are read at the readout nodes
+as the exact harmonic sum, to 1.2e-14 of the maximum.  Between the nodes,
+against the exact synthesis of white masses to degree 40 on the 40,670 points
+of D_2 at N = 128, L = 8, the spline reads 2.1e-4 of max|m| and 7.1e-5 of
+max|grad_S Phi| (the tests hold 5e-4); doubling _OVERSAMPLE divides that
+by 14 to 20.  In n, bogovskii-test's B at N = 64 moves 1.3e-3 of max|B|
+from n = 64 to 128; at N = 128 it still moves (2.9e-2 at n = 64 and 4.0e-3
+at n = 96 against n = 128), so the rule that picks n is open.  The stage
+takes 34 to 45 ms per solve at N = 128 on D_2 and 61 to 72 ms on D_3
+(79,282 points; 2 cores, Python 3.11.7, numpy 2.4.6, scipy 1.17.1).
 
 Memory: work over the whole grid streams, one component, one quadrature
 node or one slab at a time, so no step holds a vector of full-grid
 temporaries beside its input and output.  The ray quadrature samples one
 Gauss node's points at a time, the sampler refines one slab at a time into
 its window block, the annulus mask takes |x| on the shell only, the sphere
-stage builds, reads and drops one function's double Fourier grid at a
-time, and the extension builds v0 in B's buffer.  Each streamed sum keeps
-the order of the batched one, so the outputs are bit for bit those of the
-batched formulas, which the tests keep.
+stage builds, reads and drops one function's readout torus at a time, and
+the extension builds |x|^2 once, for its mask and its cut-off, then phi in
+|x|^2's buffer and v0 in B's.  Each streamed sum keeps the order of the batched one, so the
+outputs are bit for bit those of the batched formulas, which the tests
+keep.
 
 annulus_dipole and shell_potential build the analytic test inputs of the
 two tools; the CLI, the acceptance criteria, the tests and the demo share them.
@@ -83,26 +97,26 @@ def _smoothstep7(t):
             t**3 * (140.0 - 420.0 * t + 420.0 * t * t - 140.0 * t**3))
 
 
-def _shell(grid: Grid, lo: float, hi: float):
-    """The grid points of the shell lo <= |x| <= hi, selected on radius_sq()
-    with the bounds widened by 1e-12 relative, so that rounding in |x| drops
-    no point where a profile on the open shell is nonzero: the mask, the
-    points' coordinates per axis and their |x|."""
-    r_sq = grid.radius_sq()
+def _shell(grid: Grid, r_sq, lo: float, hi: float):
+    """The grid points of the shell lo <= |x| <= hi, selected on r_sq, the
+    grid's radius_sq(), with the bounds widened by 1e-12 relative, so that
+    rounding in |x| drops no point where a profile on the open shell is
+    nonzero: the mask, the points' coordinates per axis and their |x|."""
     mask = (r_sq >= (lo * (1.0 - 1e-12)) ** 2) & (r_sq <= (hi * (1.0 + 1e-12)) ** 2)
     return mask, grid.axis[np.stack(np.nonzero(mask))], np.sqrt(r_sq[mask])
 
 
-def _cut_off(u0: Field, R: float):
+def _cut_off(u0: Field, R: float, r_sq):
     """The radial cut-off phi, 1 for |x| <= R+2 and 0 for |x| >= R+3, and
     (grad phi) . u0 with grad phi = phi'(r) x/|x|; both as arrays, evaluated
-    on the transition shell only."""
+    on the transition shell only.  r_sq, the grid's radius_sq(), becomes
+    phi."""
     grid = u0.grid
-    shell, (x0, x1, x2), r = _shell(grid, R + 2.0, R + 3.0)
+    shell, (x0, x1, x2), r = _shell(grid, r_sq, R + 2.0, R + 3.0)
     s, ds = _smoothstep7(r - (R + 2.0))
     dp = -ds / r
     u = u0.data[:, shell]
-    phi = (grid.radius_sq() < (R + 2.0) ** 2).astype(float)
+    phi = np.less(r_sq, (R + 2.0) ** 2, out=r_sq)
     phi[shell] = 1.0 - s
     fb = np.zeros(grid.shape)
     fb[shell] = dp * x0 * u[0] + dp * x1 * u[1] + dp * x2 * u[2]
@@ -115,7 +129,7 @@ def annulus_dipole(grid: Grid, R: float) -> Field:
     D_R.  It is div(bump e1), mean-zero by antisymmetry.  D_R is checked
     against the grid before anything is built."""
     _check_annulus(grid, R)
-    shell, (x0, _, _), r = _shell(grid, R + 0.15, R + 0.85)
+    shell, (x0, _, _), r = _shell(grid, grid.radius_sq(), R + 0.15, R + 0.85)
     t = np.clip((r - (R + 0.5)) / 0.35, -1.0, 1.0)
     ds = -8.0 * t * (1.0 - t * t) ** 3 / 0.35
     out = np.zeros(grid.shape)
@@ -129,7 +143,7 @@ def shell_potential(grid: Grid, R: float) -> Field:
     for exterior radius R.  The extension's shell D_{R+2} is checked against
     the grid, and R itself must be positive, before anything is built."""
     _check_annulus(grid, R + 2.0 if R > 0 else R)
-    shell, (X, Y, _), r = _shell(grid, R + 1.0, R + 3.0)
+    shell, (X, Y, _), r = _shell(grid, grid.radius_sq(), R + 1.0, R + 3.0)
     t = np.clip(r - (R + 2.0), -1.0, 1.0)
     prof = (1.0 - t * t) ** 3
     out = np.zeros((3,) + grid.shape)
@@ -138,127 +152,104 @@ def shell_potential(grid: Grid, R: float) -> Field:
 
 
 # ---------------------------------------------------------------------------
-# spherical harmonic helper (fully normalized, Condon-Shortley)
+# the sphere stage: a Poisson solve on one double Fourier grid
 # ---------------------------------------------------------------------------
 
-# theta intervals per degree on the double Fourier grid, pole to pole:
-# n = _OVERSAMPLE (lmax + 1) (see the module docstring for its error budget)
-_OVERSAMPLE = 4
+# latitude rows of the sampling grid, n by 2n directions (see the module
+# docstring for its convergence)
+_N_SPHERE = 64
+# readout rows per sampling row: the readout torus is 2 nf x 2 nf, nf =
+# _OVERSAMPLE n (see the module docstring for its error budget)
+_OVERSAMPLE = 3
 
 
-class _SphereSolver:
-    """Poisson solve on the unit sphere via Gauss-Legendre x uniform grid.
-
-    Expansions are of real functions, so c_{l,-m} = (-1)^m conj(c_{l,m}) and
-    only m >= 0 is stored: coef[m, l], shape (lmax+1, lmax+1), zero for l < m.
-    The analysis reads longitude modes m <= lmax, so lmax <= n_phi // 2.
-    """
-
-    def __init__(self, n_theta=64, n_phi=128, lmax=40):
-        self.n_theta, self.n_phi, self.lmax = n_theta, n_phi, lmax
-        mu, wgl = np.polynomial.legendre.leggauss(n_theta)
-        self.mu = mu
-        self.wgl = wgl
-        self.sin_t = np.sqrt(1.0 - mu**2)
-        # the grid's unit vectors, shape (3, n_theta, n_phi)
-        phi, st = 2.0 * np.pi * np.arange(n_phi) / n_phi, self.sin_t[:, None]
-        self.dirs = np.stack(np.broadcast_arrays(st * np.cos(phi), st * np.sin(phi),
-                                                 mu[:, None]))
-        # eigenvalues -l(l+1) of the sphere Laplacian; l = 0 maps to inf so
-        # that dividing by eig drops the constant mode
-        ll = np.arange(lmax + 1, dtype=float)
-        self.eig = np.where(ll > 0, -ll * (ll + 1.0), np.inf)
-
-    def _legendre_block(self, m, mu, sin_t):
-        """G and dP/dtheta for l = m..lmax (row i is l = m + i), normalized.
-
-        G = P_l^m / sin(theta) for m >= 1 and G = P_l^0 for m = 0.  Both come
-        from division-free recurrences, so they hold at the poles: G obeys
-        the three-term recurrence of P_l^m, and dP/dtheta its derivative
-        (dmu/dtheta = -sin theta); Schaeffer, Geochem. Geophys. Geosyst. 14
-        (2013) 751.
-        """
-        G = np.empty((self.lmax + 1 - m,) + mu.shape)
-        dP = np.empty_like(G)
-        c = np.sqrt(1.0 / (4.0 * np.pi))
-        for k in range(1, m + 1):
-            c *= -np.sqrt((2.0 * k + 1.0) / (2.0 * k))
-        G[0] = c * sin_t ** max(m - 1, 0)
-        dP[0] = m * mu * G[0]
-        sin_p = sin_t * sin_t if m else sin_t      # sin(theta) P_l^m = sin_p G_l
-        if len(G) > 1:
-            a = np.sqrt(2.0 * m + 3.0)
-            G[1] = a * mu * G[0]
-            dP[1] = a * (mu * dP[0] - sin_p * G[0])
-        for i in range(2, len(G)):
-            l = m + i
-            a = np.sqrt((4.0 * l * l - 1.0) / (l * l - m * m))
-            b = np.sqrt(((l - 1.0) ** 2 - m * m) / (4.0 * (l - 1.0) ** 2 - 1.0))
-            G[i] = a * (mu * G[i - 1] - b * G[i - 2])
-            dP[i] = a * (mu * dP[i - 1] - sin_p * G[i - 1] - b * dP[i - 2])
-        return G, dP
-
-    def analyze(self, values):
-        """Coefficients coef[m, l] of real values sampled on the (theta, phi) grid."""
-        fk = fft_backend().rfft(values, axis=1) * (2.0 * np.pi / self.n_phi)
-        coef = np.zeros((self.lmax + 1, self.lmax + 1), dtype=complex)
-        for m in range(self.lmax + 1):
-            G, _ = self._legendre_block(m, self.mu, self.sin_t)
-            P = G * self.sin_t if m else G
-            coef[m, m:] = (P * self.wgl) @ fk[:, m]
-        return coef
-
-    def synth_rows(self, coef, theta, n_phi):
-        """A stack coef (K, lmax+1, lmax+1) of real expansions, their d/dtheta
-        and their (1/sin)d/dphi on the rows theta by the longitudes
-        2 pi k / n_phi: shape (3, K, rows, n_phi).  The Legendre recursion
-        runs once per m over the rows for the whole stack, each expansion's
-        product with it a vector-matrix product of its own; then one inverse
-        rfft per row, where the m > 0 terms count twice for their -m partners."""
-        mu, sin_t = np.cos(theta), np.sin(theta)
-        spec = np.zeros((3, len(coef)) + theta.shape + (self.lmax + 1,), dtype=complex)
-        for m in range(self.lmax + 1):
-            G, dP = self._legendre_block(m, mu, sin_t)
-            for k, c in enumerate(coef[:, m, m:]):
-                v = c @ G
-                spec[0, k, :, m] = v * sin_t if m else v
-                spec[1, k, :, m] = c @ dP
-                spec[2, k, :, m] = 1j * m * v
-        return fft_backend().irfft(spec, n=n_phi, norm="forward")
+def _sphere_dirs():
+    """The unit vectors of the sampling grid theta_j = pi (j + 1/2) / n by
+    phi_k = pi k / n, n = _N_SPHERE: shape (3, n, 2n), no pole row."""
+    n = _N_SPHERE
+    theta = np.pi * (np.arange(n) + 0.5) / n
+    phi = np.pi * np.arange(2 * n) / n
+    st = np.sin(theta)[:, None]
+    return np.stack(np.broadcast_arrays(st * np.cos(phi), st * np.sin(phi),
+                                        np.cos(theta)[:, None]))
 
 
-def _sphere_at(sph, coef, theta, phi):
-    """m, the expansion coef, and the surface gradient of its Poisson
-    potential Phi (Laplace-Beltrami Phi = m, l = 0 dropped) as Cartesian
+def _sphere_at(masses, theta, phi):
+    """m, the masses sampled on _sphere_dirs' grid less their sphere mean, and
+    the surface gradient of Phi, Laplace-Beltrami Phi = m, as Cartesian
     components, at the points (theta, phi): shapes (points,) and (3, points).
-    Read off the double Fourier grid of the module docstring with
-    n = _OVERSAMPLE (lmax + 1), one function's grid at a time."""
+    The module docstring states the method."""
     from scipy.ndimage import map_coordinates
 
-    n = _OVERSAMPLE * (sph.lmax + 1)
-    theta_j = np.pi * np.arange(n + 1) / n
-    coords = np.stack([theta, phi]) * (n / np.pi)
+    fft = fft_backend()
+    n = len(masses)
+    # the torus: the rows in reverse, turned half a circle, continue theta past pi
+    torus = np.concatenate([masses, np.roll(masses[::-1], n, axis=1)])
+    # coefficients with a = -n..n-1 down the rows, b = 0..n-1 across; the
+    # phase moves the rows' half-step offset into e^(i a theta), and both
+    # Nyquist modes are dropped
+    spec = fft.fft(fft.rfft(torus, axis=1, norm="forward")[:, :n], axis=0, norm="forward")
+    a, b = np.arange(-n, n), np.arange(n)
+    C = np.roll(spec, n, axis=0) * np.exp(-0.5j * np.pi / n * a)[:, None]
+    C[0] = 0.0
+    # less the sphere mean, (1/2) int_0^pi m sin(theta) dtheta
+    even = a % 2 == 0
+    C[n, 0] -= np.sum(C[even, 0] / (1.0 - a[even] ** 2))
 
-    def at_points(rows):
-        # the rows strictly between the poles, in reverse and turned half a
-        # circle, continue theta past pi; map_coordinates takes the torus's
-        # periodic cubic-spline coefficients itself
-        torus = np.concatenate([rows, np.roll(rows[n - 1:0:-1], n, axis=1)])
-        return map_coordinates(torus, coords, order=3, mode="grid-wrap")
+    # row a: (a-1)(a-2) Phi_{a-2} - 2 (a^2 + 2 b^2) Phi_a + (a+1)(a+2) Phi_{a+2}
+    # = -(m_{a-2} - 2 m_a + m_{a+2}); index [i, p] holds a = -n + 2i + p, so
+    # both parities and every b are one Thomas sweep over i
+    ai = a.reshape(n, 2, 1)
+    lower, diag, upper = (np.broadcast_to(x, (n, 2, n)).copy() for x in (
+        (ai - 1.0) * (ai - 2.0), -2.0 * (ai * ai + 2.0 * b * b), (ai + 1.0) * (ai + 2.0)))
+    m = C.reshape(n, 2, n)
+    rhs = 2.0 * m
+    rhs[1:] -= m[:-1]
+    rhs[:-1] -= m[1:]
+    # the Nyquist row a = -n holds Phi_{-n} = 0, and row (a, b) = (0, 0)
+    # fixes Phi's free constant at 0
+    for i, p, k in [(0, 0, slice(None)), (n // 2, n % 2, 0)]:
+        lower[i, p, k], diag[i, p, k], upper[i, p, k], rhs[i, p, k] = 0.0, 1.0, 0.0, 0.0
+    Phi, sweep = np.empty_like(rhs), np.empty_like(diag)
+    sweep[0], Phi[0] = upper[0] / diag[0], rhs[0] / diag[0]
+    for i in range(1, n):
+        w = diag[i] - lower[i] * sweep[i - 1]
+        sweep[i], Phi[i] = upper[i] / w, (rhs[i] - lower[i] * Phi[i - 1]) / w
+    for i in range(n - 2, -1, -1):
+        Phi[i] -= sweep[i] * Phi[i + 1]
+    Phi = Phi.reshape(2 * n, n)
 
-    # m's rows and Phi's derivative rows from one recursion
-    rows = sph.synth_rows(np.stack([coef, coef / sph.eig]), theta_j, 2 * n)
-    value = at_points(rows[0, 0])
-    dth, dph = rows[1:, 1]
-    # grad_S = theta_hat d/dtheta + phi_hat (1/sin)d/dphi; its Cartesian
-    # components are smooth at the poles, where the frame is not
-    cos_t, sin_t = np.cos(theta_j)[:, None], np.sin(theta_j)[:, None]
-    phi_k = np.pi * np.arange(2 * n) / n
-    cos_p, sin_p = np.cos(phi_k), np.sin(phi_k)
-    grad = np.stack([at_points(cos_t * cos_p * dth - sin_p * dph),
-                     at_points(cos_t * sin_p * dth + cos_p * dph),
-                     at_points(-sin_t * dth)])
-    return value, grad
+    # the readout torus theta_j = pi j / nf, whose longitudes are the same
+    # angles, built, read and dropped one function at a time
+    nf = _OVERSAMPLE * n
+    angle = np.pi * np.arange(2 * nf) / nf
+    coords = np.stack([theta, phi]) * (nf / np.pi)
+
+    def readout(spec):
+        padded = np.zeros((2 * nf, n), dtype=complex)
+        padded[a] = spec
+        return fft.irfft(fft.ifft(padded, axis=0, norm="forward"), n=2 * nf, norm="forward")
+
+    def at_points(values):
+        # a point on the axis reads one value: each pole row is its mean
+        values[[0, nf]] = values[[0, nf]].mean(axis=1, keepdims=True)
+        return map_coordinates(values, coords, order=3, mode="grid-wrap")
+
+    value = at_points(readout(C))
+    # grad_S = theta_hat d/dtheta + phi_hat (1/sin)d/dphi; on the pole rows
+    # (1/sin)d/dphi is the limit +-d^2/dtheta dphi, summed over a there
+    dth, dph = readout(1j * a[:, None] * Phi), readout(1j * b * Phi)
+    divisor = np.sin(angle)
+    divisor[[0, nf]] = 1.0          # the pole rows are replaced below
+    dph /= divisor[:, None]
+    dthph = -a[:, None] * b * Phi
+    dph[[0, nf]] = fft.irfft([dthph.sum(axis=0), -np.sum(dthph[even], axis=0)
+                              + np.sum(dthph[~even], axis=0)], n=2 * nf, norm="forward")
+    cos_t, sin_t = np.cos(angle)[:, None], np.sin(angle)[:, None]
+    cos_p, sin_p = np.cos(angle), np.sin(angle)
+    return value, np.stack([at_points(cos_t * cos_p * dth - sin_p * dph),
+                            at_points(cos_t * sin_p * dth + cos_p * dph),
+                            at_points(-sin_t * dth)])
 
 
 # ---------------------------------------------------------------------------
@@ -369,7 +360,7 @@ def bogovskii_apply(f: Field, R: float, mean_rtol: float = 1e-10) -> Field:
     if f.is_vector:
         raise ValueError("divergence data must be a scalar field")
     # the open annulus, with |x| taken on the closed shell's points only
-    inside, P, pr = _shell(grid, R, R + 1.0)
+    inside, P, pr = _shell(grid, grid.radius_sq(), R, R + 1.0)
     open_ = (pr > R) & (pr < R + 1.0)
     inside[inside] = open_
     P, pr = P[:, open_], pr[open_]
@@ -388,25 +379,20 @@ def bogovskii_apply(f: Field, R: float, mean_rtol: float = 1e-10) -> Field:
             f"{mean_rtol:.1e} * ||f||_L1 = {mean_rtol * l1:.3e}"
         )
 
-    sph = _SphereSolver()
     sample_f = _FieldSampler(f, R + 1.0)
 
     # per-ray masses m(omega) = int_R^{R+1} f(rho omega) rho^2 drho on the sphere grid
-    m_grid = _ray_integral(sample_f, R, R + 1.0, sph.dirs)
+    masses = _ray_integral(sample_f, R, R + 1.0, _sphere_dirs())
 
     # radial integrals int_R^r f rho^2 drho at the annulus points
     rhat = P / pr
     F_p = _ray_integral(sample_f, R, pr, rhat)
     del sample_f            # its window's coefficients are not needed past here
 
-    # correct the (tiny) residual mean so the l=0 mode is exactly absent
-    coef = sph.analyze(m_grid)
-    coef[0, 0] = 0.0
-
     theta_p = np.arccos(np.clip(rhat[2], -1.0, 1.0))
     phi_p = np.mod(np.arctan2(P[1], P[0]), 2.0 * np.pi)
-    # m(omega) and grad_S Phi at the points, off the double Fourier grid
-    m_p, grad = _sphere_at(sph, coef, theta_p, phi_p)
+    # m(omega), less its (tiny) sphere mean, and grad_S Phi at the points
+    m_p, grad = _sphere_at(masses, theta_p, phi_p)
 
     width = _TRANSPORT_HI - _TRANSPORT_LO
     tt = (pr - (R + _TRANSPORT_LO)) / width
@@ -449,16 +435,18 @@ def solenoidal_extension(u0: Field, R: float):
     scale = integrate(u0, 2) * (np.pi / grid.L)
     if scale == 0.0:
         raise ValueError("u0 vanishes on the grid: its relative divergence is 0/0")
-    # the defect counts the exterior |x| > R only
-    defect = integrate(Field(grid, np.where(np.sqrt(grid.radius_sq()) > R,
-                                            divergence(u0).data, 0.0)), 2)
+    # the defect counts the exterior |x| > R only; |x|^2 is built once here
+    # for the mask and the cut-off, which builds phi in its buffer
+    r_sq = grid.radius_sq()
+    defect = integrate(Field(grid, np.where(np.sqrt(r_sq) > R, divergence(u0).data, 0.0)), 2)
     if defect > _DIV_RTOL * scale:
         raise ValueError(
             f"u0 is not solenoidal on the exterior region: relative divergence "
             f"{defect / scale:.3e} exceeds {_DIV_RTOL:.1e}"
         )
 
-    phi, fb = _cut_off(u0, R)
+    phi, fb = _cut_off(u0, R, r_sq)
+    del r_sq                # its buffer is phi's now
     fb = Field(grid, fb)
 
     # mean-zero holds analytically; on the grid only to quadrature accuracy

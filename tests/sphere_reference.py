@@ -1,29 +1,53 @@
-"""Exact point-wise spherical synthesis, the reference for the annulus
-solver's double Fourier grid."""
+"""Exact point-wise spherical synthesis on scipy's harmonics, the reference
+for the annulus solver's sphere stage.
+
+scipy.special.sph_harm_y(l, m, theta, phi) is sph_legendre_p(l, m, theta)
+e^(i m phi); the Legendre part depends on theta only, so it is evaluated
+once per distinct theta, for every l and m at once.
+"""
 
 import numpy as np
+from scipy.special import sph_legendre_p_all
 
 
-def synth_at(sph, coef, theta, phi):
-    """Evaluate a stack coef (K, lmax+1, lmax+1) of real expansions of the
-    _SphereSolver sph at the points given by the flat arrays theta, phi.
+def random_coef(rng, lmax):
+    """coef[l, m], 0 <= m <= l, of a white random real expansion: zero for
+    m > l and real at m = 0.  The -m terms are (-1)^m conj(coef[l, m])."""
+    coef = rng.standard_normal((lmax + 1,) * 2) + 1j * rng.standard_normal((lmax + 1,) * 2)
+    ell, m = np.indices(coef.shape)
+    coef[m > ell] = 0.0
+    coef[:, 0] = coef[:, 0].real
+    return coef
 
-    Returns (value, d/dtheta, (1/sin)d/dphi), each of shape (K, points); the
-    m > 0 terms count twice, standing in for their -m partners.  One
-    Legendre block of shape (lmax + 1 - m) x points per m, so the cost grows
-    like lmax^2 x points.
+
+def poisson_coef(coef):
+    """The expansion of Phi with Laplace-Beltrami Phi = the expansion less
+    its mean: coef[l, m] / (-l (l + 1)), the l = 0 term dropped."""
+    ell = np.arange(len(coef))[:, None]
+    return np.divide(coef, -ell * (ell + 1.0), out=np.zeros_like(coef), where=ell > 0)
+
+
+def synth_at(coef, theta, phi):
+    """A stack coef (K, lmax + 1, lmax + 1) of expansions and their surface
+    gradients as Cartesian components at the points given by the flat arrays
+    theta, phi: shapes (K, points) and (K, 3, points).  One Legendre table
+    serves the stack.
+
+    On the poles (theta exactly 0 or pi) (1/sin) d/dphi is its limit, with
+    P_l^m / sin(theta) -> +-dP_l^m/dtheta (which is 0 unless m = 1).
     """
-    mu, sin_t = np.cos(theta), np.sin(theta)
-    K = coef.shape[0]
-    val, dth, dph = np.zeros((3, K) + theta.shape)
-    for m in range(sph.lmax + 1):
-        G, dP = sph._legendre_block(m, mu, sin_t)
-        ab = np.concatenate([coef[:, m, m:].real, coef[:, m, m:].imag])   # (2K, lmax+1-m)
-        a, b = np.split(ab @ G, 2)
-        da, db = np.split(ab @ dP, 2)
-        w = 1.0 if m == 0 else 2.0
-        c, s = w * np.cos(m * phi), w * np.sin(m * phi)
-        val += (sin_t if m else 1.0) * (a * c - b * s)
-        dth += da * c - db * s
-        dph -= m * (a * s + b * c)
-    return val, dth, dph
+    lmax = coef.shape[-1] - 1
+    rows, at = np.unique(theta, return_inverse=True)
+    p, dp = (x[:, :lmax + 1] for x in sph_legendre_p_all(lmax, lmax, rows, diff_n=1))
+    sin_t = np.sin(rows)
+    north, south = rows == 0.0, rows == np.pi
+    sin_t[north | south] = 1.0
+    over_sin = p / sin_t
+    over_sin[..., north], over_sin[..., south] = dp[..., north], -dp[..., south]
+    m = np.arange(lmax + 1)
+    w = np.where(m > 0, 2.0, 1.0) * coef           # the -m terms are the conjugates
+    turn = np.exp(1j * m * phi[:, None])
+    val, dth, dph = (np.sum(np.einsum("klm,lmu->kum", w * f, q)[:, at] * turn, axis=-1).real
+                     for f, q in [(1.0, p), (1.0, dp), (1j * m, over_sin)])
+    ct, st, cp, sp = np.cos(theta), np.sin(theta), np.cos(phi), np.sin(phi)
+    return val, np.stack([ct * cp * dth - sp * dph, ct * sp * dth + cp * dph, -st * dth], axis=1)

@@ -9,12 +9,13 @@ from stokeslab.exterior import (
     divergence_defect,
     shell_potential,
     solenoidal_extension,
+    _N_SPHERE,
     _OVERSAMPLE,
     _FieldSampler,
-    _SphereSolver,
     _cut_off,
     _ray_integral,
     _sphere_at,
+    _sphere_dirs,
     _smoothstep7,
     _spline_refinement,
 )
@@ -24,7 +25,7 @@ import fft_reference
 import streamed_kernels as batched
 from streamed_kernels import traced_peak
 from refinement import refine_field
-from sphere_reference import synth_at
+from sphere_reference import poisson_coef, random_coef, synth_at
 
 
 def radial_test_data(grid, rc0=2.5, wd=0.4):
@@ -94,7 +95,7 @@ def test_cutoff_plateaus_and_support():
     g = Grid(3, 64, 8.0)
     R = 1.0
     u0 = random_smooth_field(g, 3, components=3)
-    phi, fb = _cut_off(u0, R)
+    phi, fb = _cut_off(u0, R, g.radius_sq())
     r = np.sqrt(g.radius_sq())
     assert np.all(phi[r <= R + 2.0] == 1.0)
     assert np.all(phi[r >= R + 3.0] == 0.0)
@@ -118,179 +119,125 @@ def test_smoothstep_pair_is_the_masked_value_and_derivative():
     assert np.array_equal(np.signbit(ds), np.signbit(slope))
 
 
+def sphere_nodes(n, nf):
+    """The sampling grid theta = pi (j + 1/2) / n by phi = pi k / n, and the
+    readout nodes theta = pi j / nf, j = 0..nf, by phi = pi k / nf, as flat
+    (theta, phi) pairs."""
+    def product(theta, phi):
+        return [a.ravel() for a in np.meshgrid(theta, phi, indexing="ij")]
+
+    return (product(np.pi * (np.arange(n) + 0.5) / n, np.pi * np.arange(2 * n) / n),
+            product(np.pi * np.arange(nf + 1) / nf, np.pi * np.arange(2 * nf) / nf))
+
+
 def test_sphere_solver_identities():
-    sph = _SphereSolver(n_theta=32, n_phi=64, lmax=20)
-    # analysis of Y_10 = sqrt(3/4pi) cos(theta)
-    vals = np.sqrt(3 / (4 * np.pi)) * sph.mu[:, None] * np.ones((1, sph.n_phi))
-    c = sph.analyze(vals)
-    assert c[0, 1] == pytest.approx(1.0, abs=1e-12)
-    # the derivative rows against finite differences: in theta across rows,
-    # in phi by turning the expansion, c_lm -> c_lm e^(i m eps)
-    rng = np.random.default_rng(5)
-    coef = np.zeros((21, 21), dtype=complex)
-    for m in range(0, 3):
-        for ell in range(max(1, m), 6):
-            coef[m, ell] = rng.standard_normal() + 1j * rng.standard_normal()
-    th = np.array([0.4, 1.1, 2.0, 2.8])
-    _, dth, dph = sph.synth_rows(coef[None], th, 16)[:, 0]
-    eps = 1e-6
-    vp, vm = (sph.synth_rows(coef[None], th + s * eps, 16)[0, 0] for s in (1, -1))
-    assert np.abs((vp - vm) / (2 * eps) - dth).max() < 1e-7
-    turn = np.exp(1j * eps * np.arange(21))[:, None]
-    vp, vm = sph.synth_rows(np.stack([coef * turn ** s for s in (1, -1)]), th, 16)[0]
-    assert np.abs((vp - vm) / (2 * eps) / np.sin(th)[:, None] - dph).max() < 1e-7
+    # masses 3 + x - 2z: m is x - 2z, less the mean 3, and Phi = -(x - 2z) / 2,
+    # whose surface gradient is -((1, 0, -2) - (x - 2z) omega) / 2, read at
+    # the readout nodes, poles included
+    n = _N_SPHERE
+    (th, ph), (tj, pk) = sphere_nodes(n, _OVERSAMPLE * n)
 
+    def unit(theta, phi):
+        return np.stack([np.sin(theta) * np.cos(phi), np.sin(theta) * np.sin(phi),
+                         np.cos(theta)])
 
-def random_real_coef(rng, lmax):
-    """coef[m, l] of a random real expansion: zero for l < m, real at m = 0."""
-    coef = rng.standard_normal((lmax + 1, lmax + 1)) + 1j * rng.standard_normal((lmax + 1,) * 2)
-    m, ell = np.indices(coef.shape)
-    coef[ell < m] = 0.0
-    coef[0] = coef[0].real
-    return coef
+    x, _, z = unit(th, ph)
+    value, grad = _sphere_at((3.0 + x - 2.0 * z).reshape(n, 2 * n), tj, pk)
+    omega = unit(tj, pk)
+    expected = omega[0] - 2.0 * omega[2]
+    assert np.abs(value - expected).max() <= 1e-13
+    exact = -0.5 * (np.array([1.0, 0.0, -2.0])[:, None] - expected * omega)
+    assert np.abs(grad - exact).max() <= 1e-13
 
 
 def test_sphere_synthesis_matches_full_harmonic_sum():
-    # the double Fourier grid's rows, theta_j = pi j / n from pole to pole by
-    # 2n longitudes, against the full sum of scipy's harmonics
-    from scipy.special import sph_harm_y
-
-    lmax = 12
-    n = _OVERSAMPLE * (lmax + 1)
-    sph = _SphereSolver(n_theta=16, n_phi=32, lmax=lmax)
+    # masses band-limited to l <= 31 < n / 2 are read at the readout nodes,
+    # both pole rows included, as the full sum of scipy's harmonics: m less
+    # its mean, and grad_S Phi (measured 1.2e-14 and 1.1e-14 of their maxima)
+    n = _N_SPHERE
+    nf = _OVERSAMPLE * n
+    (th, ph), _ = sphere_nodes(n, nf)
     rng = np.random.default_rng(11)
-    coef = random_real_coef(rng, lmax)
-    rows = np.pi * np.arange(n + 1) / n
-    ph = np.pi * np.arange(2 * n) / n
-
-    def reference(th, ph):
-        # the full sum over -l <= m <= l with c_{l,-m} = (-1)^m conj(c_{l,m}):
-        # value, d/dtheta and d/dphi
-        th, ph = np.meshgrid(th, ph, indexing="ij")
-        ref = np.zeros((3,) + th.shape, dtype=complex)
-        for m in range(-lmax, lmax + 1):
-            for ell in range(abs(m), lmax + 1):
-                c = coef[m, ell] if m >= 0 else (-1) ** m * np.conj(coef[-m, ell])
-                y, dy = sph_harm_y(ell, m, th, ph, diff_n=1)   # d/dtheta, d/dphi last
-                ref += c * np.stack([y, dy[..., 0], dy[..., 1]])
-        assert np.abs(ref.imag).max() < 1e-12 * np.abs(ref.real).max()
-        ref = ref.real
-        ref[2] /= np.sin(th)
-        return ref
-
-    got = sph.synth_rows(coef[None], rows, 2 * n)[:, 0]
-    assert got.shape == (3, n + 1, 2 * n)
-    ref = reference(rows[1:-1], ph)
-    for k in range(3):
-        assert np.abs(got[k, 1:-1] - ref[k]).max() <= 1e-12 * np.abs(ref[k]).max()
-    # at the poles the value is the sum itself, and the surface gradient is
-    # the limit along each meridian, by Richardson extrapolation from
-    # theta = d, 2d away from the pole
-    d = 1e-6
-    for j, pole, inward in [(0, 0.0, 1.0), (-1, np.pi, -1.0)]:
-        with np.errstate(divide="ignore", invalid="ignore"):
-            value = reference(np.array([pole]), ph)[0, 0]
-        assert np.abs(got[0, j] - value).max() <= 1e-12 * np.abs(value).max()
-        near = [reference(np.array([pole + i * d * inward]), ph)[:, 0] for i in (1, 2)]
-        limit = 2.0 * near[0] - near[1]
-        for k in (1, 2):
-            assert np.abs(got[k, j] - limit[k]).max() <= 1e-8 * np.abs(limit[k]).max()
+    coef = random_coef(rng, 31)
+    masses = synth_at(coef[None], th, ph)[0][0].reshape(n, 2 * n)
+    # every node of both pole rows and of four other rows, and 3000 more
+    j = np.concatenate([np.repeat([0, 1, nf // 2, nf - 1, nf, 7], 2 * nf),
+                        rng.integers(0, nf + 1, 3000)])
+    k = np.concatenate([np.tile(np.arange(2 * nf), 6), rng.integers(0, 2 * nf, 3000)])
+    theta, phi = np.pi * j / nf, np.pi * k / nf
+    value, grad = _sphere_at(masses, theta, phi)
+    coef[0, 0] = 0.0
+    values, grads = synth_at(np.stack([coef, poisson_coef(coef)]), theta, phi)
+    assert np.abs(value - values[0]).max() <= 1e-10 * np.abs(values[0]).max()
+    assert np.abs(grad - grads[1]).max() <= 1e-10 * np.abs(grads[1]).max()
 
 
 def test_sphere_gradient_is_single_valued_at_the_poles():
-    # read at either pole from every longitude, the Cartesian gradient is one
-    # vector: the (theta, phi) frame turns with phi, the components do not
-    sph = _SphereSolver(n_theta=32, n_phi=64, lmax=20)
+    # read at either pole from every longitude, m and the Cartesian gradient
+    # are one value, for masses with no smoothness at all: the (theta, phi)
+    # frame turns with phi, the components do not
     rng = np.random.default_rng(12)
-    coef = random_real_coef(rng, 20)
+    masses = rng.standard_normal((_N_SPHERE, 2 * _N_SPHERE))
     ph = rng.uniform(0.0, 2 * np.pi, 9)
     for pole in (0.0, np.pi):
-        value, grad = _sphere_at(sph, coef, np.full(9, pole), ph)
+        value, grad = _sphere_at(masses, np.full(9, pole), ph)
         assert np.abs(value - value[0]).max() <= 1e-12 * np.abs(value).max()
         assert np.abs(grad - grad[:, :1]).max() <= 1e-12 * np.abs(grad).max()
         assert np.abs(grad[2]).max() <= 1e-12 * np.abs(grad).max()
 
 
-def test_sphere_analysis_inverts_synthesis():
-    sph = _SphereSolver(n_theta=32, n_phi=64, lmax=20)
-    coef = random_real_coef(np.random.default_rng(3), 20)
-    vals = sph.synth_rows(coef[None], np.arccos(sph.mu), sph.n_phi)[0, 0]
-    back = sph.analyze(vals)
-    assert np.abs(back - coef).max() <= 1e-12 * np.abs(coef).max()
-
-
-def test_stacked_synthesis_is_the_synthesis_of_each_expansion():
-    # one recursion serves the stack; each expansion's rows are bit for bit
-    # those of its synthesis alone
-    sph = _SphereSolver(n_theta=32, n_phi=64, lmax=20)
-    rng = np.random.default_rng(14)
-    stack = np.stack([random_real_coef(rng, 20) for _ in range(3)])
-    rows = np.pi * np.arange(85) / 84
-    got = sph.synth_rows(stack, rows, 168)
-    assert got.shape == (3, 3, 85, 168)
-    for k, coef in enumerate(stack):
-        assert np.array_equal(got[:, k], sph.synth_rows(coef[None], rows, 168)[:, 0])
-
-
-def test_bogovskii_runs_one_legendre_recursion_per_m_each_way(monkeypatch):
-    # 2 (lmax + 1) = 82 blocks per solve: lmax + 1 for the analysis and
-    # lmax + 1 for the synthesis of m and Phi together
-    calls = []
-    block = _SphereSolver._legendre_block
-
-    def counted(self, m, mu, sin_t):
-        calls.append(m)
-        return block(self, m, mu, sin_t)
-
-    monkeypatch.setattr(_SphereSolver, "_legendre_block", counted)
-    bogovskii_apply(annulus_dipole(Grid(3, 32, 8.0), 2.0), 2.0)
-    assert sorted(calls) == sorted(2 * list(range(41)))
-
-
 @pytest.fixture(scope="module")
 def exact_on_annulus():
-    """A white random mass expansion m at lmax 40, its Poisson potential Phi
-    as the solver forms it, and their exact point-wise values on the 40,670
-    points of D_2 at N = 128, L = 8: m and grad_S Phi, Cartesian."""
+    """White random masses band-limited to lmax 40 on the sampling grid, and
+    the exact m, less its mean, and grad_S Phi on the 40,670 points of D_2 at
+    N = 128, L = 8."""
     g = Grid(3, 128, 8.0)
     _, P = annulus_points(g, 2.0)
     pr = np.sqrt(np.sum(P**2, axis=0))
     theta = np.arccos(np.clip(P[2] / pr, -1.0, 1.0))
     phi = np.mod(np.arctan2(P[1], P[0]), 2.0 * np.pi)
-    sph = _SphereSolver()
-    coef = random_real_coef(np.random.default_rng(40), 40)
+    coef = random_coef(np.random.default_rng(40), 40)
+    (th, ph), _ = sphere_nodes(_N_SPHERE, 1)
+    masses = synth_at(coef[None], th, ph)[0][0].reshape(_N_SPHERE, 2 * _N_SPHERE)
     coef[0, 0] = 0.0
-    val, dth, dph = synth_at(sph, np.stack([coef, coef / sph.eig]), theta, phi)
-    ct, st, cp, sp = np.cos(theta), np.sin(theta), np.cos(phi), np.sin(phi)
-    grad = np.stack([ct * cp * dth[1] - sp * dph[1], ct * sp * dth[1] + cp * dph[1],
-                     -st * dth[1]])
-    return sph, coef, theta, phi, val[0], grad
+    value, grad = synth_at(np.stack([coef, poisson_coef(coef)]), theta, phi)
+    return masses, theta, phi, value[0], grad[1]
 
 
 def double_fourier_errors(exact):
-    """Largest errors of m and grad_S Phi read off the double Fourier grid, as
+    """Largest errors of m and grad_S Phi read off the readout torus, as
     shares of their maxima."""
-    sph, coef, theta, phi, m_ref, grad_ref = exact
-    m, grad = _sphere_at(sph, coef, theta, phi)
+    masses, theta, phi, m_ref, grad_ref = exact
+    m, grad = _sphere_at(masses, theta, phi)
     return (np.abs(m - m_ref).max() / np.abs(m_ref).max(),
             np.abs(grad - grad_ref).max() / np.abs(grad_ref).max())
 
 
 def test_double_fourier_points_within_error_budget(exact_on_annulus):
-    # the module docstring's budget at oversampling 4: 5e-4 of the maximum
-    # (measured 3.1e-4 for m and 1.5e-4 for grad_S Phi)
-    assert _OVERSAMPLE == 4
+    # the module docstring's budget at n = 64 and oversampling 3: 5e-4 of
+    # the maximum (measured 2.1e-4 for m and 7.1e-5 for grad_S Phi)
+    assert (_N_SPHERE, _OVERSAMPLE) == (64, 3)
     assert max(double_fourier_errors(exact_on_annulus)) <= 5e-4
 
 
 def test_double_fourier_error_is_fourth_order(exact_on_annulus, monkeypatch):
     # a cubic spline's error falls 16x when the grid step halves (measured
-    # 16x for m and 18x for grad_S Phi)
+    # 20x for m and 14x for grad_S Phi from oversampling 3 to 6)
     coarse = double_fourier_errors(exact_on_annulus)
     monkeypatch.setattr("stokeslab.exterior._OVERSAMPLE", 2 * _OVERSAMPLE)
     fine = double_fourier_errors(exact_on_annulus)
     for c, f in zip(coarse, fine):
         assert f <= c / 10.0
+
+
+def test_bogovskii_converges_in_the_sphere_grid(monkeypatch):
+    # bogovskii-test's input at N = 64: doubling the sphere grid to n = 128
+    # moves B by less than 2e-3 of max|B| (measured 1.3e-3, 6.2e-4 in L^2)
+    f = annulus_dipole(Grid(3, 64, 8.0), 2.0)
+    B = bogovskii_apply(f, 2.0).data
+    monkeypatch.setattr("stokeslab.exterior._N_SPHERE", 2 * _N_SPHERE)
+    B_fine = bogovskii_apply(f, 2.0).data
+    assert np.abs(B_fine - B).max() <= 2e-3 * np.abs(B).max()
 
 
 def annulus_points(grid, R):
@@ -315,7 +262,7 @@ def sampler_points(grid, R):
     _, P = annulus_points(grid, R)
     pr = np.sqrt(np.sum(P**2, axis=0))
     rho_p = R + (pr - R) * (rho[:, None] - R)
-    return [(rho[:, None, None] * _SphereSolver().dirs[:, None]).reshape(3, -1),
+    return [(rho[:, None, None] * _sphere_dirs()[:, None]).reshape(3, -1),
             (rho_p * (P / pr)[:, None]).reshape(3, -1)]
 
 
@@ -393,7 +340,7 @@ def test_shell_builders_are_the_full_grid_formulas(N, L, R, R_ext):
     dipole, potential, phi, fb = full_grid_builders(g, R, R_ext, u0)
     assert np.array_equal(annulus_dipole(g, R).data, dipole)
     assert np.array_equal(shell_potential(g, R_ext).data, potential)
-    got_phi, got_fb = _cut_off(u0, R_ext)
+    got_phi, got_fb = _cut_off(u0, R_ext, g.radius_sq())
     assert np.array_equal(got_phi, phi) and np.array_equal(got_fb, fb)
 
 
@@ -403,7 +350,7 @@ def test_streamed_ray_integral_is_the_stacked_quadrature():
     g = Grid(3, 32, 8.0)
     R = 2.0
     sample_f = _FieldSampler(random_smooth_field(g, 21), R + 1.0)
-    dirs = _SphereSolver().dirs
+    dirs = _sphere_dirs()
     assert np.array_equal(_ray_integral(sample_f, R, R + 1.0, dirs),
                           batched.ray_integral(sample_f, R, R + 1.0, dirs))
     _, P = annulus_points(g, R)
@@ -636,7 +583,7 @@ def test_asymmetric_extension_data_is_mean_zero_far_below_the_tolerance():
     X, Y, Z = g.coords()
     weight = 1.0 + 0.3 * np.tanh(X + Z / 2) + 0.2 * np.sin(Y) * np.cos(Z)
     u0 = curl(Field(g, shell_potential(g, R).data * weight))
-    fb = Field(g, _cut_off(u0, R)[1])
+    fb = Field(g, _cut_off(u0, R, g.radius_sq())[1])
     assert abs(np.sum(fb.data)) * g.cell_volume <= 1e-3 * (0.5 * g.h) * integrate(fb, 1)
     v0, _ = solenoidal_extension(u0, R)
     far = np.sqrt(g.radius_sq()) >= R + 3.0
